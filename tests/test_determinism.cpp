@@ -124,6 +124,54 @@ std::string transient_fixture_path() {
   return std::string(ERAPID_TEST_DATA_DIR) + "/golden_transient_storm.json";
 }
 
+std::string wide_fixture_path() {
+  return std::string(ERAPID_TEST_DATA_DIR) + "/golden_complement_wide.json";
+}
+
+/// Complement on R(1,16,4) under P-B: each router has 4 node inputs plus 16
+/// wavelength inputs with 4 VCs each, i.e. 80 input VCs — more than one
+/// 64-bit word. The other goldens run on 4 boards (32 router VCs), so this
+/// is the fixture that pins VA/SA grant order on wide routers.
+sim::SimOptions wide_options() {
+  sim::SimOptions o;
+  o.system.boards = 16;
+  o.system.nodes_per_board = 4;
+  o.pattern = traffic::PatternKind::Complement;
+  o.load_fraction = 0.5;
+  o.seed = 1;
+  o.warmup_cycles = 2000;
+  o.measure_cycles = 4000;
+  o.drain_limit = 60000;
+  o.reconfig.mode = reconfig::NetworkMode::p_b();
+  return o;
+}
+
+TEST(Golden, ComplementWideReportMatchesCommittedFixtureExactly) {
+  for (const auto kind : {des::QueueKind::Heap, des::QueueKind::Calendar}) {
+    sim::SimOptions o = wide_options();
+    o.des_queue = kind;
+    const auto report = sim::to_json(sim::Simulation(o).run()) + "\n";
+
+    if (std::getenv("ERAPID_REGEN_GOLDEN") != nullptr) {
+      if (kind != des::QueueKind::Heap) continue;  // the heap queue writes it
+      std::ofstream out(wide_fixture_path());
+      ASSERT_TRUE(out) << "cannot write " << wide_fixture_path();
+      out << report;
+      continue;
+    }
+
+    std::ifstream in(wide_fixture_path());
+    ASSERT_TRUE(in) << "missing fixture " << wide_fixture_path()
+                    << " (regenerate with ERAPID_REGEN_GOLDEN=1)";
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    EXPECT_EQ(report, ss.str())
+        << "wide-router golden drifted on des.queue=" << des::queue_kind_name(kind)
+        << " — if the semantic change is intended, regenerate with "
+           "ERAPID_REGEN_GOLDEN=1 and call it out in the commit message";
+  }
+}
+
 TEST(Golden, TransientStormReportMatchesCommittedFixtureExactly) {
   sim::SimOptions o = base_options();
   o.reconfig.mode = reconfig::NetworkMode::p_b();
