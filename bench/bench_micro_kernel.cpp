@@ -62,9 +62,10 @@ BENCHMARK(BM_rng_bernoulli);
 
 void BM_arbiter(benchmark::State& state) {
   router::RoundRobinArbiter arb(16);
-  std::vector<bool> req(16, true);
+  std::vector<std::uint32_t> req(16);
+  for (std::uint32_t i = 0; i < req.size(); ++i) req[i] = i;
   std::uint32_t acc = 0;
-  for (auto _ : state) acc += arb.arbitrate(req);
+  for (auto _ : state) acc += arb.grant(req);
   benchmark::DoNotOptimize(acc);
   state.SetItemsProcessed(state.iterations());
 }

@@ -20,6 +20,11 @@
 // quiescence (nothing buffered, nothing in flight) the recurring event is
 // not rescheduled, and any component can wake the domain again. This keeps
 // the event count proportional to useful work at low loads.
+//
+// While any component is busy, every component is ticked, so an idle
+// component's tick() and quiescent() must be cheap: a router with no
+// non-Idle VC returns from tick() after one branch and answers
+// quiescent() from a counter, without touching its buffers.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,7 @@
 #include "optical/terminal.hpp"
 
+#include <algorithm>
+
 #include "obs/probe.hpp"
 
 namespace erapid::optical {
@@ -18,7 +20,7 @@ OpticalTerminal::OpticalTerminal(des::Engine& engine, const topology::SystemConf
 
   flows_.reserve(B);
   for (std::uint32_t d = 0; d < B; ++d) flows_.emplace_back(cfg.tx_queue_packets, W);
-  lane_scan_.resize(W, false);
+  lane_scan_.reserve(W);
 
   lanes_.resize(static_cast<std::size_t>(B) * W);
   for (std::uint32_t d = 0; d < B; ++d) {
@@ -187,13 +189,12 @@ void OpticalTerminal::pump_flow(BoardId d, Cycle now) {
   while (!flow.q.empty()) {
     // Batched availability scan into the terminal-level scratch (see
     // lane_scan_ in the header for why sharing it is sound).
-    std::vector<bool>& usable = lane_scan_;
-    bool any = false;
+    std::vector<std::uint32_t>& usable = lane_scan_;
+    usable.clear();
     for (std::uint32_t w = 0; w < W; ++w) {
-      usable[w] = lane_at(w) ? lane_at(w)->available(now) : false;
-      any = any || usable[w];
+      if (lane_at(w) && lane_at(w)->available(now)) usable.push_back(w);
     }
-    if (!any) {
+    if (usable.empty()) {
       // DLS wake-on-demand: queued packets but every owned lane is dark.
       // (If some lane is merely busy/paused, its ready callback re-pumps.)
       for (std::uint32_t w = 0; w < W; ++w) {
@@ -207,16 +208,13 @@ void OpticalTerminal::pump_flow(BoardId d, Cycle now) {
     // Round-robin across owned lanes; a lane may still refuse if its
     // wavelength receiver has no free RX slot — try the others.
     bool launched = false;
-    while (any) {
-      const std::uint32_t w = flow.lane_rr.arbitrate(usable);
-      if (w == router::RoundRobinArbiter::kNoGrant) break;
+    while (!usable.empty()) {
+      const std::uint32_t w = flow.lane_rr.grant(usable);
       if (lane_at(w)->try_transmit(flow.q.front(), now)) {
         launched = true;
         break;
       }
-      usable[w] = false;
-      any = false;
-      for (std::uint32_t x = 0; x < W; ++x) any = any || usable[x];
+      usable.erase(std::find(usable.begin(), usable.end(), w));
     }
     if (!launched) return;  // all RX queues full; retried on slot-freed
 

@@ -187,12 +187,12 @@ class OpticalTerminal {
   std::vector<Flow> flows_;                   ///< indexed by dest board (self unused)
   std::vector<std::unique_ptr<Lane>> lanes_;  ///< dest-major, W per dest, self row null
   power::PowerLevel wake_level_ = power::PowerLevel::Low;
-  /// Scratch for pump_flow's per-iteration lane-availability scan, hoisted
-  /// out of the hot loop. Refilled at the top of every iteration, so the
-  /// reentrant pump path (launch → retry_blocked → try_commit →
-  /// enqueue_packet → pump_flow) sees exactly the decisions the local
-  /// vector produced; only the allocation is shared.
-  std::vector<bool> lane_scan_;
+  /// Scratch for pump_flow's per-iteration list of available lanes
+  /// (ascending), hoisted out of the hot loop. Refilled at the top of every
+  /// iteration, so the reentrant pump path (launch → retry_blocked →
+  /// try_commit → enqueue_packet → pump_flow) sees exactly the decisions
+  /// the local vector produced; only the allocation is shared.
+  std::vector<std::uint32_t> lane_scan_;
   std::uint64_t enqueued_ = 0;
   std::function<void(const router::Packet&, Cycle)> on_dead_letter_;
   std::uint64_t crc_naks_ = 0;

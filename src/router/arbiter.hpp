@@ -4,10 +4,14 @@
 // each output (or input) keeps one arbiter; the grant pointer advances past
 // the winner so every requester is served within N grants (strong
 // fairness). Deterministic: no randomness, state advances only on grants.
+//
+// Requests arrive as an ascending list of requester indices, which callers
+// collect into reusable scratch storage, so a grant never allocates and its
+// cost scales with the number of requesters, not the arbiter width.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "util/expect.hpp"
 
@@ -20,20 +24,25 @@ class RoundRobinArbiter {
     ERAPID_EXPECT(n > 0, "arbiter needs at least one requester");
   }
 
-  /// Picks the first set request at/after the pointer; returns the winner
-  /// index or kNoGrant. Advances the pointer past the winner.
   static constexpr std::uint32_t kNoGrant = UINT32_MAX;
 
-  std::uint32_t arbitrate(const std::vector<bool>& requests) {
-    ERAPID_EXPECT(requests.size() == n_, "request vector width mismatch");
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      const std::uint32_t cand = (ptr_ + i) % n_;
-      if (requests[cand]) {
-        ptr_ = (cand + 1) % n_;
-        return cand;
+  /// Grants the first requester at/after the pointer, wrapping past n-1 to
+  /// the lowest requester, and advances the pointer past the winner.
+  /// `requesters` must be strictly ascending indices below size(); returns
+  /// kNoGrant (pointer unchanged) when it is empty.
+  std::uint32_t grant(std::span<const std::uint32_t> requesters) {
+    if (requesters.empty()) return kNoGrant;
+    ERAPID_EXPECT(requesters.back() < n_, "requester " << requesters.back()
+                                                       << " out of range for width " << n_);
+    std::uint32_t winner = requesters.front();
+    for (const std::uint32_t r : requesters) {
+      if (r >= ptr_) {
+        winner = r;
+        break;
       }
     }
-    return kNoGrant;
+    ptr_ = winner + 1 == n_ ? 0 : winner + 1;
+    return winner;
   }
 
   [[nodiscard]] std::uint32_t size() const { return n_; }

@@ -24,14 +24,14 @@ bool FlitInjector::try_start(const Packet& p, Cycle now) {
   // every VC is out of credits we still commit to one and stall: the
   // credit-return callback resumes the stream, so the caller never needs
   // its own retry timer.
-  std::vector<bool> req(credits_.size());
-  bool any = false;
-  for (std::size_t v = 0; v < credits_.size(); ++v) {
-    req[v] = credits_[v] > 0;
-    any = any || req[v];
+  vc_scan_.clear();
+  for (std::uint32_t v = 0; v < credits_.size(); ++v) {
+    if (credits_[v] > 0) vc_scan_.push_back(v);
   }
-  if (!any) std::fill(req.begin(), req.end(), true);
-  vc_ = vc_pick_.arbitrate(req);
+  if (vc_scan_.empty()) {
+    for (std::uint32_t v = 0; v < credits_.size(); ++v) vc_scan_.push_back(v);
+  }
+  vc_ = vc_pick_.grant(vc_scan_);
 
   in_flight_ = true;
   current_ = p;

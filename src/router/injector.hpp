@@ -58,6 +58,7 @@ class FlitInjector {
   std::uint32_t cycles_per_flit_;
   std::vector<std::uint32_t> credits_;
   RoundRobinArbiter vc_pick_;
+  std::vector<std::uint32_t> vc_scan_;  ///< try_start's VC request list, reused
 
   bool in_flight_ = false;
   bool stalled_ = false;       ///< mid-packet, waiting for a credit

@@ -16,6 +16,11 @@
 // Timing discipline: every stage transition is gated on `now >
 // state_since`, so a flit observes at least one cycle per stage and the
 // result is independent of same-cycle event ordering (deterministic).
+//
+// Cost discipline: a tick allocates nothing (request lists live in reused
+// scratch) and a router whose VCs are all Idle returns after one branch.
+// An Idle VC always has an empty buffer, so the count of non-Idle VCs is
+// the whole of the router's pending work.
 #pragma once
 
 #include <cstddef>
@@ -78,7 +83,7 @@ class Router : public des::Clocked {
          std::uint32_t vc_depth_flits, std::uint32_t credit_delay, RouteFn route);
 
   /// Adds an output port; returns its index. All outputs must be added
-  /// before the first flit arrives.
+  /// before the first flit arrives (throws otherwise).
   std::uint32_t add_output(const OutputPortConfig& cfg);
 
   /// Registers the upstream credit sink for an input port.
@@ -106,6 +111,7 @@ class Router : public des::Clocked {
   }
 
  private:
+  /// Idle VCs hold no flits; Routing VCs hold their head flit at the front.
   enum class VcState : std::uint8_t { Idle, Routing, VcAlloc, Active };
 
   struct VirtualChannel {
@@ -124,17 +130,30 @@ class Router : public des::Clocked {
   struct OutputPort {
     OutputPortConfig cfg;
     std::vector<std::uint32_t> credits;  ///< per downstream VC
-    std::vector<bool> vc_taken;          ///< downstream VC held by an input VC
+    std::vector<std::uint8_t> vc_taken;  ///< downstream VC held by an input VC
     Cycle busy_until = 0;                ///< channel serializing until
     RoundRobinArbiter vc_arb;            ///< VA arbiter over input VCs
     RoundRobinArbiter sa_arb;            ///< SA arbiter over input ports
     explicit OutputPort(const OutputPortConfig& c, std::uint32_t flat_vcs,
                         std::uint32_t num_inputs)
-        : cfg(c), credits(c.vcs, c.credits_per_vc), vc_taken(c.vcs, false),
+        : cfg(c), credits(c.vcs, c.credits_per_vc), vc_taken(c.vcs, 0),
           vc_arb(flat_vcs), sa_arb(num_inputs) {}
   };
 
-  void stage_route(Cycle now);
+  /// Per-tick request lists, reused so a tick never allocates. Sized on
+  /// the first busy tick rather than in the ctor, so building a network
+  /// pays nothing for them. Lists are ascending, as grant() requires.
+  struct Scratch {
+    std::vector<std::uint32_t> va;        ///< [out * flat VCs]: VA requesters
+    std::vector<std::uint32_t> va_count;  ///< per output
+    std::vector<std::uint32_t> sa;        ///< [out * inputs]: SA nominating inputs
+    std::vector<std::uint32_t> sa_count;  ///< per output
+    std::vector<std::uint32_t> nominee;   ///< per input: its SA-nominated VC
+    std::vector<std::uint32_t> ready;     ///< one input's SA-eligible VCs
+  };
+
+  void size_scratch();
+  void collect_requests(Cycle now);
   void stage_vc_alloc(Cycle now);
   void stage_switch(Cycle now);
 
@@ -153,7 +172,8 @@ class Router : public des::Clocked {
   std::vector<OutputPort> outputs_;
   std::vector<RoundRobinArbiter> input_sa_arb_;  ///< per input: pick one VC
   RouterCounters counters_;
-  std::uint32_t active_vcs_ = 0;  ///< non-Idle or non-empty VC count (for quiescence)
+  std::uint32_t active_vcs_ = 0;  ///< non-Idle VCs; 0 means quiescent
+  Scratch scratch_;
 };
 
 }  // namespace erapid::router

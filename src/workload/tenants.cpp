@@ -11,8 +11,9 @@ namespace erapid::workload {
 
 namespace {
 
-/// Zero-padded tenant tag ("07") so metric names sort numerically.
-std::string tenant_tag(std::uint32_t t) {
+/// Zero-padded tenant tag ("07") so metric names sort numerically. Unused
+/// when ERAPID_NO_OBS compiles the metric probes out.
+[[maybe_unused]] std::string tenant_tag(std::uint32_t t) {
   return (t < 10 ? "0" : "") + std::to_string(t);
 }
 
