@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -600,6 +601,136 @@ TEST(OptionsIo, WorkloadKindNamesRoundTripThroughParser) {
     EXPECT_EQ(erapid::workload::kind_name(*kind), name);
   }
   EXPECT_FALSE(erapid::workload::parse_kind("stencil").has_value());
+}
+
+// ---- INI goldens -------------------------------------------------------------
+
+std::string ini_text(const SimOptions& o) {
+  std::ostringstream os;
+  options_to_ini(o).save(os);
+  return os.str();
+}
+
+// Every key family set to a non-default value: a phases workload, a fault
+// plan, obs with trace/telemetry/flight recorder, every monitor and two
+// degrade policies. Every double is exact at six significant digits.
+SimOptions full_options() {
+  using namespace erapid;
+  SimOptions o;
+  o.system.clusters = 2;
+  o.system.boards = 4;
+  o.system.nodes_per_board = 4;
+  o.system.channel_width_bits = 32;
+  o.system.flit_bits = 128;
+  o.system.packet_flits = 4;
+  o.system.num_vcs = 2;
+  o.system.vc_buffer_flits = 6;
+  o.system.credit_delay = 2;
+  o.system.tx_queue_packets = 12;
+  o.system.rx_queue_packets = 6;
+  o.system.fiber_delay_cycles = 10;
+  o.system.tx_feed_cycles_per_flit = 2;
+  o.system.injection_queue_packets = 32;
+  o.system.arq_retry_limit = 7;
+  o.system.arq_backoff_cycles = 64;
+  o.system.arq_nak_cycles = 12;
+  o.reconfig.mode = reconfig::NetworkMode::p_b();
+  o.reconfig.window = 4000;
+  o.reconfig.ring_hop_cycles = 20;
+  o.reconfig.lc_hop_cycles = 5;
+  o.reconfig.dpm_strategy = reconfig::DpmStrategyKind::Ewma;
+  o.reconfig.dpm_params.hysteresis_windows = 3;
+  o.reconfig.dpm_params.ewma_alpha = 0.25;
+  o.reconfig.mode.dpm.l_min = 0.6;
+  o.reconfig.mode.dpm.l_max = 0.85;
+  o.reconfig.mode.dpm.b_max = 0.35;
+  o.reconfig.mode.dbr.b_min = 0.05;
+  o.reconfig.mode.dbr.b_max = 0.4;
+  o.reconfig.mode.dbr.max_lanes_per_flow = 3;
+  o.reconfig.mode.dpm.shutdown_idle = false;
+  o.reconfig.ctrl_retry_limit = 5;
+  o.reconfig.rc_watchdog_cycles = 256;
+  o.fault = fault::FaultPlan::parse_events(
+      "lane_fail@5000:d2:w1:r9000 laser_degrade@8000:d3:w2:low:4000 "
+      "ctrl_drop@6000:ring:b1:n2");
+  o.fault.ctrl_drop_prob = 0.125;
+  o.fault.seed = 77;
+  o.des_queue = des::QueueKind::Calendar;
+  o.pattern = traffic::PatternKind::Hotspot;
+  o.hotspot_fraction = 0.35;
+  o.hotspot_node = 3;
+  o.load_fraction = 0.65;
+  o.seed = 99;
+  o.warmup_cycles = 1000;
+  o.measure_cycles = 2000;
+  o.drain_limit = 9000;
+  o.workload.kind = workload::WorkloadKind::Phases;
+  o.workload.phases = workload::parse_phase_specs("transpose:32:0.8:512,uniform:4,bitrev:8:0.5");
+  o.workload.episodes = 3;
+  o.workload.volume_packets = 32;
+  o.workload.phase_rate = 0.7;
+  o.workload.gap_cycles = 512;
+  o.workload.tenants = 7;
+  o.workload.tenant_load = 0.15;
+  o.workload.tenant_mix = {traffic::PatternKind::Uniform, traffic::PatternKind::Transpose};
+  o.workload.session_cycles = 2500;
+  o.workload.session_gap_mean = 900;
+  o.workload.horizon_cycles = 90000;
+  o.obs.enabled = true;
+  o.obs.trace_path = "run.trace.json";
+  o.obs.trace_format = "csv";
+  o.obs.counter_interval = 250;
+  o.obs.trace_events = true;
+  o.obs.monitor_fail_fast = true;
+  o.obs.telemetry_path = "run.telemetry.jsonl";
+  o.obs.telemetry_window = 1500;
+  o.obs.telemetry_top_k = 4;
+  o.obs.telemetry_ewma_alpha = 0.4;
+  o.obs.telemetry_phase_alpha = 0.3;
+  o.obs.telemetry_phase_slack = 0.02;
+  o.obs.telemetry_phase_threshold = 0.5;
+  o.obs.flight_recorder_depth = 256;
+  o.obs.flight_recorder_path = "blackbox.json";
+  o.obs.monitors.power_cap_mw = 2500.5;
+  o.obs.monitors.throughput_floor = 0.35;
+  o.obs.monitors.p99_latency_ceiling = 900.0;
+  o.obs.monitors.quiescence_deadline = 1200;
+  o.obs.monitors.max_recovery_cycles = 9000;
+  o.obs.monitors.workload_deadline = 40000;
+  o.degrade.power_cap = resilience::ResponsePolicy::Shed;
+  o.degrade.throughput_floor = resilience::ResponsePolicy::Record;
+  o.degrade.cooldown_cycles = 1500;
+  o.degrade.recover_margin = 0.75;
+  o.degrade.recover_cycles = 6000;
+  o.degrade.shed_step = 3;
+  o.degrade.max_shed_fraction = 0.25;
+  return o;
+}
+
+// The serialized text is a stable interface: saved experiment configs and
+// campaign specs are read back by later builds. Regenerate the fixtures
+// with ERAPID_REGEN_GOLDEN=1 only when the text is meant to change.
+void expect_ini_golden(const SimOptions& o, const std::string& name) {
+  const std::string path = std::string(ERAPID_TEST_DATA_DIR) + "/" + name;
+  if (std::getenv("ERAPID_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << ini_text(o);
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing fixture " << path << " (regenerate with ERAPID_REGEN_GOLDEN=1)";
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  EXPECT_EQ(ini_text(o), ss.str()) << "serialized config drifted from " << path;
+}
+
+TEST(OptionsIo, DefaultIniMatchesGolden) {
+  expect_ini_golden(SimOptions{}, "golden_options_default.ini");
+}
+
+TEST(OptionsIo, FullIniMatchesGolden) {
+  expect_ini_golden(full_options(), "golden_options_full.ini");
 }
 
 TEST(OptionsIo, FileRoundTrip) {
