@@ -1,5 +1,6 @@
 #include "fault/plan.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <iomanip>
 #include <sstream>
@@ -25,13 +26,14 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-std::uint64_t parse_u64(const std::string& tok, const std::string& spec) {
-  ERAPID_EXPECT(!tok.empty(), "empty number in fault spec: '" + spec + "'");
-  std::uint64_t v = 0;
-  for (const char c : tok) {
-    ERAPID_EXPECT(c >= '0' && c <= '9', "bad number '" + tok + "' in fault spec: '" + spec + "'");
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+/// Whole-token unsigned decimal that fits T (no sign, no wrap).
+template <class T = std::uint64_t>
+T parse_uint(const std::string& tok, const std::string& spec) {
+  T v = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  ERAPID_EXPECT(ec == std::errc() && ptr == end,
+                "bad number '" + tok + "' in fault spec: '" + spec + "'");
   return v;
 }
 
@@ -39,7 +41,7 @@ std::uint64_t parse_u64(const std::string& tok, const std::string& spec) {
 std::uint32_t parse_tagged(const std::string& tok, char tag, const std::string& spec) {
   ERAPID_EXPECT(tok.size() >= 2 && tok[0] == tag,
                 std::string("expected '") + tag + "<n>' in fault spec: '" + spec + "'");
-  return static_cast<std::uint32_t>(parse_u64(tok.substr(1), spec));
+  return parse_uint<std::uint32_t>(tok.substr(1), spec);
 }
 
 power::PowerLevel parse_cap(const std::string& tok, const std::string& spec) {
@@ -119,7 +121,7 @@ FaultEvent FaultEvent::parse(const std::string& spec) {
   ERAPID_EXPECT(!toks.empty(), "fault spec missing cycle: '" + spec + "'");
 
   FaultEvent e;
-  e.at = parse_u64(toks[0], spec);
+  e.at = parse_uint(toks[0], spec);
 
   if (kind == "lane_fail") {
     ERAPID_EXPECT(toks.size() == 3 || toks.size() == 4,
@@ -130,7 +132,7 @@ FaultEvent FaultEvent::parse(const std::string& spec) {
     if (toks.size() == 4) {
       ERAPID_EXPECT(toks[3].size() >= 2 && toks[3][0] == 'r',
                     "expected 'r<cycle>' in fault spec: '" + spec + "'");
-      e.repair_at = parse_u64(toks[3].substr(1), spec);
+      e.repair_at = parse_uint(toks[3].substr(1), spec);
       ERAPID_EXPECT(e.repair_at > e.at,
                     "repair cycle must come strictly after injection: '" + spec + "'");
     }
@@ -141,7 +143,7 @@ FaultEvent FaultEvent::parse(const std::string& spec) {
     e.dest = BoardId{parse_tagged(toks[1], 'd', spec)};
     e.wavelength = WavelengthId{parse_tagged(toks[2], 'w', spec)};
     e.ber = parse_ber(toks[3], spec);
-    e.duration = parse_u64(toks[4], spec);
+    e.duration = parse_uint(toks[4], spec);
   } else if (kind == "rc_crash") {
     ERAPID_EXPECT(toks.size() == 2 || toks.size() == 3,
                   "rc_crash@<cycle>:b<board>[:r<repair>]: '" + spec + "'");
@@ -150,7 +152,7 @@ FaultEvent FaultEvent::parse(const std::string& spec) {
     if (toks.size() == 3) {
       ERAPID_EXPECT(toks[2].size() >= 2 && toks[2][0] == 'r',
                     "expected 'r<cycle>' in fault spec: '" + spec + "'");
-      e.repair_at = parse_u64(toks[2].substr(1), spec);
+      e.repair_at = parse_uint(toks[2].substr(1), spec);
       ERAPID_EXPECT(e.repair_at > e.at,
                     "repair cycle must come strictly after injection: '" + spec + "'");
     }
@@ -162,7 +164,7 @@ FaultEvent FaultEvent::parse(const std::string& spec) {
     e.dest = BoardId{parse_tagged(toks[1], 'd', spec)};
     e.wavelength = WavelengthId{parse_tagged(toks[2], 'w', spec)};
     e.cap = parse_cap(toks[3], spec);
-    e.duration = parse_u64(toks[4], spec);
+    e.duration = parse_uint(toks[4], spec);
   } else if (kind == "ctrl_drop") {
     ERAPID_EXPECT(toks.size() == 3 || toks.size() == 4,
                   "ctrl_drop@<cycle>:<ring|chain>:b<board>[:n<count>]: '" + spec + "'");

@@ -1,7 +1,18 @@
 #include "sim/options_io.hpp"
 
-#include <set>
-#include <sstream>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "util/expect.hpp"
 #include "workload/spec.hpp"
@@ -10,339 +21,287 @@ namespace erapid::sim {
 
 namespace {
 
-const std::set<std::string>& known_keys() {
-  static const std::set<std::string> keys = {
-      "system.clusters",
-      "system.boards",
-      "system.nodes_per_board",
-      "system.channel_width_bits",
-      "system.flit_bits",
-      "system.packet_flits",
-      "system.num_vcs",
-      "system.vc_buffer_flits",
-      "system.credit_delay",
-      "system.tx_queue_packets",
-      "system.rx_queue_packets",
-      "system.fiber_delay_cycles",
-      "system.tx_feed_cycles_per_flit",
-      "system.injection_queue_packets",
-      "reconfig.mode",
-      "reconfig.window",
-      "reconfig.ring_hop_cycles",
-      "reconfig.lc_hop_cycles",
-      "reconfig.dpm_strategy",
-      "reconfig.hysteresis_windows",
-      "reconfig.ewma_alpha",
-      "reconfig.l_min",
-      "reconfig.l_max",
-      "reconfig.b_max",
-      "reconfig.dbr_b_min",
-      "reconfig.dbr_b_max",
-      "reconfig.max_lanes_per_flow",
-      "reconfig.shutdown_idle",
-      "reconfig.ctrl_retry_limit",
-      "reconfig.rc_watchdog_cycles",
-      "link.arq_retry_limit",
-      "link.arq_backoff_cycles",
-      "link.arq_nak_cycles",
-      "fault.events",
-      "fault.ctrl_drop_prob",
-      "fault.seed",
-      "des.queue",
-      "workload.pattern",
-      "workload.hotspot_fraction",
-      "workload.hotspot_node",
-      "workload.load",
-      "workload.seed",
-      "workload.warmup_cycles",
-      "workload.measure_cycles",
-      "workload.drain_limit",
-      "workload.kind",
-      "workload.episodes",
-      "workload.volume_packets",
-      "workload.phase_rate",
-      "workload.gap_cycles",
-      "workload.phases",
-      "workload.tenants",
-      "workload.tenant_load",
-      "workload.tenant_mix",
-      "workload.session_cycles",
-      "workload.session_gap_mean",
-      "workload.horizon_cycles",
-      "workload.trace_file",
-      "obs.enabled",
-      "obs.trace",
-      "obs.trace_format",
-      "obs.counter_interval",
-      "obs.trace_events",
-      "obs.monitor_fail_fast",
-      "obs.telemetry",
-      "obs.telemetry_window",
-      "obs.telemetry_top_k",
-      "obs.telemetry_ewma_alpha",
-      "obs.telemetry_phase_alpha",
-      "obs.telemetry_phase_slack",
-      "obs.telemetry_phase_threshold",
-      "obs.flight_recorder_depth",
-      "obs.flight_recorder",
-      "monitor.power_cap_mw",
-      "monitor.throughput_floor",
-      "monitor.p99_latency_ceiling",
-      "monitor.quiescence_deadline",
-      "monitor.max_recovery_cycles",
-      "monitor.workload_deadline",
-      "degrade.power_cap",
-      "degrade.throughput_floor",
-      "degrade.p99_ceiling",
-      "degrade.recovery_deadline",
-      "degrade.cooldown_cycles",
-      "degrade.recover_margin",
-      "degrade.recover_cycles",
-      "degrade.shed_step",
-      "degrade.max_shed_fraction",
-  };
-  return keys;
+// ---- value codecs ------------------------------------------------------------
+
+/// Strict number parse: the whole text must be one number inside
+/// [lo, hi]. Integer width comes from T, so an out-of-width value fails
+/// instead of wrapping; NaN fails the range comparison.
+template <class T>
+T parse_number(std::string_view key, const std::string& text, T lo, T hi) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  ERAPID_EXPECT(ec == std::errc() && ptr == end && v >= lo && v <= hi,
+                "config key '" << key << "': '" << text << "' is not "
+                               << (std::is_integral_v<T> ? "an integer" : "a finite number")
+                               << " in [" << lo << ", " << hi << "]");
+  return v;
 }
 
-reconfig::NetworkMode parse_mode(const std::string& name) {
-  if (name == "NP-NB") return reconfig::NetworkMode::np_nb();
-  if (name == "P-NB") return reconfig::NetworkMode::p_nb();
-  if (name == "NP-B") return reconfig::NetworkMode::np_b();
-  if (name == "P-B") return reconfig::NetworkMode::p_b();
-  ERAPID_EXPECT(false, "unknown reconfig.mode: '" + name + "'");
-  return reconfig::NetworkMode::np_nb();
+/// Shortest "%g" text at precision >= 6 that reads back bit-exactly. At
+/// precision 6 this is what `std::ostream << double` prints.
+std::string format_real(double v) {
+  std::array<char, 32> buf{};
+  for (int precision = 6;; ++precision) {
+    std::snprintf(buf.data(), buf.size(), "%.*g", precision, v);
+    double back = 0.0;
+    std::from_chars(buf.data(), buf.data() + std::strlen(buf.data()), back);
+    if (back == v || precision >= 17) return buf.data();
+  }
 }
 
-reconfig::DpmStrategyKind parse_strategy(const std::string& name) {
-  if (name == "threshold") return reconfig::DpmStrategyKind::Threshold;
-  if (name == "hysteresis") return reconfig::DpmStrategyKind::Hysteresis;
-  if (name == "ewma") return reconfig::DpmStrategyKind::Ewma;
-  ERAPID_EXPECT(false, "unknown reconfig.dpm_strategy: '" + name + "'");
-  return reconfig::DpmStrategyKind::Threshold;
+std::optional<bool> parse_flag(const std::string& text) {
+  for (const char* yes : {"true", "1", "yes", "on"}) {
+    if (text == yes) return true;
+  }
+  for (const char* no : {"false", "0", "no", "off"}) {
+    if (text == no) return false;
+  }
+  return std::nullopt;
 }
+std::string_view flag_text(bool v) { return v ? "true" : "false"; }
+
+/// Choice parsers either return the value (throwing on their own) or an
+/// optional that is empty for an unknown name.
+template <class T>
+T known(std::string_view, const std::string&, T&& v) {
+  return std::forward<T>(v);
+}
+template <class T>
+T known(std::string_view key, const std::string& text, std::optional<T> v) {
+  ERAPID_EXPECT(v.has_value(), "config key '" << key << "': unknown value '" << text << "'");
+  return std::move(*v);
+}
+
+std::optional<reconfig::NetworkMode> parse_mode(const std::string& text) {
+  for (const auto& mode : {reconfig::NetworkMode::np_nb(), reconfig::NetworkMode::p_nb(),
+                           reconfig::NetworkMode::np_b(), reconfig::NetworkMode::p_b()}) {
+    if (mode.name == text) return mode;
+  }
+  return std::nullopt;
+}
+std::string_view mode_name(const reconfig::NetworkMode& m) { return m.name; }
+
+std::optional<reconfig::DpmStrategyKind> parse_strategy(const std::string& text) {
+  using reconfig::DpmStrategyKind;
+  for (const auto kind :
+       {DpmStrategyKind::Threshold, DpmStrategyKind::Hysteresis, DpmStrategyKind::Ewma}) {
+    if (reconfig::to_string(kind) == text) return kind;
+  }
+  return std::nullopt;
+}
+
+std::vector<fault::FaultEvent> parse_events(const std::string& text) {
+  return fault::FaultPlan::parse_events(text).events;
+}
+std::string format_events(const std::vector<fault::FaultEvent>& events) {
+  fault::FaultPlan plan;
+  plan.events = events;
+  return plan.format_events();
+}
+
+std::optional<std::string> parse_trace_format(const std::string& text) {
+  if (text == "chrome" || text == "csv") return text;
+  return std::nullopt;
+}
+const std::string& same(const std::string& text) { return text; }
+
+std::string policy_text(const std::optional<resilience::ResponsePolicy>& p) {
+  return p ? resilience::policy_name(*p) : "";
+}
+
+// ---- the key table -------------------------------------------------------------
+
+/// One INI key: `read` applies a (non-empty) value to the options, `write`
+/// renders the current value. An empty rendering means "omit the key".
+struct Key {
+  std::string_view name;
+  void (*read)(std::string_view key, SimOptions& o, const std::string& text);
+  std::string (*write)(const SimOptions& o);
+};
+
+/// `Get` is a captureless accessor lambda usable on const and mutable
+/// options alike; `Field<Get>` is the member type it exposes.
+template <class Get>
+using Field = std::remove_cvref_t<decltype(Get{}(std::declval<SimOptions&>()))>;
+
+#define FIELD(member) [](auto& o) -> auto& { return o.member; }
+
+/// Unsigned integer bounded by its field's width and an optional floor.
+template <std::uint64_t Lo = 0, class Get>
+constexpr Key integer(std::string_view name, Get) {
+  using T = Field<Get>;
+  return {name,
+          [](std::string_view key, SimOptions& o, const std::string& text) {
+            Get{}(o) = parse_number<T>(key, text, static_cast<T>(Lo),
+                                       std::numeric_limits<T>::max());
+          },
+          [](const SimOptions& o) { return std::to_string(Get{}(o)); }};
+}
+
+constexpr double kMaxReal = std::numeric_limits<double>::max();
+/// Closed lower bound for "strictly positive" reals.
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+
+/// Finite real in the closed range [Lo, Hi].
+template <double Lo = -kMaxReal, double Hi = kMaxReal, class Get>
+constexpr Key real(std::string_view name, Get) {
+  return {name,
+          [](std::string_view key, SimOptions& o, const std::string& text) {
+            Get{}(o) = parse_number<double>(key, text, Lo, Hi);
+          },
+          [](const SimOptions& o) { return format_real(Get{}(o)); }};
+}
+
+/// Named value: `Parse` maps text to the field (or to an optional of it),
+/// `Format` maps the field back to text.
+template <auto Parse, auto Format, class Get>
+constexpr Key choice(std::string_view name, Get) {
+  return {name,
+          [](std::string_view key, SimOptions& o, const std::string& text) {
+            Get{}(o) = known(key, text, Parse(text));
+          },
+          [](const SimOptions& o) { return std::string(Format(Get{}(o))); }};
+}
+
+/// true|false|1|0|yes|no|on|off, written as true|false.
+template <class Get>
+constexpr Key flag(std::string_view name, Get get) {
+  return choice<parse_flag, flag_text>(name, get);
+}
+
+/// Free-form path; an empty path is off and is not written.
+template <class Get>
+constexpr Key path(std::string_view name, Get get) {
+  return choice<same, same>(name, get);
+}
+
+/// Optional degrade policy; an unset policy is not written.
+template <class Get>
+constexpr Key policy(std::string_view name, Get get) {
+  return choice<resilience::parse_policy, policy_text>(name, get);
+}
+
+// Rows are applied in order: `reconfig.mode` resets the whole DPM/DBR
+// policy, so the threshold keys that override it come after it. Every
+// `degrade.*` row is written only when a degrade policy is set.
+const Key kKeys[] = {
+    integer("system.clusters", FIELD(system.clusters)),
+    integer("system.boards", FIELD(system.boards)),
+    integer("system.nodes_per_board", FIELD(system.nodes_per_board)),
+    integer("system.channel_width_bits", FIELD(system.channel_width_bits)),
+    integer("system.flit_bits", FIELD(system.flit_bits)),
+    integer("system.packet_flits", FIELD(system.packet_flits)),
+    integer("system.num_vcs", FIELD(system.num_vcs)),
+    integer("system.vc_buffer_flits", FIELD(system.vc_buffer_flits)),
+    integer("system.credit_delay", FIELD(system.credit_delay)),
+    integer("system.tx_queue_packets", FIELD(system.tx_queue_packets)),
+    integer("system.rx_queue_packets", FIELD(system.rx_queue_packets)),
+    integer("system.fiber_delay_cycles", FIELD(system.fiber_delay_cycles)),
+    integer("system.tx_feed_cycles_per_flit", FIELD(system.tx_feed_cycles_per_flit)),
+    integer("system.injection_queue_packets", FIELD(system.injection_queue_packets)),
+    choice<parse_mode, mode_name>("reconfig.mode", FIELD(reconfig.mode)),
+    integer("reconfig.window", FIELD(reconfig.window)),
+    integer("reconfig.ring_hop_cycles", FIELD(reconfig.ring_hop_cycles)),
+    integer("reconfig.lc_hop_cycles", FIELD(reconfig.lc_hop_cycles)),
+    choice<parse_strategy, reconfig::to_string>("reconfig.dpm_strategy",
+                                               FIELD(reconfig.dpm_strategy)),
+    integer("reconfig.hysteresis_windows", FIELD(reconfig.dpm_params.hysteresis_windows)),
+    real("reconfig.ewma_alpha", FIELD(reconfig.dpm_params.ewma_alpha)),
+    real("reconfig.l_min", FIELD(reconfig.mode.dpm.l_min)),
+    real("reconfig.l_max", FIELD(reconfig.mode.dpm.l_max)),
+    real("reconfig.b_max", FIELD(reconfig.mode.dpm.b_max)),
+    real("reconfig.dbr_b_min", FIELD(reconfig.mode.dbr.b_min)),
+    real("reconfig.dbr_b_max", FIELD(reconfig.mode.dbr.b_max)),
+    integer("reconfig.max_lanes_per_flow", FIELD(reconfig.mode.dbr.max_lanes_per_flow)),
+    flag("reconfig.shutdown_idle", FIELD(reconfig.mode.dpm.shutdown_idle)),
+    integer("reconfig.ctrl_retry_limit", FIELD(reconfig.ctrl_retry_limit)),
+    integer("reconfig.rc_watchdog_cycles", FIELD(reconfig.rc_watchdog_cycles)),
+    integer("link.arq_retry_limit", FIELD(system.arq_retry_limit)),
+    integer("link.arq_backoff_cycles", FIELD(system.arq_backoff_cycles)),
+    integer("link.arq_nak_cycles", FIELD(system.arq_nak_cycles)),
+    choice<parse_events, format_events>("fault.events", FIELD(fault.events)),
+    real("fault.ctrl_drop_prob", FIELD(fault.ctrl_drop_prob)),
+    integer("fault.seed", FIELD(fault.seed)),
+    choice<des::parse_queue_kind, des::queue_kind_name>("des.queue", FIELD(des_queue)),
+    choice<traffic::parse_pattern, traffic::pattern_name>("workload.pattern", FIELD(pattern)),
+    real("workload.hotspot_fraction", FIELD(hotspot_fraction)),
+    integer("workload.hotspot_node", FIELD(hotspot_node)),
+    real("workload.load", FIELD(load_fraction)),
+    integer("workload.seed", FIELD(seed)),
+    integer("workload.warmup_cycles", FIELD(warmup_cycles)),
+    integer("workload.measure_cycles", FIELD(measure_cycles)),
+    integer("workload.drain_limit", FIELD(drain_limit)),
+    choice<workload::parse_kind, workload::kind_name>("workload.kind", FIELD(workload.kind)),
+    integer("workload.episodes", FIELD(workload.episodes)),
+    integer("workload.volume_packets", FIELD(workload.volume_packets)),
+    real("workload.phase_rate", FIELD(workload.phase_rate)),
+    integer("workload.gap_cycles", FIELD(workload.gap_cycles)),
+    choice<workload::parse_phase_specs, workload::format_phase_specs>("workload.phases",
+                                                                    FIELD(workload.phases)),
+    integer("workload.tenants", FIELD(workload.tenants)),
+    real("workload.tenant_load", FIELD(workload.tenant_load)),
+    choice<workload::parse_pattern_mix, workload::format_pattern_mix>(
+        "workload.tenant_mix", FIELD(workload.tenant_mix)),
+    integer("workload.session_cycles", FIELD(workload.session_cycles)),
+    integer("workload.session_gap_mean", FIELD(workload.session_gap_mean)),
+    integer("workload.horizon_cycles", FIELD(workload.horizon_cycles)),
+    path("workload.trace_file", FIELD(workload.trace_file)),
+    flag("obs.enabled", FIELD(obs.enabled)),
+    path("obs.trace", FIELD(obs.trace_path)),
+    choice<parse_trace_format, same>("obs.trace_format", FIELD(obs.trace_format)),
+    integer<1>("obs.counter_interval", FIELD(obs.counter_interval)),
+    flag("obs.trace_events", FIELD(obs.trace_events)),
+    flag("obs.monitor_fail_fast", FIELD(obs.monitor_fail_fast)),
+    path("obs.telemetry", FIELD(obs.telemetry_path)),
+    integer<1>("obs.telemetry_window", FIELD(obs.telemetry_window)),
+    integer<1>("obs.telemetry_top_k", FIELD(obs.telemetry_top_k)),
+    real<kPositive, 1.0>("obs.telemetry_ewma_alpha", FIELD(obs.telemetry_ewma_alpha)),
+    real<kPositive, 1.0>("obs.telemetry_phase_alpha", FIELD(obs.telemetry_phase_alpha)),
+    real<0.0>("obs.telemetry_phase_slack", FIELD(obs.telemetry_phase_slack)),
+    real<kPositive>("obs.telemetry_phase_threshold", FIELD(obs.telemetry_phase_threshold)),
+    integer("obs.flight_recorder_depth", FIELD(obs.flight_recorder_depth)),
+    path("obs.flight_recorder", FIELD(obs.flight_recorder_path)),
+    real<0.0>("monitor.power_cap_mw", FIELD(obs.monitors.power_cap_mw)),
+    real<0.0>("monitor.throughput_floor", FIELD(obs.monitors.throughput_floor)),
+    real<0.0>("monitor.p99_latency_ceiling", FIELD(obs.monitors.p99_latency_ceiling)),
+    integer("monitor.quiescence_deadline", FIELD(obs.monitors.quiescence_deadline)),
+    integer("monitor.max_recovery_cycles", FIELD(obs.monitors.max_recovery_cycles)),
+    integer("monitor.workload_deadline", FIELD(obs.monitors.workload_deadline)),
+    policy("degrade.power_cap", FIELD(degrade.power_cap)),
+    policy("degrade.throughput_floor", FIELD(degrade.throughput_floor)),
+    policy("degrade.p99_ceiling", FIELD(degrade.p99_ceiling)),
+    policy("degrade.recovery_deadline", FIELD(degrade.recovery_deadline)),
+    integer("degrade.cooldown_cycles", FIELD(degrade.cooldown_cycles)),
+    real("degrade.recover_margin", FIELD(degrade.recover_margin)),
+    integer("degrade.recover_cycles", FIELD(degrade.recover_cycles)),
+    integer("degrade.shed_step", FIELD(degrade.shed_step)),
+    real("degrade.max_shed_fraction", FIELD(degrade.max_shed_fraction)),
+};
+
+#undef FIELD
 
 }  // namespace
 
 SimOptions options_from_ini(const util::Ini& ini) {
   // Reject typos loudly: every present key must be known.
   for (const auto& [key, value] : ini.entries()) {
-    ERAPID_EXPECT(known_keys().count(key) > 0, "unknown config key: '" + key + "'");
+    ERAPID_EXPECT(std::any_of(std::begin(kKeys), std::end(kKeys),
+                              [&](const Key& k) { return k.name == key; }),
+                  "unknown config key: '" + key + "'");
   }
-
   SimOptions o;
-  auto u32 = [&](const char* key, std::uint32_t def) {
-    return static_cast<std::uint32_t>(ini.get_int(key, def));
-  };
-  o.system.clusters = u32("system.clusters", o.system.clusters);
-  o.system.boards = u32("system.boards", o.system.boards);
-  o.system.nodes_per_board = u32("system.nodes_per_board", o.system.nodes_per_board);
-  o.system.channel_width_bits = u32("system.channel_width_bits", o.system.channel_width_bits);
-  o.system.flit_bits = u32("system.flit_bits", o.system.flit_bits);
-  o.system.packet_flits = u32("system.packet_flits", o.system.packet_flits);
-  o.system.num_vcs = u32("system.num_vcs", o.system.num_vcs);
-  o.system.vc_buffer_flits = u32("system.vc_buffer_flits", o.system.vc_buffer_flits);
-  o.system.credit_delay = u32("system.credit_delay", o.system.credit_delay);
-  o.system.tx_queue_packets = u32("system.tx_queue_packets", o.system.tx_queue_packets);
-  o.system.rx_queue_packets = u32("system.rx_queue_packets", o.system.rx_queue_packets);
-  o.system.fiber_delay_cycles = u32("system.fiber_delay_cycles", o.system.fiber_delay_cycles);
-  o.system.tx_feed_cycles_per_flit =
-      u32("system.tx_feed_cycles_per_flit", o.system.tx_feed_cycles_per_flit);
-  o.system.injection_queue_packets =
-      u32("system.injection_queue_packets", o.system.injection_queue_packets);
-
-  if (const auto mode = ini.get("reconfig.mode")) o.reconfig.mode = parse_mode(*mode);
-  o.reconfig.window = static_cast<CycleDelta>(
-      ini.get_int("reconfig.window", static_cast<long>(o.reconfig.window)));
-  o.reconfig.ring_hop_cycles = static_cast<CycleDelta>(
-      ini.get_int("reconfig.ring_hop_cycles", static_cast<long>(o.reconfig.ring_hop_cycles)));
-  o.reconfig.lc_hop_cycles = static_cast<CycleDelta>(
-      ini.get_int("reconfig.lc_hop_cycles", static_cast<long>(o.reconfig.lc_hop_cycles)));
-  if (const auto strat = ini.get("reconfig.dpm_strategy")) {
-    o.reconfig.dpm_strategy = parse_strategy(*strat);
+  for (const Key& k : kKeys) {
+    if (const auto text = ini.get(std::string(k.name))) {
+      ERAPID_EXPECT(!text->empty(), "config key '" << k.name << "' has an empty value");
+      k.read(k.name, o, *text);
+    }
   }
-  o.reconfig.dpm_params.hysteresis_windows =
-      u32("reconfig.hysteresis_windows", o.reconfig.dpm_params.hysteresis_windows);
-  o.reconfig.dpm_params.ewma_alpha =
-      ini.get_double("reconfig.ewma_alpha", o.reconfig.dpm_params.ewma_alpha);
-  o.reconfig.mode.dpm.l_min = ini.get_double("reconfig.l_min", o.reconfig.mode.dpm.l_min);
-  o.reconfig.mode.dpm.l_max = ini.get_double("reconfig.l_max", o.reconfig.mode.dpm.l_max);
-  o.reconfig.mode.dpm.b_max = ini.get_double("reconfig.b_max", o.reconfig.mode.dpm.b_max);
-  o.reconfig.mode.dbr.b_min =
-      ini.get_double("reconfig.dbr_b_min", o.reconfig.mode.dbr.b_min);
-  o.reconfig.mode.dbr.b_max =
-      ini.get_double("reconfig.dbr_b_max", o.reconfig.mode.dbr.b_max);
-  o.reconfig.mode.dbr.max_lanes_per_flow =
-      u32("reconfig.max_lanes_per_flow", o.reconfig.mode.dbr.max_lanes_per_flow);
-  o.reconfig.mode.dpm.shutdown_idle =
-      ini.get_bool("reconfig.shutdown_idle", o.reconfig.mode.dpm.shutdown_idle);
-  o.reconfig.ctrl_retry_limit =
-      u32("reconfig.ctrl_retry_limit", o.reconfig.ctrl_retry_limit);
-  o.reconfig.rc_watchdog_cycles = static_cast<CycleDelta>(ini.get_int(
-      "reconfig.rc_watchdog_cycles", static_cast<long>(o.reconfig.rc_watchdog_cycles)));
-
-  o.system.arq_retry_limit = u32("link.arq_retry_limit", o.system.arq_retry_limit);
-  o.system.arq_backoff_cycles = u32("link.arq_backoff_cycles", o.system.arq_backoff_cycles);
-  o.system.arq_nak_cycles = u32("link.arq_nak_cycles", o.system.arq_nak_cycles);
-
-  if (const auto events = ini.get("fault.events")) {
-    o.fault = fault::FaultPlan::parse_events(*events);
-  }
-  o.fault.ctrl_drop_prob = ini.get_double("fault.ctrl_drop_prob", o.fault.ctrl_drop_prob);
-  o.fault.seed =
-      static_cast<std::uint64_t>(ini.get_int("fault.seed", static_cast<long>(o.fault.seed)));
-
-  if (const auto queue = ini.get("des.queue")) o.des_queue = des::parse_queue_kind(*queue);
-
-  if (const auto pat = ini.get("workload.pattern")) {
-    const auto parsed = traffic::parse_pattern(*pat);
-    ERAPID_EXPECT(parsed.has_value(), "unknown workload.pattern: '" + *pat + "'");
-    o.pattern = *parsed;
-  }
-  o.hotspot_fraction = ini.get_double("workload.hotspot_fraction", o.hotspot_fraction);
-  o.hotspot_node = u32("workload.hotspot_node", o.hotspot_node);
-  o.load_fraction = ini.get_double("workload.load", o.load_fraction);
-  o.seed = static_cast<std::uint64_t>(ini.get_int("workload.seed", static_cast<long>(o.seed)));
-  o.warmup_cycles =
-      static_cast<Cycle>(ini.get_int("workload.warmup_cycles", static_cast<long>(o.warmup_cycles)));
-  o.measure_cycles = static_cast<Cycle>(
-      ini.get_int("workload.measure_cycles", static_cast<long>(o.measure_cycles)));
-  o.drain_limit =
-      static_cast<Cycle>(ini.get_int("workload.drain_limit", static_cast<long>(o.drain_limit)));
-
-  auto& wl = o.workload;
-  if (const auto kind = ini.get("workload.kind")) {
-    const auto parsed = workload::parse_kind(*kind);
-    ERAPID_EXPECT(parsed.has_value(), "unknown workload.kind: '" + *kind + "'");
-    wl.kind = *parsed;
-  }
-  wl.episodes = u32("workload.episodes", wl.episodes);
-  wl.volume_packets = u32("workload.volume_packets", wl.volume_packets);
-  wl.phase_rate = ini.get_double("workload.phase_rate", wl.phase_rate);
-  wl.gap_cycles = static_cast<CycleDelta>(
-      ini.get_int("workload.gap_cycles", static_cast<long>(wl.gap_cycles)));
-  if (const auto phases = ini.get("workload.phases")) {
-    wl.phases = workload::parse_phase_specs(*phases);
-  }
-  wl.tenants = u32("workload.tenants", wl.tenants);
-  wl.tenant_load = ini.get_double("workload.tenant_load", wl.tenant_load);
-  if (const auto mix = ini.get("workload.tenant_mix")) {
-    wl.tenant_mix = workload::parse_pattern_mix(*mix);
-  }
-  wl.session_cycles = static_cast<CycleDelta>(
-      ini.get_int("workload.session_cycles", static_cast<long>(wl.session_cycles)));
-  wl.session_gap_mean = static_cast<CycleDelta>(
-      ini.get_int("workload.session_gap_mean", static_cast<long>(wl.session_gap_mean)));
-  wl.horizon_cycles = static_cast<Cycle>(
-      ini.get_int("workload.horizon_cycles", static_cast<long>(wl.horizon_cycles)));
-  if (const auto trace = ini.get("workload.trace_file")) wl.trace_file = *trace;
-  // Cross-field validation (kind vs phases/trace_file, ranges) — rejects a
-  // bad sweep config at parse time, before any simulation runs.
-  wl.validate();
-
-  o.obs.enabled = ini.get_bool("obs.enabled", o.obs.enabled);
-  if (const auto trace = ini.get("obs.trace")) o.obs.trace_path = *trace;
-  if (const auto fmt = ini.get("obs.trace_format")) {
-    ERAPID_EXPECT(*fmt == "chrome" || *fmt == "csv",
-                  "unknown obs.trace_format: '" + *fmt + "' (chrome|csv)");
-    o.obs.trace_format = *fmt;
-  }
-  const long interval =
-      ini.get_int("obs.counter_interval", static_cast<long>(o.obs.counter_interval));
-  // Reject at parse time (not first use) so a bad sweep config fails before
-  // any simulation runs.
-  ERAPID_EXPECT(interval > 0, "obs.counter_interval must be positive, got " << interval);
-  o.obs.counter_interval = static_cast<CycleDelta>(interval);
-  o.obs.trace_events = ini.get_bool("obs.trace_events", o.obs.trace_events);
-  o.obs.monitor_fail_fast =
-      ini.get_bool("obs.monitor_fail_fast", o.obs.monitor_fail_fast);
-  if (const auto tele = ini.get("obs.telemetry")) o.obs.telemetry_path = *tele;
-  const long tele_window =
-      ini.get_int("obs.telemetry_window", static_cast<long>(o.obs.telemetry_window));
-  ERAPID_EXPECT(tele_window > 0, "obs.telemetry_window must be positive, got "
-                                     << tele_window);
-  o.obs.telemetry_window = static_cast<CycleDelta>(tele_window);
-  const long tele_top_k =
-      ini.get_int("obs.telemetry_top_k", static_cast<long>(o.obs.telemetry_top_k));
-  ERAPID_EXPECT(tele_top_k > 0, "obs.telemetry_top_k must be positive, got " << tele_top_k);
-  o.obs.telemetry_top_k = static_cast<std::uint32_t>(tele_top_k);
-  auto unit_weight = [&](const char* key, double def) {
-    const double v = ini.get_double(key, def);
-    ERAPID_EXPECT(v > 0.0 && v <= 1.0, key << " must be in (0, 1], got " << v);
-    return v;
-  };
-  o.obs.telemetry_ewma_alpha =
-      unit_weight("obs.telemetry_ewma_alpha", o.obs.telemetry_ewma_alpha);
-  o.obs.telemetry_phase_alpha =
-      unit_weight("obs.telemetry_phase_alpha", o.obs.telemetry_phase_alpha);
-  o.obs.telemetry_phase_slack =
-      ini.get_double("obs.telemetry_phase_slack", o.obs.telemetry_phase_slack);
-  ERAPID_EXPECT(o.obs.telemetry_phase_slack >= 0.0,
-                "obs.telemetry_phase_slack cannot be negative, got "
-                    << o.obs.telemetry_phase_slack);
-  o.obs.telemetry_phase_threshold =
-      ini.get_double("obs.telemetry_phase_threshold", o.obs.telemetry_phase_threshold);
-  ERAPID_EXPECT(o.obs.telemetry_phase_threshold > 0.0,
-                "obs.telemetry_phase_threshold must be positive, got "
-                    << o.obs.telemetry_phase_threshold);
-  const long flight_depth = ini.get_int("obs.flight_recorder_depth",
-                                        static_cast<long>(o.obs.flight_recorder_depth));
-  ERAPID_EXPECT(flight_depth >= 0,
-                "obs.flight_recorder_depth must be non-negative, got " << flight_depth);
-  o.obs.flight_recorder_depth = static_cast<std::size_t>(flight_depth);
-  if (const auto fr = ini.get("obs.flight_recorder")) {
-    ERAPID_EXPECT(!fr->empty(), "obs.flight_recorder path cannot be empty");
-    o.obs.flight_recorder_path = *fr;
-  }
-
-  auto& mon = o.obs.monitors;
-  mon.power_cap_mw = ini.get_double("monitor.power_cap_mw", mon.power_cap_mw);
-  mon.throughput_floor = ini.get_double("monitor.throughput_floor", mon.throughput_floor);
-  mon.p99_latency_ceiling =
-      ini.get_double("monitor.p99_latency_ceiling", mon.p99_latency_ceiling);
-  const long deadline = ini.get_int("monitor.quiescence_deadline",
-                                    static_cast<long>(mon.quiescence_deadline));
-  ERAPID_EXPECT(deadline >= 0,
-                "monitor.quiescence_deadline must be non-negative, got " << deadline);
-  mon.quiescence_deadline = static_cast<CycleDelta>(deadline);
-  const long recovery_cap = ini.get_int("monitor.max_recovery_cycles",
-                                        static_cast<long>(mon.max_recovery_cycles));
-  ERAPID_EXPECT(recovery_cap >= 0,
-                "monitor.max_recovery_cycles must be non-negative, got " << recovery_cap);
-  mon.max_recovery_cycles = static_cast<CycleDelta>(recovery_cap);
-  const long wl_deadline = ini.get_int("monitor.workload_deadline",
-                                       static_cast<long>(mon.workload_deadline));
-  ERAPID_EXPECT(wl_deadline >= 0,
-                "monitor.workload_deadline must be non-negative, got " << wl_deadline);
-  mon.workload_deadline = static_cast<CycleDelta>(wl_deadline);
-  ERAPID_EXPECT(mon.power_cap_mw >= 0.0 && mon.throughput_floor >= 0.0 &&
-                    mon.p99_latency_ceiling >= 0.0,
-                "monitor.* thresholds must be non-negative");
-
-  auto& dg = o.degrade;
-  // Cycle-count knobs go through a signed read first: a negative value
-  // must be rejected here, not wrapped into a huge unsigned count by the
-  // cast (validate() only sees the post-cast value).
-  auto cycles = [&](const char* key, CycleDelta def) {
-    const long v = ini.get_int(key, static_cast<long>(def));
-    ERAPID_EXPECT(v >= 0, std::string(key) + " must be non-negative");
-    return static_cast<CycleDelta>(v);
-  };
-  if (const auto p = ini.get("degrade.power_cap")) dg.power_cap = resilience::parse_policy(*p);
-  if (const auto p = ini.get("degrade.throughput_floor")) {
-    dg.throughput_floor = resilience::parse_policy(*p);
-  }
-  if (const auto p = ini.get("degrade.p99_ceiling")) dg.p99_ceiling = resilience::parse_policy(*p);
-  if (const auto p = ini.get("degrade.recovery_deadline")) {
-    dg.recovery_deadline = resilience::parse_policy(*p);
-  }
-  dg.cooldown_cycles = cycles("degrade.cooldown_cycles", dg.cooldown_cycles);
-  dg.recover_margin = ini.get_double("degrade.recover_margin", dg.recover_margin);
-  dg.recover_cycles = cycles("degrade.recover_cycles", dg.recover_cycles);
-  dg.shed_step = u32("degrade.shed_step", dg.shed_step);
-  dg.max_shed_fraction = ini.get_double("degrade.max_shed_fraction", dg.max_shed_fraction);
-  // Cross-field validation (policies vs armed monitor checks, knob ranges,
-  // shed vs DBR availability) — rejects a bad config at parse time.
-  dg.validate(o.obs, o.reconfig.mode.bandwidth_reconfig);
+  // Cross-field validation (workload kind vs phases/trace_file, degrade
+  // policies vs armed monitors) rejects a bad sweep config at parse time,
+  // before any simulation runs.
+  o.workload.validate();
+  o.degrade.validate(o.obs, o.reconfig.mode.bandwidth_reconfig);
   return o;
 }
 
@@ -352,122 +311,17 @@ SimOptions load_options(const std::string& path) {
 
 util::Ini options_to_ini(const SimOptions& o) {
   util::Ini ini;
-  auto set = [&](const std::string& key, auto value) {
-    std::ostringstream os;
-    os << value;
-    ini.set(key, os.str());
-  };
-  set("system.clusters", o.system.clusters);
-  set("system.boards", o.system.boards);
-  set("system.nodes_per_board", o.system.nodes_per_board);
-  set("system.channel_width_bits", o.system.channel_width_bits);
-  set("system.flit_bits", o.system.flit_bits);
-  set("system.packet_flits", o.system.packet_flits);
-  set("system.num_vcs", o.system.num_vcs);
-  set("system.vc_buffer_flits", o.system.vc_buffer_flits);
-  set("system.credit_delay", o.system.credit_delay);
-  set("system.tx_queue_packets", o.system.tx_queue_packets);
-  set("system.rx_queue_packets", o.system.rx_queue_packets);
-  set("system.fiber_delay_cycles", o.system.fiber_delay_cycles);
-  set("system.tx_feed_cycles_per_flit", o.system.tx_feed_cycles_per_flit);
-  set("system.injection_queue_packets", o.system.injection_queue_packets);
-  set("reconfig.mode", o.reconfig.mode.name);
-  set("reconfig.window", o.reconfig.window);
-  set("reconfig.ring_hop_cycles", o.reconfig.ring_hop_cycles);
-  set("reconfig.lc_hop_cycles", o.reconfig.lc_hop_cycles);
-  set("reconfig.dpm_strategy", reconfig::to_string(o.reconfig.dpm_strategy));
-  set("reconfig.hysteresis_windows", o.reconfig.dpm_params.hysteresis_windows);
-  set("reconfig.ewma_alpha", o.reconfig.dpm_params.ewma_alpha);
-  set("reconfig.l_min", o.reconfig.mode.dpm.l_min);
-  set("reconfig.l_max", o.reconfig.mode.dpm.l_max);
-  set("reconfig.b_max", o.reconfig.mode.dpm.b_max);
-  set("reconfig.dbr_b_min", o.reconfig.mode.dbr.b_min);
-  set("reconfig.dbr_b_max", o.reconfig.mode.dbr.b_max);
-  set("reconfig.max_lanes_per_flow", o.reconfig.mode.dbr.max_lanes_per_flow);
-  set("reconfig.shutdown_idle", o.reconfig.mode.dpm.shutdown_idle ? "true" : "false");
-  set("reconfig.ctrl_retry_limit", o.reconfig.ctrl_retry_limit);
-  set("reconfig.rc_watchdog_cycles", o.reconfig.rc_watchdog_cycles);
-  set("link.arq_retry_limit", o.system.arq_retry_limit);
-  set("link.arq_backoff_cycles", o.system.arq_backoff_cycles);
-  set("link.arq_nak_cycles", o.system.arq_nak_cycles);
-  if (!o.fault.events.empty()) set("fault.events", o.fault.format_events());
-  set("fault.ctrl_drop_prob", o.fault.ctrl_drop_prob);
-  set("fault.seed", o.fault.seed);
-  set("des.queue", des::queue_kind_name(o.des_queue));
-  set("workload.pattern", traffic::pattern_name(o.pattern));
-  set("workload.hotspot_fraction", o.hotspot_fraction);
-  set("workload.hotspot_node", o.hotspot_node);
-  set("workload.load", o.load_fraction);
-  set("workload.seed", o.seed);
-  set("workload.warmup_cycles", o.warmup_cycles);
-  set("workload.measure_cycles", o.measure_cycles);
-  set("workload.drain_limit", o.drain_limit);
-  set("workload.kind", workload::kind_name(o.workload.kind));
-  set("workload.episodes", o.workload.episodes);
-  set("workload.volume_packets", o.workload.volume_packets);
-  set("workload.phase_rate", o.workload.phase_rate);
-  set("workload.gap_cycles", o.workload.gap_cycles);
-  // Conditional keys mirror their parse-side validity constraints (phases
-  // iff kind = phases, trace_file iff kind = trace) so every serialized
-  // config re-validates cleanly.
-  if (!o.workload.phases.empty()) {
-    set("workload.phases", workload::format_phase_specs(o.workload.phases));
-  }
-  set("workload.tenants", o.workload.tenants);
-  set("workload.tenant_load", o.workload.tenant_load);
-  set("workload.tenant_mix", workload::format_pattern_mix(o.workload.tenant_mix));
-  set("workload.session_cycles", o.workload.session_cycles);
-  set("workload.session_gap_mean", o.workload.session_gap_mean);
-  set("workload.horizon_cycles", o.workload.horizon_cycles);
-  if (!o.workload.trace_file.empty()) set("workload.trace_file", o.workload.trace_file);
-  set("obs.enabled", o.obs.enabled ? "true" : "false");
-  if (!o.obs.trace_path.empty()) set("obs.trace", o.obs.trace_path);
-  set("obs.trace_format", o.obs.trace_format);
-  set("obs.counter_interval", o.obs.counter_interval);
-  set("obs.trace_events", o.obs.trace_events ? "true" : "false");
-  set("obs.monitor_fail_fast", o.obs.monitor_fail_fast ? "true" : "false");
-  if (!o.obs.telemetry_path.empty()) set("obs.telemetry", o.obs.telemetry_path);
-  set("obs.telemetry_window", o.obs.telemetry_window);
-  set("obs.telemetry_top_k", o.obs.telemetry_top_k);
-  set("obs.telemetry_ewma_alpha", o.obs.telemetry_ewma_alpha);
-  set("obs.telemetry_phase_alpha", o.obs.telemetry_phase_alpha);
-  set("obs.telemetry_phase_slack", o.obs.telemetry_phase_slack);
-  set("obs.telemetry_phase_threshold", o.obs.telemetry_phase_threshold);
-  set("obs.flight_recorder_depth", o.obs.flight_recorder_depth);
-  set("obs.flight_recorder", o.obs.flight_recorder_path);
-  // Disabled checks (threshold 0) serialize too: a saved config re-loads
-  // into the identical MonitorConfig either way, and the full key set is
-  // visible in every dumped config.
-  set("monitor.power_cap_mw", o.obs.monitors.power_cap_mw);
-  set("monitor.throughput_floor", o.obs.monitors.throughput_floor);
-  set("monitor.p99_latency_ceiling", o.obs.monitors.p99_latency_ceiling);
-  set("monitor.quiescence_deadline", o.obs.monitors.quiescence_deadline);
-  set("monitor.max_recovery_cycles", o.obs.monitors.max_recovery_cycles);
-  set("monitor.workload_deadline", o.obs.monitors.workload_deadline);
-  // The whole degrade.* section is gated on any policy being set: a
-  // policy-free config must serialize with no degrade key at all (knob
-  // defaults alone carry no meaning, and the absence of the section is the
-  // byte-identity contract for pre-resilience configs).
-  if (o.degrade.any()) {
-    if (o.degrade.power_cap) {
-      set("degrade.power_cap", resilience::policy_name(*o.degrade.power_cap));
-    }
-    if (o.degrade.throughput_floor) {
-      set("degrade.throughput_floor", resilience::policy_name(*o.degrade.throughput_floor));
-    }
-    if (o.degrade.p99_ceiling) {
-      set("degrade.p99_ceiling", resilience::policy_name(*o.degrade.p99_ceiling));
-    }
-    if (o.degrade.recovery_deadline) {
-      set("degrade.recovery_deadline", resilience::policy_name(*o.degrade.recovery_deadline));
-    }
-    set("degrade.cooldown_cycles", o.degrade.cooldown_cycles);
-    set("degrade.recover_margin", o.degrade.recover_margin);
-    set("degrade.recover_cycles", o.degrade.recover_cycles);
-    set("degrade.shed_step", o.degrade.shed_step);
-    set("degrade.max_shed_fraction", o.degrade.max_shed_fraction);
+  for (const Key& k : kKeys) {
+    if (k.name.starts_with("degrade.") && !o.degrade.any()) continue;
+    if (auto text = k.write(o); !text.empty()) ini.set(std::string(k.name), text);
   }
   return ini;
+}
+
+std::vector<std::string_view> option_keys() {
+  std::vector<std::string_view> keys;
+  for (const Key& k : kKeys) keys.push_back(k.name);
+  return keys;
 }
 
 void save_options(const std::string& path, const SimOptions& opts) {

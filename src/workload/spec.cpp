@@ -1,5 +1,6 @@
 #include "workload/spec.hpp"
 
+#include <charconv>
 #include <sstream>
 
 #include "util/expect.hpp"
@@ -70,6 +71,14 @@ void WorkloadSpec::validate() const {
 
 namespace {
 
+/// Whole-field number parse: false on junk, overflow or an empty field.
+template <class T>
+bool parse_field(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> out;
   std::string item;
@@ -91,21 +100,15 @@ std::vector<PhaseSpec> parse_phase_specs(const std::string& text) {
     const auto pat = traffic::parse_pattern(fields[0]);
     ERAPID_EXPECT(pat.has_value(), "workload.phases: unknown pattern '" + fields[0] + "'");
     p.pattern = *pat;
-    std::size_t pos = 0;
-    const long volume = std::stol(fields[1], &pos);
-    ERAPID_EXPECT(pos == fields[1].size() && volume > 0,
+    ERAPID_EXPECT(parse_field(fields[1], p.volume_packets) && p.volume_packets > 0,
                   "workload.phases: bad volume '" + fields[1] + "'");
-    p.volume_packets = static_cast<std::uint32_t>(volume);
     if (fields.size() >= 3) {
-      p.rate = std::stod(fields[2], &pos);
-      ERAPID_EXPECT(pos == fields[2].size() && p.rate >= 0.0,
+      ERAPID_EXPECT(parse_field(fields[2], p.rate) && p.rate >= 0.0,
                     "workload.phases: bad rate '" + fields[2] + "'");
     }
     if (fields.size() >= 4) {
-      const long gap = std::stol(fields[3], &pos);
-      ERAPID_EXPECT(pos == fields[3].size() && gap >= 0,
+      ERAPID_EXPECT(parse_field(fields[3], p.gap_after),
                     "workload.phases: bad gap '" + fields[3] + "'");
-      p.gap_after = static_cast<CycleDelta>(gap);
     }
     out.push_back(p);
   }

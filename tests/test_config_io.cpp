@@ -2,10 +2,19 @@
 // time-series sampler, and the JSON result export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "sim/options_io.hpp"
 #include "sim/recorder.hpp"
@@ -24,27 +33,28 @@ using erapid::util::Ini;
 
 TEST(Ini, ParsesSectionsAndKeys) {
   const auto ini = Ini::parse_string("[system]\nboards = 8\n\n[workload]\nload = 0.5\n");
-  EXPECT_EQ(ini.get_int("system.boards", 0), 8);
-  EXPECT_DOUBLE_EQ(ini.get_double("workload.load", 0), 0.5);
+  EXPECT_EQ(ini.get("system.boards"), "8");
+  EXPECT_EQ(ini.get("workload.load"), "0.5");
   EXPECT_FALSE(ini.has("system.load"));
 }
 
 TEST(Ini, CommentsAndWhitespaceIgnored) {
   const auto ini = Ini::parse_string("; top\n# also\n[ s ]\n  k =  v  \n");
-  EXPECT_EQ(ini.get_or("s.k", ""), "v");
+  EXPECT_EQ(ini.get("s.k"), "v");
 }
 
 TEST(Ini, SectionlessKeysWork) {
   const auto ini = Ini::parse_string("alpha = 3\n");
-  EXPECT_EQ(ini.get_int("alpha", 0), 3);
+  EXPECT_EQ(ini.get("alpha"), "3");
 }
 
+// Values stay raw text; flag spellings are interpreted by options_io.
 TEST(Ini, BoolParsing) {
   const auto ini = Ini::parse_string("[a]\nx = true\ny = 0\nz = yes\n");
-  EXPECT_TRUE(ini.get_bool("a.x", false));
-  EXPECT_FALSE(ini.get_bool("a.y", true));
-  EXPECT_TRUE(ini.get_bool("a.z", false));
-  EXPECT_TRUE(ini.get_bool("a.missing", true));
+  EXPECT_EQ(ini.get("a.x"), "true");
+  EXPECT_EQ(ini.get("a.y"), "0");
+  EXPECT_EQ(ini.get("a.z"), "yes");
+  EXPECT_EQ(ini.get("a.missing"), std::nullopt);
 }
 
 TEST(Ini, MalformedLinesThrow) {
@@ -61,9 +71,9 @@ TEST(Ini, SaveParsesBack) {
   std::ostringstream os;
   ini.save(os);
   const auto back = Ini::parse_string(os.str());
-  EXPECT_EQ(back.get_or("a.one", ""), "1");
-  EXPECT_EQ(back.get_or("b.two", ""), "2");
-  EXPECT_EQ(back.get_or("plain", ""), "x");
+  EXPECT_EQ(back.get("a.one"), "1");
+  EXPECT_EQ(back.get("b.two"), "2");
+  EXPECT_EQ(back.get("plain"), "x");
   EXPECT_EQ(back.size(), 3u);
 }
 
@@ -72,43 +82,6 @@ TEST(Ini, MissingFileThrows) {
 }
 
 // ---- options round-trip ------------------------------------------------------
-
-TEST(OptionsIo, DefaultsSurviveRoundTrip) {
-  SimOptions def;
-  const auto ini = options_to_ini(def);
-  const auto back = options_from_ini(ini);
-  EXPECT_EQ(back.system.boards, def.system.boards);
-  EXPECT_EQ(back.system.nodes_per_board, def.system.nodes_per_board);
-  EXPECT_EQ(back.reconfig.window, def.reconfig.window);
-  EXPECT_EQ(back.pattern, def.pattern);
-  EXPECT_DOUBLE_EQ(back.load_fraction, def.load_fraction);
-  EXPECT_EQ(back.reconfig.mode.name, def.reconfig.mode.name);
-}
-
-TEST(OptionsIo, CustomValuesSurviveRoundTrip) {
-  SimOptions o;
-  o.system.boards = 4;
-  o.system.nodes_per_board = 2;
-  o.pattern = erapid::traffic::PatternKind::Complement;
-  o.load_fraction = 0.65;
-  o.seed = 99;
-  o.reconfig.mode = erapid::reconfig::NetworkMode::p_b();
-  o.reconfig.mode.dbr.max_lanes_per_flow = 3;
-  o.reconfig.window = 4000;
-  o.reconfig.dpm_strategy = erapid::reconfig::DpmStrategyKind::Ewma;
-  o.reconfig.dpm_params.ewma_alpha = 0.25;
-
-  const auto back = options_from_ini(options_to_ini(o));
-  EXPECT_EQ(back.system.boards, 4u);
-  EXPECT_EQ(back.pattern, erapid::traffic::PatternKind::Complement);
-  EXPECT_DOUBLE_EQ(back.load_fraction, 0.65);
-  EXPECT_EQ(back.seed, 99u);
-  EXPECT_EQ(back.reconfig.mode.name, "P-B");
-  EXPECT_EQ(back.reconfig.mode.dbr.max_lanes_per_flow, 3u);
-  EXPECT_EQ(back.reconfig.window, 4000u);
-  EXPECT_EQ(back.reconfig.dpm_strategy, erapid::reconfig::DpmStrategyKind::Ewma);
-  EXPECT_DOUBLE_EQ(back.reconfig.dpm_params.ewma_alpha, 0.25);
-}
 
 TEST(OptionsIo, DesQueueRoundTripsAndRejectsUnknown) {
   SimOptions def;
@@ -398,17 +371,6 @@ TEST(OptionsIo, ThresholdOverridesApplyOnTopOfMode) {
   EXPECT_DOUBLE_EQ(o.reconfig.mode.dpm.l_min, 0.7);     // P-B default kept
 }
 
-TEST(OptionsIo, HotspotParamsRoundTrip) {
-  SimOptions o;
-  o.pattern = erapid::traffic::PatternKind::Hotspot;
-  o.hotspot_fraction = 0.35;
-  o.hotspot_node = 17;
-  const auto back = options_from_ini(options_to_ini(o));
-  EXPECT_EQ(back.pattern, erapid::traffic::PatternKind::Hotspot);
-  EXPECT_DOUBLE_EQ(back.hotspot_fraction, 0.35);
-  EXPECT_EQ(back.hotspot_node, 17u);
-}
-
 TEST(OptionsIo, FaultPlanSurvivesRoundTrip) {
   SimOptions o;
   o.fault = erapid::fault::FaultPlan::parse_events(
@@ -603,6 +565,165 @@ TEST(OptionsIo, WorkloadKindNamesRoundTripThroughParser) {
   EXPECT_FALSE(erapid::workload::parse_kind("stencil").has_value());
 }
 
+// ---- the key table -------------------------------------------------------------
+
+// Renders a member back to text so one table row can name any member type.
+// Doubles use the shortest exact form, so equal text means equal bits.
+std::string str(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, res.ptr);
+}
+std::string str(bool v) { return v ? "true" : "false"; }
+std::string str(std::uint32_t v) { return std::to_string(v); }
+std::string str(std::uint64_t v) { return std::to_string(v); }
+std::string str(std::string_view v) { return std::string(v); }
+std::string str(const erapid::reconfig::NetworkMode& m) { return std::string(m.name); }
+std::string str(erapid::reconfig::DpmStrategyKind k) { return str(erapid::reconfig::to_string(k)); }
+std::string str(erapid::des::QueueKind k) { return erapid::des::queue_kind_name(k); }
+std::string str(erapid::traffic::PatternKind k) { return str(erapid::traffic::pattern_name(k)); }
+std::string str(erapid::workload::WorkloadKind k) { return str(erapid::workload::kind_name(k)); }
+std::string str(const std::vector<erapid::workload::PhaseSpec>& p) {
+  return erapid::workload::format_phase_specs(p);
+}
+std::string str(const std::vector<erapid::traffic::PatternKind>& mix) {
+  return erapid::workload::format_pattern_mix(mix);
+}
+std::string str(const std::vector<erapid::fault::FaultEvent>& events) {
+  erapid::fault::FaultPlan plan;
+  plan.events = events;
+  return plan.format_events();
+}
+std::string str(const std::optional<erapid::resilience::ResponsePolicy>& p) {
+  return p ? erapid::resilience::policy_name(*p) : "unset";
+}
+
+enum class Codec { Integer, Real, Flag, Choice, Path, Policy };
+
+// One row per config key: its codec, a non-default value, the member that
+// value must land in, and the other keys it needs to pass cross-field
+// validation.
+struct KeyCase {
+  const char* key;
+  Codec codec;
+  const char* text;
+  std::string (*member)(const SimOptions&);
+  const char* context = "";
+};
+
+#define MEMBER(field) [](const SimOptions& o) { return str(o.field); }
+
+const KeyCase kKeyCases[] = {
+    {"system.clusters", Codec::Integer, "2", MEMBER(system.clusters)},
+    {"system.boards", Codec::Integer, "4", MEMBER(system.boards)},
+    {"system.nodes_per_board", Codec::Integer, "4", MEMBER(system.nodes_per_board)},
+    {"system.channel_width_bits", Codec::Integer, "32", MEMBER(system.channel_width_bits)},
+    {"system.flit_bits", Codec::Integer, "128", MEMBER(system.flit_bits)},
+    {"system.packet_flits", Codec::Integer, "4", MEMBER(system.packet_flits)},
+    {"system.num_vcs", Codec::Integer, "2", MEMBER(system.num_vcs)},
+    {"system.vc_buffer_flits", Codec::Integer, "6", MEMBER(system.vc_buffer_flits)},
+    {"system.credit_delay", Codec::Integer, "2", MEMBER(system.credit_delay)},
+    {"system.tx_queue_packets", Codec::Integer, "12", MEMBER(system.tx_queue_packets)},
+    {"system.rx_queue_packets", Codec::Integer, "6", MEMBER(system.rx_queue_packets)},
+    {"system.fiber_delay_cycles", Codec::Integer, "10", MEMBER(system.fiber_delay_cycles)},
+    {"system.tx_feed_cycles_per_flit", Codec::Integer, "2",
+     MEMBER(system.tx_feed_cycles_per_flit)},
+    {"system.injection_queue_packets", Codec::Integer, "32",
+     MEMBER(system.injection_queue_packets)},
+    {"reconfig.mode", Codec::Choice, "P-B", MEMBER(reconfig.mode)},
+    {"reconfig.window", Codec::Integer, "4000", MEMBER(reconfig.window)},
+    {"reconfig.ring_hop_cycles", Codec::Integer, "20", MEMBER(reconfig.ring_hop_cycles)},
+    {"reconfig.lc_hop_cycles", Codec::Integer, "5", MEMBER(reconfig.lc_hop_cycles)},
+    {"reconfig.dpm_strategy", Codec::Choice, "ewma", MEMBER(reconfig.dpm_strategy)},
+    {"reconfig.hysteresis_windows", Codec::Integer, "3",
+     MEMBER(reconfig.dpm_params.hysteresis_windows)},
+    {"reconfig.ewma_alpha", Codec::Real, "0.25", MEMBER(reconfig.dpm_params.ewma_alpha)},
+    {"reconfig.l_min", Codec::Real, "0.6", MEMBER(reconfig.mode.dpm.l_min)},
+    {"reconfig.l_max", Codec::Real, "0.85", MEMBER(reconfig.mode.dpm.l_max)},
+    {"reconfig.b_max", Codec::Real, "0.35", MEMBER(reconfig.mode.dpm.b_max)},
+    {"reconfig.dbr_b_min", Codec::Real, "0.05", MEMBER(reconfig.mode.dbr.b_min)},
+    {"reconfig.dbr_b_max", Codec::Real, "0.4", MEMBER(reconfig.mode.dbr.b_max)},
+    {"reconfig.max_lanes_per_flow", Codec::Integer, "3",
+     MEMBER(reconfig.mode.dbr.max_lanes_per_flow)},
+    {"reconfig.shutdown_idle", Codec::Flag, "false", MEMBER(reconfig.mode.dpm.shutdown_idle)},
+    {"reconfig.ctrl_retry_limit", Codec::Integer, "5", MEMBER(reconfig.ctrl_retry_limit)},
+    {"reconfig.rc_watchdog_cycles", Codec::Integer, "256", MEMBER(reconfig.rc_watchdog_cycles)},
+    {"link.arq_retry_limit", Codec::Integer, "7", MEMBER(system.arq_retry_limit)},
+    {"link.arq_backoff_cycles", Codec::Integer, "64", MEMBER(system.arq_backoff_cycles)},
+    {"link.arq_nak_cycles", Codec::Integer, "12", MEMBER(system.arq_nak_cycles)},
+    {"fault.events", Codec::Choice,
+     "lane_fail@5000:d2:w1:r9000 laser_degrade@8000:d3:w2:low:4000 ctrl_drop@6000:ring:b1:n2",
+     MEMBER(fault.events)},
+    {"fault.ctrl_drop_prob", Codec::Real, "0.125", MEMBER(fault.ctrl_drop_prob)},
+    {"fault.seed", Codec::Integer, "77", MEMBER(fault.seed)},
+    {"des.queue", Codec::Choice, "calendar", MEMBER(des_queue)},
+    {"workload.pattern", Codec::Choice, "hotspot", MEMBER(pattern)},
+    {"workload.hotspot_fraction", Codec::Real, "0.35", MEMBER(hotspot_fraction)},
+    {"workload.hotspot_node", Codec::Integer, "3", MEMBER(hotspot_node)},
+    {"workload.load", Codec::Real, "0.65", MEMBER(load_fraction)},
+    {"workload.seed", Codec::Integer, "99", MEMBER(seed)},
+    {"workload.warmup_cycles", Codec::Integer, "1000", MEMBER(warmup_cycles)},
+    {"workload.measure_cycles", Codec::Integer, "2000", MEMBER(measure_cycles)},
+    {"workload.drain_limit", Codec::Integer, "9000", MEMBER(drain_limit)},
+    {"workload.kind", Codec::Choice, "phases", MEMBER(workload.kind),
+     "[workload]\nphases = uniform:4\n"},
+    {"workload.episodes", Codec::Integer, "3", MEMBER(workload.episodes)},
+    {"workload.volume_packets", Codec::Integer, "32", MEMBER(workload.volume_packets)},
+    {"workload.phase_rate", Codec::Real, "0.7", MEMBER(workload.phase_rate)},
+    {"workload.gap_cycles", Codec::Integer, "512", MEMBER(workload.gap_cycles)},
+    {"workload.phases", Codec::Choice, "transpose:32:0.8:512,uniform:4,bitrev:8:0.5",
+     MEMBER(workload.phases),
+     "[workload]\nkind = phases\n"},
+    {"workload.tenants", Codec::Integer, "7", MEMBER(workload.tenants)},
+    {"workload.tenant_load", Codec::Real, "0.15", MEMBER(workload.tenant_load)},
+    {"workload.tenant_mix", Codec::Choice, "uniform,transpose", MEMBER(workload.tenant_mix)},
+    {"workload.session_cycles", Codec::Integer, "2500", MEMBER(workload.session_cycles)},
+    {"workload.session_gap_mean", Codec::Integer, "900", MEMBER(workload.session_gap_mean)},
+    {"workload.horizon_cycles", Codec::Integer, "90000", MEMBER(workload.horizon_cycles)},
+    {"workload.trace_file", Codec::Path, "app.trace", MEMBER(workload.trace_file),
+     "[workload]\nkind = trace\n"},
+    {"obs.enabled", Codec::Flag, "true", MEMBER(obs.enabled)},
+    {"obs.trace", Codec::Path, "run.trace.json", MEMBER(obs.trace_path)},
+    {"obs.trace_format", Codec::Choice, "csv", MEMBER(obs.trace_format)},
+    {"obs.counter_interval", Codec::Integer, "250", MEMBER(obs.counter_interval)},
+    {"obs.trace_events", Codec::Flag, "true", MEMBER(obs.trace_events)},
+    {"obs.monitor_fail_fast", Codec::Flag, "true", MEMBER(obs.monitor_fail_fast)},
+    {"obs.telemetry", Codec::Path, "run.telemetry.jsonl", MEMBER(obs.telemetry_path)},
+    {"obs.telemetry_window", Codec::Integer, "1500", MEMBER(obs.telemetry_window)},
+    {"obs.telemetry_top_k", Codec::Integer, "4", MEMBER(obs.telemetry_top_k)},
+    {"obs.telemetry_ewma_alpha", Codec::Real, "0.4", MEMBER(obs.telemetry_ewma_alpha)},
+    {"obs.telemetry_phase_alpha", Codec::Real, "0.3", MEMBER(obs.telemetry_phase_alpha)},
+    {"obs.telemetry_phase_slack", Codec::Real, "0.02", MEMBER(obs.telemetry_phase_slack)},
+    {"obs.telemetry_phase_threshold", Codec::Real, "0.5",
+     MEMBER(obs.telemetry_phase_threshold)},
+    {"obs.flight_recorder_depth", Codec::Integer, "256", MEMBER(obs.flight_recorder_depth)},
+    {"obs.flight_recorder", Codec::Path, "blackbox.json", MEMBER(obs.flight_recorder_path)},
+    {"monitor.power_cap_mw", Codec::Real, "2500.5", MEMBER(obs.monitors.power_cap_mw)},
+    {"monitor.throughput_floor", Codec::Real, "0.35", MEMBER(obs.monitors.throughput_floor)},
+    {"monitor.p99_latency_ceiling", Codec::Real, "900",
+     MEMBER(obs.monitors.p99_latency_ceiling)},
+    {"monitor.quiescence_deadline", Codec::Integer, "1200",
+     MEMBER(obs.monitors.quiescence_deadline)},
+    {"monitor.max_recovery_cycles", Codec::Integer, "9000",
+     MEMBER(obs.monitors.max_recovery_cycles)},
+    {"monitor.workload_deadline", Codec::Integer, "40000", MEMBER(obs.monitors.workload_deadline)},
+    {"degrade.power_cap", Codec::Policy, "shed", MEMBER(degrade.power_cap),
+     "[obs]\nenabled = true\n[reconfig]\nmode = P-B\n[monitor]\npower_cap_mw = 100\n"},
+    {"degrade.throughput_floor", Codec::Policy, "record", MEMBER(degrade.throughput_floor),
+     "[obs]\nenabled = true\n[monitor]\nthroughput_floor = 0.4\n"},
+    {"degrade.p99_ceiling", Codec::Policy, "abort", MEMBER(degrade.p99_ceiling),
+     "[obs]\nenabled = true\n[monitor]\np99_latency_ceiling = 900\n"},
+    {"degrade.recovery_deadline", Codec::Policy, "record", MEMBER(degrade.recovery_deadline),
+     "[obs]\nenabled = true\n[monitor]\nmax_recovery_cycles = 9000\n"},
+    {"degrade.cooldown_cycles", Codec::Integer, "1500", MEMBER(degrade.cooldown_cycles)},
+    {"degrade.recover_margin", Codec::Real, "0.75", MEMBER(degrade.recover_margin)},
+    {"degrade.recover_cycles", Codec::Integer, "6000", MEMBER(degrade.recover_cycles)},
+    {"degrade.shed_step", Codec::Integer, "3", MEMBER(degrade.shed_step)},
+    {"degrade.max_shed_fraction", Codec::Real, "0.25", MEMBER(degrade.max_shed_fraction)},
+};
+
+#undef MEMBER
+
 // ---- INI goldens -------------------------------------------------------------
 
 std::string ini_text(const SimOptions& o) {
@@ -611,100 +732,19 @@ std::string ini_text(const SimOptions& o) {
   return os.str();
 }
 
-// Every key family set to a non-default value: a phases workload, a fault
-// plan, obs with trace/telemetry/flight recorder, every monitor and two
-// degrade policies. Every double is exact at six significant digits.
+// Every key at its table value: a phases workload, a fault plan, obs with
+// trace/telemetry/flight recorder, every monitor and two degrade policies.
+// Left out: trace_file (it needs kind = trace) and the other two policies.
 SimOptions full_options() {
-  using namespace erapid;
-  SimOptions o;
-  o.system.clusters = 2;
-  o.system.boards = 4;
-  o.system.nodes_per_board = 4;
-  o.system.channel_width_bits = 32;
-  o.system.flit_bits = 128;
-  o.system.packet_flits = 4;
-  o.system.num_vcs = 2;
-  o.system.vc_buffer_flits = 6;
-  o.system.credit_delay = 2;
-  o.system.tx_queue_packets = 12;
-  o.system.rx_queue_packets = 6;
-  o.system.fiber_delay_cycles = 10;
-  o.system.tx_feed_cycles_per_flit = 2;
-  o.system.injection_queue_packets = 32;
-  o.system.arq_retry_limit = 7;
-  o.system.arq_backoff_cycles = 64;
-  o.system.arq_nak_cycles = 12;
-  o.reconfig.mode = reconfig::NetworkMode::p_b();
-  o.reconfig.window = 4000;
-  o.reconfig.ring_hop_cycles = 20;
-  o.reconfig.lc_hop_cycles = 5;
-  o.reconfig.dpm_strategy = reconfig::DpmStrategyKind::Ewma;
-  o.reconfig.dpm_params.hysteresis_windows = 3;
-  o.reconfig.dpm_params.ewma_alpha = 0.25;
-  o.reconfig.mode.dpm.l_min = 0.6;
-  o.reconfig.mode.dpm.l_max = 0.85;
-  o.reconfig.mode.dpm.b_max = 0.35;
-  o.reconfig.mode.dbr.b_min = 0.05;
-  o.reconfig.mode.dbr.b_max = 0.4;
-  o.reconfig.mode.dbr.max_lanes_per_flow = 3;
-  o.reconfig.mode.dpm.shutdown_idle = false;
-  o.reconfig.ctrl_retry_limit = 5;
-  o.reconfig.rc_watchdog_cycles = 256;
-  o.fault = fault::FaultPlan::parse_events(
-      "lane_fail@5000:d2:w1:r9000 laser_degrade@8000:d3:w2:low:4000 "
-      "ctrl_drop@6000:ring:b1:n2");
-  o.fault.ctrl_drop_prob = 0.125;
-  o.fault.seed = 77;
-  o.des_queue = des::QueueKind::Calendar;
-  o.pattern = traffic::PatternKind::Hotspot;
-  o.hotspot_fraction = 0.35;
-  o.hotspot_node = 3;
-  o.load_fraction = 0.65;
-  o.seed = 99;
-  o.warmup_cycles = 1000;
-  o.measure_cycles = 2000;
-  o.drain_limit = 9000;
-  o.workload.kind = workload::WorkloadKind::Phases;
-  o.workload.phases = workload::parse_phase_specs("transpose:32:0.8:512,uniform:4,bitrev:8:0.5");
-  o.workload.episodes = 3;
-  o.workload.volume_packets = 32;
-  o.workload.phase_rate = 0.7;
-  o.workload.gap_cycles = 512;
-  o.workload.tenants = 7;
-  o.workload.tenant_load = 0.15;
-  o.workload.tenant_mix = {traffic::PatternKind::Uniform, traffic::PatternKind::Transpose};
-  o.workload.session_cycles = 2500;
-  o.workload.session_gap_mean = 900;
-  o.workload.horizon_cycles = 90000;
-  o.obs.enabled = true;
-  o.obs.trace_path = "run.trace.json";
-  o.obs.trace_format = "csv";
-  o.obs.counter_interval = 250;
-  o.obs.trace_events = true;
-  o.obs.monitor_fail_fast = true;
-  o.obs.telemetry_path = "run.telemetry.jsonl";
-  o.obs.telemetry_window = 1500;
-  o.obs.telemetry_top_k = 4;
-  o.obs.telemetry_ewma_alpha = 0.4;
-  o.obs.telemetry_phase_alpha = 0.3;
-  o.obs.telemetry_phase_slack = 0.02;
-  o.obs.telemetry_phase_threshold = 0.5;
-  o.obs.flight_recorder_depth = 256;
-  o.obs.flight_recorder_path = "blackbox.json";
-  o.obs.monitors.power_cap_mw = 2500.5;
-  o.obs.monitors.throughput_floor = 0.35;
-  o.obs.monitors.p99_latency_ceiling = 900.0;
-  o.obs.monitors.quiescence_deadline = 1200;
-  o.obs.monitors.max_recovery_cycles = 9000;
-  o.obs.monitors.workload_deadline = 40000;
-  o.degrade.power_cap = resilience::ResponsePolicy::Shed;
-  o.degrade.throughput_floor = resilience::ResponsePolicy::Record;
-  o.degrade.cooldown_cycles = 1500;
-  o.degrade.recover_margin = 0.75;
-  o.degrade.recover_cycles = 6000;
-  o.degrade.shed_step = 3;
-  o.degrade.max_shed_fraction = 0.25;
-  return o;
+  Ini ini;
+  for (const KeyCase& c : kKeyCases) {
+    const std::string_view key = c.key;
+    if (key != "workload.trace_file" && key != "degrade.p99_ceiling" &&
+        key != "degrade.recovery_deadline") {
+      ini.set(c.key, c.text);
+    }
+  }
+  return options_from_ini(ini);
 }
 
 // The serialized text is a stable interface: saved experiment configs and
@@ -731,6 +771,211 @@ TEST(OptionsIo, DefaultIniMatchesGolden) {
 
 TEST(OptionsIo, FullIniMatchesGolden) {
   expect_ini_golden(full_options(), "golden_options_full.ini");
+}
+
+
+SimOptions parse_with(const KeyCase& c, const std::string& value) {
+  auto ini = Ini::parse_string(c.context);
+  ini.set(c.key, value);
+  return options_from_ini(ini);
+}
+
+TEST(OptionsIo, KeyTableListsEveryKeyOnce) {
+  const auto keys = erapid::sim::option_keys();
+  EXPECT_EQ(std::set<std::string_view>(keys.begin(), keys.end()).size(), keys.size());
+  ASSERT_EQ(keys.size(), std::size(kKeyCases));
+  for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(keys[i], kKeyCases[i].key);
+}
+
+// A row bound to the wrong member, or a value that does not reach its
+// member, fails here.
+TEST(OptionsIo, EveryKeyReadsIntoItsMember) {
+  const SimOptions def;
+  for (const KeyCase& c : kKeyCases) {
+    ASSERT_NE(c.member(def), c.text) << c.key << ": sample value must differ from the default";
+    EXPECT_EQ(c.member(parse_with(c, c.text)), c.text) << c.key;
+  }
+}
+
+// kind = trace plus the two degrade policies full_options() leaves unset:
+// with the default and full configs this writes every conditional key.
+SimOptions trace_options() {
+  SimOptions o;
+  o.workload.kind = erapid::workload::WorkloadKind::Trace;
+  o.workload.trace_file = "app.trace";
+  o.obs.enabled = true;
+  o.obs.monitors.p99_latency_ceiling = 900.0;
+  o.obs.monitors.max_recovery_cycles = 9000;
+  o.degrade.p99_ceiling = erapid::resilience::ResponsePolicy::Abort;
+  o.degrade.recovery_deadline = erapid::resilience::ResponsePolicy::Record;
+  return o;
+}
+
+TEST(OptionsIo, EveryKeySurvivesRoundTrip) {
+  std::set<std::string> written;
+  for (const SimOptions& o : {SimOptions{}, full_options(), trace_options()}) {
+    const auto ini = options_to_ini(o);
+    for (const auto& [key, value] : ini.entries()) written.insert(key);
+    const auto back = options_from_ini(ini);
+    for (const KeyCase& c : kKeyCases) EXPECT_EQ(c.member(back), c.member(o)) << c.key;
+    EXPECT_EQ(ini_text(back), ini_text(o));
+  }
+  for (const KeyCase& c : kKeyCases) EXPECT_EQ(written.count(c.key), 1u) << c.key;
+}
+
+TEST(OptionsIo, RealsRoundTripExactly) {
+  SimOptions o;
+  o.load_fraction = 0.123456789;
+  o.hotspot_fraction = 1.0 / 3.0;
+  o.obs.monitors.power_cap_mw = 2409.7123456;
+  const auto ini = options_to_ini(o);
+  EXPECT_EQ(ini.get("workload.load"), "0.123456789");
+  const auto back = options_from_ini(ini);
+  EXPECT_EQ(back.load_fraction, o.load_fraction);
+  EXPECT_EQ(back.hotspot_fraction, o.hotspot_fraction);
+  EXPECT_EQ(back.obs.monitors.power_cap_mw, o.obs.monitors.power_cap_mw);
+  // Values exact at six digits keep their short form.
+  EXPECT_EQ(ini.get("workload.hotspot_fraction"), "0.3333333333333333");
+  EXPECT_EQ(options_to_ini(SimOptions{}).get("workload.load"), "0.5");
+}
+
+// Every key of a codec rejects every value in that codec's table.
+void expect_codec_rejects(Codec codec, const std::vector<std::string>& bad) {
+  for (const KeyCase& c : kKeyCases) {
+    if (c.codec != codec) continue;
+    for (const std::string& value : bad) {
+      EXPECT_THROW(parse_with(c, value), erapid::ModelInvariantError)
+          << c.key << " = '" << value << "'";
+    }
+    // Trailing junk after a valid value.
+    if (codec != Codec::Path) {
+      EXPECT_THROW(parse_with(c, std::string(c.text) + "x"), erapid::ModelInvariantError)
+          << c.key;
+    }
+  }
+}
+
+TEST(OptionsIo, IntegerKeysRejectMalformedValues) {
+  expect_codec_rejects(Codec::Integer, {"", "abc", "-1", "2.5", "1e3", "+4", " 4", "0x10",
+                                        "18446744073709551616"});
+}
+
+TEST(OptionsIo, RealKeysRejectMalformedValues) {
+  expect_codec_rejects(Codec::Real, {"", "abc", "nan", "inf", "-inf", "1e999", "0.5.5", " 0.5"});
+  // Explicit bounds: unit weights in (0, 1], non-negative slack and
+  // monitor thresholds, positive phase threshold, integer floors of 1.
+  const std::pair<const char*, const char*> kOutOfRange[] = {
+      {"obs.telemetry_ewma_alpha", "0"},     {"obs.telemetry_ewma_alpha", "1.0000001"},
+      {"obs.telemetry_phase_alpha", "0"},    {"obs.telemetry_phase_alpha", "1.5"},
+      {"obs.telemetry_phase_slack", "-0.1"}, {"obs.telemetry_phase_threshold", "0"},
+      {"monitor.power_cap_mw", "-1"},        {"monitor.throughput_floor", "-0.5"},
+      {"monitor.p99_latency_ceiling", "-900"}, {"obs.counter_interval", "0"},
+      {"obs.telemetry_window", "0"},         {"obs.telemetry_top_k", "0"},
+  };
+  for (const auto& [key, value] : kOutOfRange) {
+    Ini ini;
+    ini.set(key, value);
+    EXPECT_THROW(options_from_ini(ini), erapid::ModelInvariantError) << key << " = " << value;
+  }
+  // The bounds are closed where the rule allows equality.
+  const auto edge = options_from_ini(Ini::parse_string(
+      "[obs]\ntelemetry_ewma_alpha = 1\ntelemetry_phase_slack = 0\ntelemetry_top_k = 1\n"
+      "[monitor]\npower_cap_mw = 0\n"));
+  EXPECT_EQ(edge.obs.telemetry_ewma_alpha, 1.0);
+  EXPECT_EQ(edge.obs.telemetry_phase_slack, 0.0);
+  EXPECT_EQ(edge.obs.telemetry_top_k, 1u);
+}
+
+TEST(OptionsIo, FlagKeysAcceptOnlyKnownSpellings) {
+  expect_codec_rejects(Codec::Flag, {"", "ture", "TRUE", "True", "2", "y", "enabled"});
+  for (const char* yes : {"true", "1", "yes", "on"}) {
+    EXPECT_TRUE(options_from_ini(Ini::parse_string(std::string("[obs]\nenabled = ") + yes))
+                    .obs.enabled)
+        << yes;
+  }
+  for (const char* no : {"false", "0", "no", "off"}) {
+    EXPECT_FALSE(
+        options_from_ini(Ini::parse_string(std::string("[reconfig]\nshutdown_idle = ") + no))
+            .reconfig.mode.dpm.shutdown_idle)
+        << no;
+  }
+}
+
+TEST(OptionsIo, ChoiceAndPolicyKeysRejectUnknownNames) {
+  // "uniform:abc" is also a phases entry with a non-numeric volume.
+  expect_codec_rejects(Codec::Choice, {"", "zigzag", " calendar", "uniform:abc"});
+  // Numbers inside list grammars must fit their fields too.
+  for (const char* bad : {"[fault]\nevents = lane_fail@18446744073709551616:d1:w1\n",
+                          "[fault]\nevents = lane_fail@100:d4294967297:w1\n",
+                          "[workload]\nkind = phases\nphases = uniform:4294967297\n",
+                          "[workload]\nkind = phases\nphases = uniform:-4\n"}) {
+    EXPECT_THROW(options_from_ini(Ini::parse_string(bad)), erapid::ModelInvariantError) << bad;
+  }
+  expect_codec_rejects(Codec::Policy, {"", "sched", "Record"});
+  expect_codec_rejects(Codec::Path, {""});
+}
+
+// Inputs the lenient strtol/strtod parsing used to accept and silently
+// wrap, truncate or zero.
+TEST(OptionsIo, FormerlyWrappedInputsAreRejected) {
+  const std::pair<const char*, const char*> kProbes[] = {
+      {"workload.episodes", "-1"},        {"workload.tenants", "4294967297"},
+      {"system.boards", "4294967300"},    {"reconfig.window", "-2000"},
+      {"workload.seed", "-1"},            {"workload.load", "0.5x"},
+      {"workload.load", "abc"},           {"workload.episodes", "2.5"},
+      {"obs.enabled", "ture"},
+  };
+  for (const auto& [key, value] : kProbes) {
+    Ini ini;
+    ini.set(key, value);
+    EXPECT_THROW(options_from_ini(ini), erapid::ModelInvariantError) << key << " = " << value;
+  }
+}
+
+// README.md documents every key: each key-table row names a known key, a
+// backticked default equals what options_to_ini writes for SimOptions{},
+// and every key has a row.
+TEST(OptionsIo, ReadmeKeyTablesMatchTheKeyTable) {
+  const std::string path = std::string(ERAPID_TEST_DATA_DIR) + "/../../README.md";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing " << path;
+  const auto keys = erapid::sim::option_keys();
+  const auto defaults = options_to_ini(SimOptions{});
+  // degrade.* knobs are written only once a policy is set.
+  SimOptions with_policy;
+  with_policy.degrade.power_cap = erapid::resilience::ResponsePolicy::Record;
+  const auto knobs = options_to_ini(with_policy);
+
+  std::set<std::string> documented;
+  bool in_key_table = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::string lower = line;
+    std::transform(lower.begin(), lower.end(), lower.begin(),
+                   [](unsigned char ch) { return static_cast<char>(std::tolower(ch)); });
+    if (lower.rfind("| key | default |", 0) == 0) {
+      in_key_table = true;
+      continue;
+    }
+    if (line.empty() || line[0] != '|') in_key_table = false;
+    if (!in_key_table || line.rfind("| `", 0) != 0) continue;
+    const auto key_end = line.find('`', 3);
+    const std::string key = line.substr(3, key_end - 3);
+    ASSERT_NE(std::find(keys.begin(), keys.end(), key), keys.end())
+        << "README documents unknown key " << key;
+    documented.insert(key);
+    const auto cell = line.find("| ", key_end) + 2;
+    if (line.compare(cell, 1, "`") != 0) {
+      EXPECT_FALSE(defaults.has(key)) << key << " is written by default; document its value";
+      continue;
+    }
+    const std::string def = line.substr(cell + 1, line.find('`', cell + 1) - cell - 1);
+    const auto written = defaults.has(key) ? defaults.get(key) : knobs.get(key);
+    EXPECT_EQ(written, def) << "README default of " << key;
+  }
+  for (const auto key : keys) {
+    EXPECT_EQ(documented.count(std::string(key)), 1u) << "README has no row for " << key;
+  }
 }
 
 TEST(OptionsIo, FileRoundTrip) {

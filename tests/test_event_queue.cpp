@@ -210,8 +210,8 @@ TEST_P(EngineOnQueue, RecursiveSchedulingAndRunUntil) {
 
 INSTANTIATE_TEST_SUITE_P(BothKinds, EngineOnQueue,
                          testing::Values(QueueKind::Heap, QueueKind::Calendar),
-                         [](const auto& info) {
-                           return std::string(erapid::des::queue_kind_name(info.param));
+                         [](const auto& kind_info) {
+                           return std::string(erapid::des::queue_kind_name(kind_info.param));
                          });
 
 TEST(EngineDiff, RandomWorkloadsExecuteIdenticallyOnBothKinds) {

@@ -19,6 +19,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "des/engine.hpp"
@@ -359,12 +360,11 @@ void expect_degrade_parse_is_total(const std::string& text) {
   }
 }
 
+// Garbage values on any config key (not just degrade.*), on top of an
+// armed power-cap check so degrade policies can take effect.
 TEST(DegradeIniFuzz, GarbageValuesNeverCrash) {
   static const char kCharset[] = "abcdefghijklmnopqrstuvwxyz0123456789.-+e ";
-  static const char* kKeys[] = {
-      "power_cap", "throughput_floor", "p99_ceiling", "recovery_deadline",
-      "cooldown_cycles", "recover_margin", "recover_cycles", "shed_step",
-      "max_shed_fraction"};
+  const auto keys = erapid::sim::option_keys();
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     Rng rng(seed * 739);
     std::string value;
@@ -372,9 +372,11 @@ TEST(DegradeIniFuzz, GarbageValuesNeverCrash) {
     for (std::uint64_t i = 0; i < len; ++i) {
       value += kCharset[rng.next_below(sizeof(kCharset) - 1)];
     }
+    const std::string_view key = keys[rng.next_below(keys.size())];
+    const auto dot = key.find('.');
     std::ostringstream os;
-    os << "[obs]\nenabled = true\n[monitor]\npower_cap_mw = 100\n[degrade]\n"
-       << kKeys[rng.next_below(9)] << " = " << value << "\n";
+    os << "[obs]\nenabled = true\n[monitor]\npower_cap_mw = 100\n[" << key.substr(0, dot)
+       << "]\n" << key.substr(dot + 1) << " = " << value << "\n";
     expect_degrade_parse_is_total(os.str());
   }
 }
