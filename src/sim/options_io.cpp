@@ -4,8 +4,6 @@
 #include <array>
 #include <charconv>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
@@ -43,10 +41,11 @@ T parse_number(std::string_view key, const std::string& text, T lo, T hi) {
 std::string format_real(double v) {
   std::array<char, 32> buf{};
   for (int precision = 6;; ++precision) {
-    std::snprintf(buf.data(), buf.size(), "%.*g", precision, v);
+    const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v,
+                                   std::chars_format::general, precision);
     double back = 0.0;
-    std::from_chars(buf.data(), buf.data() + std::strlen(buf.data()), back);
-    if (back == v || precision >= 17) return buf.data();
+    std::from_chars(buf.data(), res.ptr, back);
+    if (back == v || precision >= 17) return std::string(buf.data(), res.ptr);
   }
 }
 
