@@ -13,13 +13,11 @@
 // in the commit message (policy in tests_support.hpp).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "sim/report.hpp"
 #include "sim/simulation.hpp"
+#include "tests_support.hpp"
 
 namespace {
 
@@ -116,18 +114,6 @@ TEST(Determinism, TransientStormSameSeedTwiceIsByteIdentical) {
 
 // ---- golden fixtures --------------------------------------------------------
 
-std::string fixture_path() {
-  return std::string(ERAPID_TEST_DATA_DIR) + "/golden_fig5_uniform.json";
-}
-
-std::string transient_fixture_path() {
-  return std::string(ERAPID_TEST_DATA_DIR) + "/golden_transient_storm.json";
-}
-
-std::string wide_fixture_path() {
-  return std::string(ERAPID_TEST_DATA_DIR) + "/golden_complement_wide.json";
-}
-
 /// Complement on R(1,16,4) under P-B: each router has 4 node inputs plus 16
 /// wavelength inputs with 4 VCs each, i.e. 80 input VCs — more than one
 /// 64-bit word. The other goldens run on 4 boards (32 router VCs), so this
@@ -147,105 +133,39 @@ sim::SimOptions wide_options() {
 }
 
 TEST(Golden, ComplementWideReportMatchesCommittedFixtureExactly) {
-  for (const auto kind : {des::QueueKind::Heap, des::QueueKind::Calendar}) {
-    sim::SimOptions o = wide_options();
-    o.des_queue = kind;
-    const auto report = sim::to_json(sim::Simulation(o).run()) + "\n";
-
-    if (std::getenv("ERAPID_REGEN_GOLDEN") != nullptr) {
-      if (kind != des::QueueKind::Heap) continue;  // the heap queue writes it
-      std::ofstream out(wide_fixture_path());
-      ASSERT_TRUE(out) << "cannot write " << wide_fixture_path();
-      out << report;
-      continue;
-    }
-
-    std::ifstream in(wide_fixture_path());
-    ASSERT_TRUE(in) << "missing fixture " << wide_fixture_path()
-                    << " (regenerate with ERAPID_REGEN_GOLDEN=1)";
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(report, ss.str())
-        << "wide-router golden drifted on des.queue=" << des::queue_kind_name(kind)
-        << " — if the semantic change is intended, regenerate with "
-           "ERAPID_REGEN_GOLDEN=1 and call it out in the commit message";
-  }
+  test::expect_report_golden(wide_options(), "golden_complement_wide.json",
+                             "wide-router golden");
 }
 
 TEST(Golden, TransientStormReportMatchesCommittedFixtureExactly) {
   sim::SimOptions o = base_options();
   o.reconfig.mode = reconfig::NetworkMode::p_b();
   o.fault = transient_storm_plan();
-  const auto report = sim::to_json(sim::Simulation(o).run()) + "\n";
-
-  if (std::getenv("ERAPID_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(transient_fixture_path());
-    ASSERT_TRUE(out) << "cannot write " << transient_fixture_path();
-    out << report;
-    GTEST_SKIP() << "regenerated " << transient_fixture_path();
-  }
-
-  std::ifstream in(transient_fixture_path());
-  ASSERT_TRUE(in) << "missing fixture " << transient_fixture_path()
-                  << " (regenerate with ERAPID_REGEN_GOLDEN=1)";
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(report, ss.str())
-      << "transient-storm golden drifted — if the semantic change is "
-         "intended, regenerate with ERAPID_REGEN_GOLDEN=1 and call it out "
-         "in the commit message";
+  test::expect_golden(sim::to_json(sim::Simulation(o).run()) + "\n",
+                      "golden_transient_storm.json", "transient-storm golden");
 }
 
 // The calendar wheel (`des.queue=calendar`) must reproduce the committed
 // heap-generated fixtures byte-for-byte — the two calendars share one
 // golden, so neither can drift without the other noticing.
 TEST(Golden, CalendarQueueMatchesHeapGoldenExactly) {
-  if (std::getenv("ERAPID_REGEN_GOLDEN") != nullptr) {
-    GTEST_SKIP() << "fixtures are regenerated by the heap-queue tests";
-  }
   sim::SimOptions o = base_options();
   o.reconfig.mode = reconfig::NetworkMode::p_b();
   o.des_queue = des::QueueKind::Calendar;
-  const auto report = sim::to_json(sim::Simulation(o).run()) + "\n";
-  std::ifstream in(fixture_path());
-  ASSERT_TRUE(in) << "missing fixture " << fixture_path()
-                  << " (regenerate with ERAPID_REGEN_GOLDEN=1)";
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(report, ss.str())
-      << "calendar queue diverged from the heap-generated golden";
-
+  test::expect_golden(sim::to_json(sim::Simulation(o).run()) + "\n",
+                      "golden_fig5_uniform.json", "calendar-queue Fig. 5 golden",
+                      /*writer=*/false);
   o.fault = transient_storm_plan();
-  const auto storm = sim::to_json(sim::Simulation(o).run()) + "\n";
-  std::ifstream storm_in(transient_fixture_path());
-  ASSERT_TRUE(storm_in) << "missing fixture " << transient_fixture_path();
-  std::ostringstream storm_ss;
-  storm_ss << storm_in.rdbuf();
-  EXPECT_EQ(storm, storm_ss.str())
-      << "calendar queue diverged from the transient-storm golden";
+  test::expect_golden(sim::to_json(sim::Simulation(o).run()) + "\n",
+                      "golden_transient_storm.json", "calendar-queue transient-storm golden",
+                      /*writer=*/false);
 }
 
 TEST(Golden, Fig5UniformReportMatchesCommittedFixtureExactly) {
   sim::SimOptions o = base_options();  // the Fig. 5 uniform small config
   o.reconfig.mode = reconfig::NetworkMode::p_b();
-  const auto report = sim::to_json(sim::Simulation(o).run()) + "\n";
-
-  if (std::getenv("ERAPID_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(fixture_path());
-    ASSERT_TRUE(out) << "cannot write " << fixture_path();
-    out << report;
-    GTEST_SKIP() << "regenerated " << fixture_path();
-  }
-
-  std::ifstream in(fixture_path());
-  ASSERT_TRUE(in) << "missing fixture " << fixture_path()
-                  << " (regenerate with ERAPID_REGEN_GOLDEN=1)";
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(report, ss.str())
-      << "golden report drifted — if the semantic change is intended, "
-         "regenerate with ERAPID_REGEN_GOLDEN=1 and call it out in the "
-         "commit message";
+  test::expect_golden(sim::to_json(sim::Simulation(o).run()) + "\n",
+                      "golden_fig5_uniform.json", "Fig. 5 golden report");
 }
 
 }  // namespace

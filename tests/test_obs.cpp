@@ -32,6 +32,7 @@
 #include "obs/trace.hpp"
 #include "sim/report.hpp"
 #include "sim/simulation.hpp"
+#include "tests_support.hpp"
 
 namespace {
 
@@ -313,38 +314,23 @@ TEST(ObsDeterminism, DifferentSeedsDiverge) {
 
 // ---- golden trace fixture ---------------------------------------------------
 
-std::string trace_fixture_path() {
-  return std::string(ERAPID_TEST_DATA_DIR) + "/golden_trace_small.json";
-}
-
 TEST(GoldenTrace, SmallRunTraceMatchesCommittedFixtureExactly) {
-  sim::SimOptions o = base_options();
-  o.warmup_cycles = 2000;
-  o.measure_cycles = 4000;
-  o.drain_limit = 20000;
-  o.obs.enabled = true;
-  o.obs.trace_path = tmp_path("golden_candidate.trace.json");
-  o.obs.counter_interval = 1000;
-  (void)sim::Simulation(o).run();
-  const auto trace = slurp(o.obs.trace_path);
-  std::remove(o.obs.trace_path.c_str());
-
-  if (std::getenv("ERAPID_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(trace_fixture_path());
-    ASSERT_TRUE(out) << "cannot write " << trace_fixture_path();
-    out << trace;
-    GTEST_SKIP() << "regenerated " << trace_fixture_path();
+  for (const des::QueueKind kind : test::kQueueKinds) {
+    sim::SimOptions o = base_options();
+    o.des_queue = kind;
+    o.warmup_cycles = 2000;
+    o.measure_cycles = 4000;
+    o.drain_limit = 20000;
+    o.obs.enabled = true;
+    o.obs.trace_path = tmp_path("golden_candidate.trace.json");
+    o.obs.counter_interval = 1000;
+    (void)sim::Simulation(o).run();
+    const auto trace = slurp(o.obs.trace_path);
+    std::remove(o.obs.trace_path.c_str());
+    test::expect_golden(trace, "golden_trace_small.json",
+                        std::string("golden trace on des.queue=") + des::queue_kind_name(kind),
+                        kind == des::QueueKind::Heap);
   }
-
-  std::ifstream in(trace_fixture_path());
-  ASSERT_TRUE(in) << "missing fixture " << trace_fixture_path()
-                  << " (regenerate with ERAPID_REGEN_GOLDEN=1)";
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(trace, ss.str())
-      << "golden trace drifted — if the instrumentation change is intended, "
-         "regenerate with ERAPID_REGEN_GOLDEN=1 and call it out in the "
-         "commit message";
 }
 
 #else  // ERAPID_NO_OBS

@@ -1,7 +1,14 @@
 // Shared test fixtures and golden values.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "des/clock.hpp"
@@ -12,9 +19,60 @@
 #include "power/link_power.hpp"
 #include "router/injector.hpp"
 #include "router/router.hpp"
+#include "sim/report.hpp"
+#include "sim/simulation.hpp"
 #include "topology/config.hpp"
 
 namespace erapid::test {
+
+/// Path of a committed fixture under tests/data.
+inline std::string data_path(std::string_view name) {
+  return std::string(ERAPID_TEST_DATA_DIR) + "/" + std::string(name);
+}
+
+/// Compares `actual` byte for byte with the committed fixture `name`. With
+/// ERAPID_REGEN_GOLDEN set the test skips instead, and a `writer` call first
+/// rewrites the fixture from `actual` (pass writer = false for a second run
+/// that must match a fixture another call writes). Tolerance is zero: any
+/// diff means behaviour changed — regenerate only when the change is
+/// intended, and call it out in the commit message.
+inline void expect_golden(const std::string& actual, std::string_view name,
+                          std::string_view what, bool writer = true) {
+  const std::string path = data_path(name);
+  if (std::getenv("ERAPID_REGEN_GOLDEN") != nullptr) {
+    if (writer) {
+      std::ofstream out(path);
+      ASSERT_TRUE(out) << "cannot write " << path;
+      out << actual;
+    }
+    GTEST_SKIP() << (writer ? "regenerated " : "left to its writer: ") << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing fixture " << path << " (regenerate with ERAPID_REGEN_GOLDEN=1)";
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  EXPECT_EQ(actual, ss.str())
+      << what << " drifted from " << path
+      << " — if the change is intended, regenerate with ERAPID_REGEN_GOLDEN=1 and call it "
+         "out in the commit message";
+}
+
+/// Both event calendars. They share one (time, seq) ordering contract, so
+/// every golden written by the heap run must match on the calendar too.
+inline constexpr des::QueueKind kQueueKinds[] = {des::QueueKind::Heap,
+                                                 des::QueueKind::Calendar};
+
+/// Runs `o` on each event calendar and compares the JSON report with the
+/// fixture `name` (written by the heap run).
+inline void expect_report_golden(sim::SimOptions o, std::string_view name,
+                                 std::string_view what) {
+  for (const des::QueueKind kind : kQueueKinds) {
+    o.des_queue = kind;
+    expect_golden(sim::to_json(sim::Simulation(o).run()) + "\n", name,
+                  std::string(what) + " on des.queue=" + des::queue_kind_name(kind),
+                  kind == des::QueueKind::Heap);
+  }
+}
 
 /// Minimal optical rig: a 1-input router with one ejection port, one
 /// receiver on that input, and one lane shooting packets at the receiver.
