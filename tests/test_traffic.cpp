@@ -3,6 +3,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "des/engine.hpp"
 #include "traffic/generator.hpp"
@@ -236,6 +237,24 @@ TEST(NodeSource, PacketsCarrySourceAndMetadata) {
     EXPECT_EQ(p.flits, 8u);
     EXPECT_GT(p.seq, 0u);
   }
+}
+
+// Packet ids are per source: a freshly built source numbers from 1 no
+// matter how many packets earlier sources in this process generated.
+TEST(NodeSource, FreshSourceNumbersPacketsFromOne) {
+  TrafficPattern pat(PatternKind::Uniform, 64);
+  std::vector<erapid::PacketSeq> first_seq;
+  for (int run = 0; run < 2; ++run) {
+    Engine engine;
+    std::vector<Packet> got;
+    NodeSource src(engine, pat, NodeId{0}, 8, Rng(9),
+                   [&](const Packet& p, Cycle) { got.push_back(p); });
+    src.start(0.5);
+    engine.run_until(100);
+    ASSERT_FALSE(got.empty());
+    first_seq.push_back(got.front().seq);
+  }
+  EXPECT_EQ(first_seq, (std::vector<erapid::PacketSeq>{1, 1}));
 }
 
 TEST(NodeSource, FullRateInjectsEveryCycle) {
