@@ -23,14 +23,10 @@
 #include "stats/histogram.hpp"
 #include "stats/streaming.hpp"
 #include "topology/capacity.hpp"
-#include "traffic/generator.hpp"
 #include "traffic/patterns.hpp"
-#include "traffic/trace.hpp"
-#include "traffic/trace_source.hpp"
-#include "workload/phase.hpp"
+#include "workload/driver.hpp"
 #include "workload/spec.hpp"
 #include "workload/stats.hpp"
-#include "workload/tenants.hpp"
 
 namespace erapid::sim {
 
@@ -158,7 +154,10 @@ struct SimResult {
   }
 };
 
-/// One self-contained simulation (engine + network + sources + metrics).
+/// One self-contained simulation (engine + network + traffic driver +
+/// metrics). The ctor is the only place that looks at workload.kind: it
+/// builds one workload::Driver, and run() drives it through the kind's
+/// methodology.
 class Simulation {
  public:
   explicit Simulation(const SimOptions& opts);
@@ -174,7 +173,6 @@ class Simulation {
   [[nodiscard]] des::Engine& engine() { return engine_; }
   [[nodiscard]] const SimOptions& options() const { return opts_; }
   [[nodiscard]] double capacity() const { return capacity_; }
-  [[nodiscard]] fault::FaultInjector& fault_injector() { return *injector_; }
   /// Null unless obs.enabled (or under ERAPID_NO_OBS builds).
   [[nodiscard]] obs::Hub* hub() { return hub_.get(); }
   /// Null unless a `degrade.*` policy is configured.
@@ -183,12 +181,6 @@ class Simulation {
   }
 
  private:
-  /// Open-loop body shared by the bernoulli and tenants kinds.
-  SimResult run_open_loop();
-  /// Completion-bounded body (collectives, kernels, phases, trace).
-  SimResult run_completion_bounded();
-  /// Builds the phase schedule for the configured completion-bounded kind.
-  [[nodiscard]] workload::Schedule build_schedule() const;
   /// One telemetry window's sample of the run (the Telemetry plane's
   /// sampler callback).
   [[nodiscard]] obs::WindowObservables sample_telemetry(Cycle now);
@@ -206,13 +198,10 @@ class Simulation {
   std::unique_ptr<Network> network_;
   std::unique_ptr<Recorder> recorder_;
   std::unique_ptr<fault::FaultInjector> injector_;
-  traffic::TrafficPattern pattern_;
-  std::vector<std::unique_ptr<traffic::NodeSource>> sources_;
-  std::unique_ptr<workload::PhaseEngine> phase_driver_;
-  std::unique_ptr<workload::TenantFleet> fleet_;
-  std::unique_ptr<traffic::Trace> trace_;
-  std::unique_ptr<traffic::TraceReplayer> replayer_;
   double capacity_;
+  /// The methodology run() follows (fixed by workload.kind in the ctor).
+  bool completion_bounded_;
+  std::unique_ptr<workload::Driver> driver_;
 
   // Measurement state.
   stats::Streaming latency_;
@@ -224,9 +213,6 @@ class Simulation {
   /// them (they can never arrive).
   std::uint64_t labelled_dead_ = 0;
   bool in_measurement_ = false;
-  /// Trace-replay completion bookkeeping (kind = trace only).
-  bool trace_done_ = false;
-  Cycle trace_completion_ = 0;
   obs::MetricId m_latency_ = 0;
   obs::MetricId m_latency_hist_ = 0;
   obs::MetricId m_delivered_ = 0;

@@ -32,6 +32,7 @@ PhaseEngine::PhaseEngine(des::Engine& engine, Schedule schedule, PhaseEngineConf
     ERAPID_REQUIRE(static_cast<bool>(p.destination),
                    "phase '" << p.name << "' has no destination map");
   }
+  stats_.kind = cfg_.kind;
   stats_.phases_total = static_cast<std::uint32_t>(schedule_.phases.size());
   stats_.episodes_total =
       static_cast<std::uint32_t>(schedule_.phases.size()) / phases_per_episode();

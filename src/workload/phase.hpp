@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "des/engine.hpp"
@@ -27,6 +28,7 @@
 #include "router/flit.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
+#include "workload/driver.hpp"
 #include "workload/stats.hpp"
 
 namespace erapid::workload {
@@ -54,37 +56,32 @@ struct PhaseEngineConfig {
   std::uint32_t default_packet_flits = 8;
   std::uint32_t flit_bytes = 8;
   std::uint64_t seed = 1;
+  std::string kind = "phases";  ///< workload kind name the stats carry
 };
 
 /// Drives a Schedule through the network (see file comment).
-class PhaseEngine {
+class PhaseEngine final : public Driver {
  public:
-  using InjectFn = std::function<void(const router::Packet&, Cycle)>;
-
   /// `inject(packet, now)` hands each generated packet to the network;
   /// `hub` (optional) receives phase/episode duration histograms.
   PhaseEngine(des::Engine& engine, Schedule schedule, PhaseEngineConfig cfg,
               InjectFn inject, obs::Hub* hub = nullptr);
 
   /// Begins the first phase at engine.now(). Call exactly once.
-  void start();
+  void start() override;
 
-  /// Feed of every delivered packet (the driver's delivery callback).
-  void on_delivered(const router::Packet& p, Cycle now);
-
-  /// Feed of ARQ dead letters: an abandoned packet can never arrive, so it
-  /// counts as resolved — otherwise completion would wait on it forever.
-  void on_dead_letter(const router::Packet& p, Cycle now);
+  void on_delivered(const router::Packet& p, Cycle now) override;
+  /// Dead letters count as resolved — otherwise completion would wait on
+  /// them forever.
+  void on_dead_letter(const router::Packet& p, Cycle now) override;
 
   /// True once every phase has completed.
-  [[nodiscard]] bool done() const { return stats_.completed; }
-  [[nodiscard]] const WorkloadStats& stats() const { return stats_; }
+  [[nodiscard]] bool done() const override { return stats_.completed; }
+  [[nodiscard]] WorkloadStats stats() const override { return stats_; }
 
-  /// Name of the phase currently injecting/draining, or "" before start and
-  /// after completion — the label the telemetry records carry.
-  [[nodiscard]] const std::string& active_phase() const {
-    static const std::string kNone;
-    if (!started_ || done() || phase_index_ >= schedule_.phases.size()) return kNone;
+  /// "" before start and after completion.
+  [[nodiscard]] std::string_view active_phase() const override {
+    if (!started_ || done() || phase_index_ >= schedule_.phases.size()) return {};
     return schedule_.phases[phase_index_].name;
   }
 

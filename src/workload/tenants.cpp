@@ -1,10 +1,10 @@
 #include "workload/tenants.hpp"
 
-#include <cmath>
 #include <string>
 #include <utility>
 
 #include "obs/probe.hpp"
+#include "traffic/generator.hpp"
 #include "util/expect.hpp"
 
 namespace erapid::workload {
@@ -50,15 +50,9 @@ TenantFleet::TenantFleet(des::Engine& engine, TenantFleetConfig cfg,
       m_tenant_bytes_.push_back(
           hub_->metrics().counter("workload.tenant" + tenant_tag(t) + ".bytes"));
     }
+    m_tenant_series_ = hub_->metrics().series("workload.tenant_bytes");
   }
 #endif
-}
-
-CycleDelta TenantFleet::geometric_gap(util::Rng& rng, double rate) const {
-  if (rate >= 1.0) return 1;
-  const double u = rng.next_double();
-  const double g = std::floor(std::log1p(-u) / std::log1p(-rate));
-  return static_cast<CycleDelta>(g) + 1;
 }
 
 void TenantFleet::start() {
@@ -76,12 +70,15 @@ void TenantFleet::stop() {
     s->next_inject.cancel();
     s->end_event.cancel();
   }
+  // Delivered-bytes distribution: one sample per tenant, in tenant order.
+  for ([[maybe_unused]] const std::uint64_t b : tenant_bytes_) {
+    ERAPID_OBSERVE(hub_, m_tenant_series_, static_cast<double>(b));
+  }
 }
 
 void TenantFleet::schedule_arrival(std::uint32_t tenant) {
-  const CycleDelta gap =
-      geometric_gap(tenants_[tenant].rng,
-                    1.0 / static_cast<double>(cfg_.session_gap_mean));
+  const CycleDelta gap = traffic::geometric_gap(
+      tenants_[tenant].rng, 1.0 / static_cast<double>(cfg_.session_gap_mean));
   tenants_[tenant].next_arrival = engine_.schedule(
       gap,
       [this, tenant] {
@@ -115,7 +112,7 @@ void TenantFleet::end_session(std::size_t session) {
 
 void TenantFleet::schedule_inject(std::size_t session) {
   Session& s = *sessions_[session];
-  const CycleDelta gap = geometric_gap(s.rng, cfg_.session_rate_pkt_cycle);
+  const CycleDelta gap = traffic::geometric_gap(s.rng, cfg_.session_rate_pkt_cycle);
   s.next_inject =
       engine_.schedule(gap, [this, session] { inject(session); }, "workload.tenant_inject");
 }

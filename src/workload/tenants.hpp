@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "traffic/patterns.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
+#include "workload/driver.hpp"
 #include "workload/stats.hpp"
 
 namespace erapid::workload {
@@ -45,33 +45,29 @@ struct TenantFleetConfig {
   std::uint32_t hotspot_node = 0;
 };
 
-/// The tenant fleet (see file comment). Runs under the driver's open-loop
+/// The tenant fleet (see file comment). Runs under the open-loop
 /// warmup/measure/drain methodology, like the Bernoulli sources it
 /// replaces.
-class TenantFleet {
+class TenantFleet final : public Driver {
  public:
-  using InjectFn = std::function<void(const router::Packet&, Cycle)>;
-
   TenantFleet(des::Engine& engine, TenantFleetConfig cfg,
               std::vector<traffic::PatternKind> mix, util::Rng master, InjectFn inject,
               obs::Hub* hub = nullptr);
 
   /// Schedules every tenant's first session arrival. Call exactly once.
-  void start();
+  void start() override;
 
-  /// Cancels all pending arrivals, session ends and injections.
-  void stop();
+  /// Cancels all pending arrivals, session ends and injections, and records
+  /// the per-tenant delivered bytes as the workload.tenant_bytes series.
+  void stop() override;
 
-  /// From now on, generated packets are tagged labelled = `on`.
-  void set_labelling(bool on) { labelling_ = on; }
+  void set_labelling(bool on) override { labelling_ = on; }
 
-  /// Feed of every delivered packet (per-tenant byte attribution).
-  void on_delivered(const router::Packet& p, Cycle now);
-
-  [[nodiscard]] std::uint64_t generated() const { return generated_; }
+  /// Per-tenant byte attribution.
+  void on_delivered(const router::Packet& p, Cycle now) override;
 
   /// Tenant/session/byte accounting for the report's workload block.
-  [[nodiscard]] WorkloadStats stats() const;
+  [[nodiscard]] WorkloadStats stats() const override;
 
  private:
   struct Tenant {
@@ -93,7 +89,6 @@ class TenantFleet {
   void end_session(std::size_t session);
   void schedule_inject(std::size_t session);
   void inject(std::size_t session);
-  [[nodiscard]] CycleDelta geometric_gap(util::Rng& rng, double rate) const;
 
   des::Engine& engine_;
   TenantFleetConfig cfg_;
@@ -110,6 +105,7 @@ class TenantFleet {
   std::uint64_t sessions_completed_ = 0;
   std::vector<std::uint64_t> tenant_bytes_;
   std::vector<obs::MetricId> m_tenant_bytes_;
+  obs::MetricId m_tenant_series_ = 0;
   PacketSeq next_seq_ = 1;
 };
 

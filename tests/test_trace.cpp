@@ -8,7 +8,7 @@
 #include "des/engine.hpp"
 #include "sim/network.hpp"
 #include "traffic/trace.hpp"
-#include "traffic/trace_source.hpp"
+#include "workload/driver.hpp"
 
 namespace {
 
@@ -18,7 +18,7 @@ using erapid::traffic::make_alltoall_trace;
 using erapid::traffic::make_master_worker_trace;
 using erapid::traffic::make_stencil_trace;
 using erapid::traffic::Trace;
-using erapid::traffic::TraceReplayer;
+using erapid::workload::TraceDriver;
 
 TEST(Trace, AddAndFinalizeSortsStably) {
   Trace t;
@@ -130,54 +130,23 @@ TEST(TraceReplay, AllEventsDeliveredThroughNetwork) {
 
   erapid::des::Engine engine;
   erapid::sim::Network net(engine, cfg, rc);
-  std::uint64_t delivered = 0;
-  net.set_delivery_callback(
-      [&](const erapid::router::Packet&, Cycle) { ++delivered; });
-  net.start();
-
   const Trace t = make_alltoall_trace(cfg.num_nodes(), 3, 2000);
-  TraceReplayer rep(engine, t, cfg.packet_flits,
-                    [&net](const erapid::router::Packet& p, Cycle now) {
-                      net.inject(p, now);
-                    });
-  rep.start(10);
+  TraceDriver driver(engine, t, cfg.packet_flits, cfg.flit_bits / 8,
+                     [&net](const erapid::router::Packet& p, Cycle now) {
+                       net.inject(p, now);
+                     });
+  net.set_delivery_callback([&driver](const erapid::router::Packet& p, Cycle now) {
+    driver.on_delivered(p, now);
+  });
+  net.start();
+  driver.start();
   engine.run_until(t.duration() + 100000);
-  EXPECT_TRUE(rep.done());
-  EXPECT_EQ(delivered, t.size());
-}
-
-TEST(TraceReplay, LabelWindowMarksOnlyInsidePackets) {
-  erapid::des::Engine engine;
-  Trace t;
-  t.add(10, NodeId{0}, NodeId{1});
-  t.add(100, NodeId{0}, NodeId{1});
-  t.add(500, NodeId{0}, NodeId{1});
-  t.finalize(2);
-  std::vector<bool> labels;
-  TraceReplayer rep(engine, t, 8,
-                    [&](const erapid::router::Packet& p, Cycle) {
-                      labels.push_back(p.labelled);
-                    });
-  rep.set_label_window(50, 200);
-  rep.start(0);
-  engine.run_all();
-  ASSERT_EQ(labels.size(), 3u);
-  EXPECT_FALSE(labels[0]);
-  EXPECT_TRUE(labels[1]);
-  EXPECT_FALSE(labels[2]);
-}
-
-TEST(TraceReplay, OffsetShiftsInjection) {
-  erapid::des::Engine engine;
-  Trace t;
-  t.add(0, NodeId{0}, NodeId{1});
-  t.finalize(2);
-  Cycle injected_at = 0;
-  TraceReplayer rep(engine, t, 8,
-                    [&](const erapid::router::Packet&, Cycle now) { injected_at = now; });
-  rep.start(123);
-  engine.run_all();
-  EXPECT_EQ(injected_at, 123u);
+  ASSERT_TRUE(driver.done());
+  const auto st = driver.stats();
+  EXPECT_EQ(st.packets_injected, t.size());
+  EXPECT_EQ(st.packets_delivered, t.size());
+  EXPECT_EQ(st.bytes_delivered, t.size() * cfg.packet_flits * (cfg.flit_bits / 8));
+  EXPECT_GE(st.completion_cycle, t.duration());
 }
 
 }  // namespace
