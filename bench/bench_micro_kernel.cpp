@@ -1,16 +1,14 @@
 // Microbenchmarks of the simulator substrates: DES event throughput,
-// router flit throughput, arbiter, RNG, and the DBR allocator. These bound
-// how much wall-clock a figure sweep costs and catch performance
-// regressions in the hot paths.
+// router flit throughput, arbiter and RNG. The DBR allocator and full-system
+// cycles/s are measured by perfbench (reconfig.allocate_lanes_ns.*,
+// sim_cycles_per_s).
 #include <benchmark/benchmark.h>
 
 #include "des/clock.hpp"
 #include "des/engine.hpp"
-#include "reconfig/allocation.hpp"
 #include "router/arbiter.hpp"
 #include "router/injector.hpp"
 #include "router/router.hpp"
-#include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -124,42 +122,6 @@ void BM_router_flit_throughput(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_router_flit_throughput)->Unit(benchmark::kMillisecond);
-
-void BM_dbr_allocator(benchmark::State& state) {
-  std::vector<reconfig::FlowStatsEntry> flows;
-  for (std::uint32_t s = 1; s < 8; ++s) {
-    flows.push_back({BoardId{s}, s % 2 ? 0.9 : 0.0, s % 2 ? 5u : 0u, 1});
-  }
-  std::vector<reconfig::LaneOwnership> lanes;
-  for (std::uint32_t w = 0; w < 8; ++w) {
-    lanes.push_back({WavelengthId{w}, w ? BoardId{w} : BoardId{}});
-  }
-  for (auto _ : state) {
-    auto d = reconfig::allocate_lanes(BoardId{0}, flows, lanes, reconfig::DbrPolicy{},
-                                      power::PowerLevel::High);
-    benchmark::DoNotOptimize(d.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_dbr_allocator);
-
-// End-to-end: simulated cycles per wall second for the full 64-node system.
-void BM_full_system_cycles(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::SimOptions o;  // R(1,8,8)
-    o.load_fraction = 0.5;
-    o.warmup_cycles = 2000;
-    o.measure_cycles = 4000;
-    o.drain_limit = 20000;
-    o.reconfig.mode = reconfig::NetworkMode::p_b();
-    sim::Simulation s(o);
-    const auto r = s.run();
-    benchmark::DoNotOptimize(&r);
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(r.end_cycle));
-  }
-}
-BENCHMARK(BM_full_system_cycles)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

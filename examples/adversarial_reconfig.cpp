@@ -20,7 +20,7 @@ int run(int argc, char** argv) {
   sim::SimOptions opts;
   opts.pattern = traffic::PatternKind::Complement;
   opts.load_fraction = cli.get_double("load", 0.6);
-  opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  opts.seed = cli.get_uint<std::uint64_t>("seed", 1);
 
   // --- Step 1: run P-B alone and show how lane ownership evolved. ---
   {

@@ -20,9 +20,9 @@ int run(int argc, char** argv) {
   using namespace erapid;
 
   const auto cli = util::Cli::parse(argc, argv);
-  const auto bursts = static_cast<std::uint32_t>(cli.get_int("bursts", 12));
-  const auto burst_len = static_cast<Cycle>(cli.get_int("burst-len", 4000));
-  const auto gap = static_cast<Cycle>(cli.get_int("gap", 6000));
+  const auto bursts = cli.get_uint<std::uint32_t>("bursts", 12);
+  const auto burst_len = cli.get_uint<Cycle>("burst-len", 4000);
+  const auto gap = cli.get_uint<Cycle>("gap", 6000);
 
   topology::SystemConfig cfg;  // R(1,8,8) default
   reconfig::ReconfigConfig rc;

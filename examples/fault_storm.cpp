@@ -33,7 +33,7 @@ int run(int argc, char** argv) {
   opts.pattern = traffic::PatternKind::Uniform;
   opts.reconfig.mode = reconfig::NetworkMode::p_b();
   opts.load_fraction = cli.get_double("load", 0.5);
-  opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  opts.seed = cli.get_uint<std::uint64_t>("seed", 1);
 
   const bool transient = cli.has("transient");
   if (const auto trace = cli.get("trace")) {

@@ -37,7 +37,7 @@ int run(int argc, char** argv) {
     sim::SimOptions opts;
     opts.pattern = *pattern;
     opts.load_fraction = load;
-    opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+    opts.seed = cli.get_uint<std::uint64_t>("seed", 1);
 
     sim::SimOptions base = opts;
     base.reconfig.mode = reconfig::NetworkMode::np_nb();

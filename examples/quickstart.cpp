@@ -24,13 +24,10 @@ int run(int argc, char** argv) {
   const auto cli = util::Cli::parse(argc, argv);
   sim::SimOptions opts;
   if (const auto cfg = cli.get("config")) opts = sim::load_options(*cfg);
-  opts.system.boards = static_cast<std::uint32_t>(
-      cli.get_int("boards", static_cast<long>(opts.system.boards)));
-  opts.system.nodes_per_board = static_cast<std::uint32_t>(
-      cli.get_int("nodes-per-board", static_cast<long>(opts.system.nodes_per_board)));
+  opts.system.boards = cli.get_uint("boards", opts.system.boards);
+  opts.system.nodes_per_board = cli.get_uint("nodes-per-board", opts.system.nodes_per_board);
   opts.load_fraction = cli.get_double("load", opts.load_fraction);
-  opts.seed =
-      static_cast<std::uint64_t>(cli.get_int("seed", static_cast<long>(opts.seed)));
+  opts.seed = cli.get_uint("seed", opts.seed);
 
   const auto pattern =
       traffic::parse_pattern(cli.get_or("pattern", std::string(traffic::pattern_name(opts.pattern))));

@@ -32,12 +32,11 @@ int main(int argc, char** argv) {
 
   const auto cli = util::Cli::parse(argc, argv);
   sim::SimOptions opts;
-  opts.system.boards = static_cast<std::uint32_t>(cli.get_int("boards", 4));
-  opts.system.nodes_per_board =
-      static_cast<std::uint32_t>(cli.get_int("nodes-per-board", 4));
+  opts.system.boards = cli.get_uint<std::uint32_t>("boards", 4);
+  opts.system.nodes_per_board = cli.get_uint<std::uint32_t>("nodes-per-board", 4);
   opts.reconfig.mode = reconfig::NetworkMode::p_b();
   opts.load_fraction = cli.get_double("load", 0.5);
-  opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  opts.seed = cli.get_uint<std::uint64_t>("seed", 1);
   opts.warmup_cycles = 4000;
   opts.measure_cycles = 8000;
   opts.drain_limit = 60000;
@@ -45,21 +44,18 @@ int main(int argc, char** argv) {
   opts.obs.enabled = true;
   opts.obs.trace_path = cli.get_or("trace", std::string("trace_demo.trace.json"));
   opts.obs.trace_format = cli.get_or("format", std::string("chrome"));
-  opts.obs.counter_interval =
-      static_cast<CycleDelta>(cli.get_int("interval", 500));
+  opts.obs.counter_interval = cli.get_uint<CycleDelta>("interval", 500);
   opts.obs.trace_events = cli.has("events");
 
   // Windowed telemetry plane + flight recorder (both off by default, same
   // as the obs.telemetry / obs.flight_recorder_depth INI keys).
   if (const auto tel = cli.get("telemetry")) {
     opts.obs.telemetry_path = *tel;
-    opts.obs.telemetry_window =
-        static_cast<CycleDelta>(cli.get_int("telemetry-window", 2000));
+    opts.obs.telemetry_window = cli.get_uint<CycleDelta>("telemetry-window", 2000);
   }
   if (const auto fr = cli.get("flight-recorder")) {
     opts.obs.flight_recorder_path = *fr;
-    opts.obs.flight_recorder_depth =
-        static_cast<std::size_t>(cli.get_int("flight-depth", 256));
+    opts.obs.flight_recorder_depth = cli.get_uint<std::size_t>("flight-depth", 256);
   }
   opts.obs.monitors.power_cap_mw = cli.get_double("power-cap", 0.0);
   opts.obs.monitor_fail_fast = cli.has("fail-fast");
@@ -86,14 +82,10 @@ int main(int argc, char** argv) {
   sim::Simulation simulation(opts);
   const auto result = simulation.run();
 
-#if defined(ERAPID_NO_OBS)
-  std::cout << "built with ERAPID_NO_OBS: no trace written\n";
-#else
   std::cout << "trace written to " << opts.obs.trace_path << "\n";
   if (!opts.obs.telemetry_path.empty()) {
     std::cout << "telemetry written to " << opts.obs.telemetry_path << "\n";
   }
-#endif
   std::cout << sim::to_json(result) << "\n";
   return 0;
 }

@@ -33,8 +33,8 @@ int run(int argc, char** argv) {
   const auto cli = util::Cli::parse(argc, argv);
 
   sim::SimOptions o;
-  o.system.boards = static_cast<std::uint32_t>(cli.get_int("boards", 8));
-  o.system.nodes_per_board = static_cast<std::uint32_t>(cli.get_int("nodes", 8));
+  o.system.boards = cli.get_uint<std::uint32_t>("boards", 8);
+  o.system.nodes_per_board = cli.get_uint<std::uint32_t>("nodes", 8);
   o.workload.kind = workload::WorkloadKind::Trace;
   o.workload.horizon_cycles = 400000;
   const std::uint32_t N = o.system.num_nodes();
@@ -45,8 +45,8 @@ int run(int argc, char** argv) {
     // Compose the phased application: stencil every `period`, an
     // all-to-all transpose every 8 timesteps; round-trip it through the
     // on-disk format so the example also exercises save/load.
-    const auto steps = static_cast<std::uint32_t>(cli.get_int("steps", 40));
-    const auto period = static_cast<Cycle>(cli.get_int("period", 800));
+    const auto steps = cli.get_uint<std::uint32_t>("steps", 40);
+    const auto period = cli.get_uint<Cycle>("period", 800);
     const std::string path = cli.get_or("out", "/tmp/erapid_app.trace");
     traffic::Trace app = traffic::make_stencil_trace(N, steps, period);
     traffic::Trace transpose =

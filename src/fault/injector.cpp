@@ -45,7 +45,6 @@ FaultInjector::FaultInjector(des::Engine& engine, const topology::SystemConfig& 
                 "bit_error events need the receiver array (one per board × wavelength)");
   drop_budget_[0].assign(terminals_.size(), 0);
   drop_budget_[1].assign(terminals_.size(), 0);
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr && hub_->enabled()) {
     m_faults_ = hub_->metrics().counter("fault.injected");
     m_reroute_wait_ = hub_->metrics().series("fault.reroute_wait");
@@ -61,7 +60,6 @@ FaultInjector::FaultInjector(des::Engine& engine, const topology::SystemConfig& 
       m_readmit_wait_ = hub_->metrics().histogram("fault.readmission_wait");
     }
   }
-#endif
 }
 
 void FaultInjector::arm() {
@@ -128,7 +126,6 @@ void FaultInjector::inject_lane_fail(BoardId dest, WavelengthId w, Cycle now,
   ++stats_.lanes_failed;
   stats_.first_failure = std::min(stats_.first_failure, now);
   ERAPID_COUNTER(hub_, m_faults_, 1);
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr) {
     obs::Args args;
     args.add("dest", std::uint64_t{dest.value()})
@@ -137,7 +134,6 @@ void FaultInjector::inject_lane_fail(BoardId dest, WavelengthId w, Cycle now,
     ERAPID_TRACE_INSTANT(hub_, hub_->track_fault(), "fault.lane_fail", now, args.str());
     if (auto* fr = hub_->flight()) fr->record(now, "fault.lane_fail", args.str());
   }
-#endif
   if (owner.valid()) {
     stats_.packets_rehomed += terminals_[owner.value()]->fail_lane(dest, w, now);
     pending_.push_back({owner, dest, now});
@@ -167,7 +163,6 @@ void FaultInjector::repair_lane(BoardId dest, WavelengthId w, Cycle now) {
   stats_.worst_downtime = std::max(stats_.worst_downtime, downtime);
   stats_.last_recovery = std::max(stats_.last_recovery, now);
   ERAPID_OBSERVE(hub_, m_downtime_, static_cast<double>(downtime));
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr) {
     obs::Args args;
     args.add("dest", std::uint64_t{dest.value()})
@@ -175,7 +170,6 @@ void FaultInjector::repair_lane(BoardId dest, WavelengthId w, Cycle now) {
         .add("downtime", std::uint64_t{downtime});
     ERAPID_TRACE_INSTANT(hub_, hub_->track_fault(), "fault.lane_repair", now, args.str());
   }
-#endif
   readmit_.push_back({dest, w, it->failed_at, now});
   failed_.erase(it);
 }
@@ -190,7 +184,6 @@ void FaultInjector::inject_laser_degrade(const FaultEvent& e, Cycle now) {
   ++stats_.lanes_degraded;
   stats_.first_failure = std::min(stats_.first_failure, now);
   ERAPID_COUNTER(hub_, m_faults_, 1);
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr) {
     obs::Args args;
     args.add("dest", std::uint64_t{e.dest.value()})
@@ -200,13 +193,11 @@ void FaultInjector::inject_laser_degrade(const FaultEvent& e, Cycle now) {
     ERAPID_TRACE_INSTANT(hub_, hub_->track_fault(), "fault.laser_degrade", now, args.str());
     if (auto* fr = hub_->flight()) fr->record(now, "fault.laser_degrade", args.str());
   }
-#endif
   if (e.duration > 0) {
     const BoardId dest = e.dest;
     const WavelengthId w = e.wavelength;
     engine_.schedule(e.duration, [this, ob = owner.value(), dest, w] {
       terminals_[ob]->clear_lane_level_cap(dest, w);
-#if !defined(ERAPID_NO_OBS)
       if (hub_ != nullptr) {
         obs::Args args;
         args.add("dest", std::uint64_t{dest.value()})
@@ -214,7 +205,6 @@ void FaultInjector::inject_laser_degrade(const FaultEvent& e, Cycle now) {
         ERAPID_TRACE_INSTANT(hub_, hub_->track_fault(), "fault.cap_clear", engine_.now(),
                              args.str());
       }
-#endif
     }, "fault.cap_clear");
   }
 }
@@ -238,7 +228,6 @@ void FaultInjector::inject_bit_error(const FaultEvent& e, Cycle now) {
       ->set_bit_error(p_pkt, until, seed);
   stats_.first_failure = std::min(stats_.first_failure, now);
   ERAPID_COUNTER(hub_, m_faults_, 1);
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr) {
     obs::Args args;
     args.add("dest", std::uint64_t{e.dest.value()})
@@ -246,7 +235,6 @@ void FaultInjector::inject_bit_error(const FaultEvent& e, Cycle now) {
         .add("duration", std::uint64_t{e.duration});
     ERAPID_TRACE_INSTANT(hub_, hub_->track_fault(), "fault.bit_error", now, args.str());
   }
-#endif
 }
 
 void FaultInjector::inject_rc_crash(const FaultEvent& e, Cycle now) {
@@ -254,26 +242,22 @@ void FaultInjector::inject_rc_crash(const FaultEvent& e, Cycle now) {
   manager_.crash_rc(e.board, now);
   stats_.first_failure = std::min(stats_.first_failure, now);
   ERAPID_COUNTER(hub_, m_faults_, 1);
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr) {
     obs::Args args;
     args.add("board", std::uint64_t{e.board.value()});
     ERAPID_TRACE_INSTANT(hub_, hub_->track_fault(), "fault.rc_crash", now, args.str());
   }
-#endif
   if (e.repair_at != 0) {
     const BoardId b = e.board;
     engine_.schedule_at(e.repair_at, [this, b] {
       const Cycle t = engine_.now();
       manager_.repair_rc(b, t);
       stats_.last_recovery = std::max(stats_.last_recovery, t);
-#if !defined(ERAPID_NO_OBS)
       if (hub_ != nullptr) {
         obs::Args args;
         args.add("board", std::uint64_t{b.value()});
         ERAPID_TRACE_INSTANT(hub_, hub_->track_fault(), "fault.rc_repair", t, args.str());
       }
-#endif
     }, "fault.rc_repair");
   }
 }
@@ -289,7 +273,6 @@ void FaultInjector::on_grant(BoardId src, BoardId dest, WavelengthId w, Cycle at
     stats_.last_recovery = std::max(stats_.last_recovery, at);
     stats_.worst_time_to_reroute = std::max(stats_.worst_time_to_reroute, at - it->failed_at);
     ERAPID_OBSERVE(hub_, m_reroute_wait_, static_cast<double>(at - it->failed_at));
-#if !defined(ERAPID_NO_OBS)
     if (hub_ != nullptr) {
       obs::Args args;
       args.add("src", std::uint64_t{src.value()})
@@ -297,7 +280,6 @@ void FaultInjector::on_grant(BoardId src, BoardId dest, WavelengthId w, Cycle at
           .add("wait", std::uint64_t{at - it->failed_at});
       ERAPID_TRACE_INSTANT(hub_, hub_->track_fault(), "fault.reroute_done", at, args.str());
     }
-#endif
     pending_.erase(it);
   }
 
@@ -313,7 +295,6 @@ void FaultInjector::on_grant(BoardId src, BoardId dest, WavelengthId w, Cycle at
   const CycleDelta wait = at - rit->repaired_at;
   stats_.worst_readmission_wait = std::max(stats_.worst_readmission_wait, wait);
   ERAPID_OBSERVE(hub_, m_readmit_wait_, static_cast<double>(wait));
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr) {
     if (auto* mon = hub_->monitors()) mon->recovery(at, at - rit->failed_at);
     obs::Args args;
@@ -323,7 +304,6 @@ void FaultInjector::on_grant(BoardId src, BoardId dest, WavelengthId w, Cycle at
         .add("wait", std::uint64_t{wait});
     ERAPID_TRACE_INSTANT(hub_, hub_->track_fault(), "fault.readmitted", at, args.str());
   }
-#endif
   readmit_.erase(rit);
 }
 

@@ -8,9 +8,7 @@
 //     and change nothing;
 //   * with obs off (the default) the only cost at a probe site is one
 //     null-pointer test — the golden fixture pins that the event stream is
-//     byte-identical to pre-obs builds;
-//   * with ERAPID_NO_OBS defined the probe macros (probe.hpp) compile to
-//     nothing at all.
+//     byte-identical to pre-obs builds.
 //
 // The Hub also implements des::Engine::DispatchHook: installed by the
 // Simulation driver, it self-profiles the event calendar (events per tag,

@@ -1,27 +1,18 @@
 // Zero-cost-when-off probe macros.
 //
 // Instrumented model code emits through these instead of calling the Hub
-// directly, so observability has three "off" gears:
+// directly, so observability has two "off" gears:
 //
 //   1. hub == nullptr (a component built without a hub): one branch.
 //   2. hub->enabled() == false (obs.enabled=false at runtime): two
-//      branches, no allocation, no I/O.
-//   3. ERAPID_NO_OBS defined at compile time: the probes vanish entirely
-//      (argument expressions are not evaluated — keep them side-effect
-//      free), for maximum-speed batch sweeps.
+//      branches, no allocation, no I/O. Argument expressions are not
+//      evaluated in either gear.
 //
 // Trace-only probes additionally check that a TraceSink is attached.
 // The `hub` argument is always an `obs::Hub*` (possibly null).
 #pragma once
 
 #include "obs/hub.hpp"
-
-#if defined(ERAPID_NO_OBS)
-
-#define ERAPID_OBS_DETAIL_SINK(hub, call) do { } while (false)
-#define ERAPID_OBS_DETAIL_METRICS(hub, call) do { } while (false)
-
-#else
 
 /// Runs `call` against the hub's TraceSink when tracing is live.
 #define ERAPID_OBS_DETAIL_SINK(hub, call)                          \
@@ -40,8 +31,6 @@
       (hub)->metrics().call;                                       \
     }                                                              \
   } while (false)
-
-#endif  // ERAPID_NO_OBS
 
 /// Closed span of simulated time [ts, ts+dur] on `track`.
 #define ERAPID_TRACE_SPAN(hub, track, name, ts, dur, args) \

@@ -12,11 +12,9 @@ Receiver::Receiver(des::Engine& engine, router::Router& router, std::uint32_t in
       injector_(engine, router, in_port, vcs, credits_per_vc, cycles_per_flit),
       hub_(hub) {
   ERAPID_REQUIRE(queue_capacity >= 1, "receiver queue needs >= 1 slot");
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr && hub_->enabled()) {
     m_rx_ = hub_->metrics().counter("optical.rx_packets");
   }
-#endif
   injector_.set_idle_callback([this](Cycle now) {
     // The packet previously streaming has fully entered the router: its
     // slot is free and the next queued packet can start.

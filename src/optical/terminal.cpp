@@ -50,13 +50,11 @@ OpticalTerminal::OpticalTerminal(des::Engine& engine, const topology::SystemConf
       lanes_[lane_index(dest, WavelengthId{w})] = std::move(lane);
     }
   }
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr && hub_->enabled()) {
     m_lane_util_ = hub_->metrics().series("optical.lane_util");
     m_buffer_util_ = hub_->metrics().series("optical.buffer_util");
     m_tx_packets_ = hub_->metrics().counter("optical.tx_packets");
   }
-#endif
 }
 
 std::uint64_t OpticalTerminal::lane_span_id(BoardId d, WavelengthId w) const {
@@ -82,7 +80,6 @@ std::size_t OpticalTerminal::lane_index(BoardId d, WavelengthId w) const {
 // erapid-analyze: allow(contract-coverage)
 void OpticalTerminal::apply_grant(BoardId d, WavelengthId w, PowerLevel level, Cycle now) {
   lanes_[lane_index(d, w)]->enable(now, level);
-#if !defined(ERAPID_NO_OBS)
   // Grant→release lifecycle as an async span: ownerships of one coupler
   // wavelength overlap in time across boards, so the id keys each holder.
   if (hub_ != nullptr) {
@@ -93,7 +90,6 @@ void OpticalTerminal::apply_grant(BoardId d, WavelengthId w, PowerLevel level, C
     ERAPID_TRACE_ASYNC_BEGIN(hub_, hub_->track_lanes(), "lane.owned", lane_span_id(d, w),
                              now, args.str());
   }
-#endif
 }
 
 // Thin wrapper: the real contracts live in lane_index() and Lane::disable.

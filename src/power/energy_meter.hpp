@@ -42,11 +42,9 @@ class EnergyMeter {
   // erapid-analyze: allow(contract-coverage)
   void attach_hub(obs::Hub* hub) {
     hub_ = hub;
-#if !defined(ERAPID_NO_OBS)
     if (hub_ != nullptr && hub_->enabled()) {
       m_total_ = hub_->metrics().gauge("power.total_mw");
     }
-#endif
   }
 
   /// Mirrors every accepted power update (and checkpoint) onto the energy

@@ -39,7 +39,6 @@ ReconfigManager::ReconfigManager(des::Engine& engine, const topology::SystemConf
     dpm_.push_back(
         make_dpm_strategy(cfg_rc_.dpm_strategy, cfg_rc_.mode.dpm, cfg_rc_.dpm_params));
   }
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr && hub_->enabled()) {
     m_windows_ = hub_->metrics().counter("reconfig.windows");
     m_lanes_moved_ = hub_->metrics().series("reconfig.dbr_lanes_moved");
@@ -50,7 +49,6 @@ ReconfigManager::ReconfigManager(des::Engine& engine, const topology::SystemConf
     m_dbr_convergence_ = hub_->metrics().histogram("reconfig.dbr_convergence");
     m_ctrl_retries_ = hub_->metrics().histogram("reconfig.ctrl_retries");
   }
-#endif
 }
 
 void ReconfigManager::initialize_static_lanes() {
@@ -87,15 +85,11 @@ void ReconfigManager::crash_rc(BoardId b, Cycle now) {
   // out and regenerates it.
   token_lost_ = true;
   ++counters_.rc_crashes;
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr) {
     obs::Args args;
     args.add("board", std::uint64_t{b.value()});
     ERAPID_TRACE_INSTANT(hub_, hub_->track_reconfig(), "rc.crash", now, args.str());
   }
-#else
-  (void)now;
-#endif
 }
 
 void ReconfigManager::repair_rc(BoardId b, Cycle now) {
@@ -110,13 +104,11 @@ void ReconfigManager::repair_rc(BoardId b, Cycle now) {
   terminals_[b.value()]->harvest(last_harvest_[b.value()], now, lane_stats_[b.value()],
                                  flow_stats_[b.value()]);
   last_harvest_[b.value()] = now;
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr) {
     obs::Args args;
     args.add("board", std::uint64_t{b.value()});
     ERAPID_TRACE_INSTANT(hub_, hub_->track_reconfig(), "rc.repair", now, args.str());
   }
-#endif
 }
 
 void ReconfigManager::stop() {
@@ -145,7 +137,6 @@ void ReconfigManager::on_window() {
   // The Lock-Step window as a trace span: the R_w parity (DPM on odd, DBR
   // on even) is directly visible on the reconfig track.
   ERAPID_COUNTER(hub_, m_windows_, 1);
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr) {
     const char* kind = do_power ? "window.dpm" : (do_bandwidth ? "window.dbr" : "window.idle");
     obs::Args args;
@@ -156,7 +147,6 @@ void ReconfigManager::on_window() {
     // post-mortem wants to see leading up to a trigger.
     if (auto* fr = hub_->flight()) fr->record(t, kind, args.str());
   }
-#endif
 
   // A window run with >= 1 dead RC is degraded: that board's lanes are
   // frozen at their last allocation for the duration.
@@ -260,20 +250,13 @@ void ReconfigManager::run_power_cycle(Cycle t) {
     }
     // One counter track per LC chain (board): cumulative DVS transitions,
     // sampled only on windows where this board's levels actually moved.
-#if !defined(ERAPID_NO_OBS)
     if (hub_ != nullptr && board_level_changes_[b] != changes_before) {
       const std::string track = "dpm.level_changes.b" + std::to_string(b);
       ERAPID_TRACE_COUNTER(hub_, hub_->track_counters(), track.c_str(), t,
                            static_cast<double>(board_level_changes_[b]));
     }
-#else
-    (void)changes_before;
-#endif
   }
   ERAPID_OBSERVE(hub_, m_window_dpm_, static_cast<double>(occupancy));
-#if defined(ERAPID_NO_OBS)
-  (void)occupancy;
-#endif
 }
 
 void ReconfigManager::run_bandwidth_cycle(Cycle t) {
@@ -333,13 +316,11 @@ void ReconfigManager::run_bandwidth_cycle(Cycle t) {
     ++counters_.watchdog_fires;
     ++counters_.tokens_regenerated;
     counters_.ring_hops += alive;  // the regenerated token's recovery lap
-#if !defined(ERAPID_NO_OBS)
     if (hub_ != nullptr) {
       obs::Args args;
       args.add("timeout", static_cast<std::uint64_t>(cfg_rc_.rc_watchdog_cycles));
       ERAPID_TRACE_INSTANT(hub_, hub_->track_reconfig(), "reconfig.watchdog", t, args.str());
     }
-#endif
   }
 
   // Stage boundaries (lock-step; see file comment):
@@ -420,7 +401,6 @@ void ReconfigManager::run_bandwidth_cycle(Cycle t) {
     // darkness past t_apply) or a stale drop. The engine's event stream is
     // identical with or without the tracker.
     std::function<void(Cycle)> settled;
-#if !defined(ERAPID_NO_OBS)
     if (hub_ != nullptr && hub_->enabled() && !decided.empty()) {
       struct ResolveTracker {
         Cycle resolve_at = 0;
@@ -442,7 +422,6 @@ void ReconfigManager::run_bandwidth_cycle(Cycle t) {
         }
       };
     }
-#endif
 
     for (const auto& [dest, dir] : decided) {
       engine_.schedule_at(t_apply, [this, dest = dest, dir = dir, settled] {
@@ -453,17 +432,12 @@ void ReconfigManager::run_bandwidth_cycle(Cycle t) {
     // The Reconfigure stage's outcome as one instant mark: how many lanes
     // the global re-solve decided to move, and how many RCs sat it out.
     ERAPID_OBSERVE(hub_, m_lanes_moved_, static_cast<double>(lanes_moved));
-#if !defined(ERAPID_NO_OBS)
     if (hub_ != nullptr) {
       obs::Args args;
       args.add("lanes_moved", lanes_moved).add("boards_lost", boards_lost);
       ERAPID_TRACE_INSTANT(hub_, hub_->track_reconfig(), "dbr.resolve",
                            engine_.now(), args.str());
     }
-#else
-    (void)lanes_moved;
-    (void)boards_lost;
-#endif
   }, "reconfig.dbr_resolve");
 }
 
@@ -504,9 +478,7 @@ void ReconfigManager::apply_directive(BoardId dest, const Directive& dir, Cycle 
           .add("dest", std::uint64_t{dest.value()})
           .add("wavelength", std::uint64_t{w.value()});
       ERAPID_TRACE_INSTANT(hub_, hub_->track_lanes(), "lane.grant", at, args.str());
-#if !defined(ERAPID_NO_OBS)
       if (auto* fr = hub_->flight()) fr->record(at, "lane.grant", args.str());
-#endif
     }
     if (grant_observer_) grant_observer_(dir.new_owner, dest, w, at);
     if (settled) settled(at);

@@ -20,9 +20,7 @@ Recorder::Recorder(des::Engine& engine, Network& network, CycleDelta interval, o
 }
 
 obs::MetricsRegistry& Recorder::registry() {
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr && hub_->enabled()) return hub_->metrics();
-#endif
   return own_;
 }
 
@@ -60,7 +58,6 @@ void Recorder::take_sample() {
   reg.record(m_level_changes_, now, static_cast<double>(counters.level_changes));
   reg.record(m_lanes_failed_, now, static_cast<double>(lanes_failed));
 
-#if !defined(ERAPID_NO_OBS)
   // The power-cap monitor watches the envelope at this same cadence: each
   // sample is one deterministic check against monitor.power_cap_mw. The
   // degradation controller sees the same sample right after — a breach may
@@ -70,7 +67,6 @@ void Recorder::take_sample() {
     if (auto* mon = hub_->monitors()) mon->sample_power(now, power);
     if (auto* ctrl = network_.degrade_controller()) ctrl->on_power_sample(now, power);
   }
-#endif
 
   // Mirror the sampled state onto trace counter tracks: this is the
   // at-a-glance dashboard row of the Perfetto view.

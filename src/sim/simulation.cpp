@@ -90,7 +90,6 @@ Simulation::Simulation(const SimOptions& opts)
   // as INI-loaded ones.
   opts_.workload.validate();
   opts_.degrade.validate(opts_.obs, opts_.reconfig.mode.bandwidth_reconfig);
-#if !defined(ERAPID_NO_OBS)
   // With obs off the hub stays null and every probe site reduces to one
   // branch: the event stream (and golden fixture) is untouched.
   if (opts_.obs.enabled) {
@@ -113,16 +112,13 @@ Simulation::Simulation(const SimOptions& opts)
           });
     }
   }
-#endif
   network_ = std::make_unique<Network>(engine_, opts_.system, opts_.reconfig,
                                        opts_.power_model, hub_.get(),
                                        degrade_ctrl_.get());
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr) {
     recorder_ = std::make_unique<Recorder>(engine_, *network_, opts_.obs.counter_interval,
                                            hub_.get());
   }
-#endif
 
   std::vector<optical::OpticalTerminal*> terminals;
   terminals.reserve(opts_.system.num_boards_total());
@@ -142,7 +138,6 @@ Simulation::Simulation(const SimOptions& opts)
       std::move(terminals), opts_.fault, hub_.get(), std::move(receivers));
   injector_->arm();
 
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr && opts_.obs.telemetry_on()) {
     const std::uint32_t boards = opts_.system.num_boards_total();
     hub_->init_telemetry(engine_, boards,
@@ -176,7 +171,6 @@ Simulation::Simulation(const SimOptions& opts)
     // power update on, the ledger mirrors the meter bitwise.
     network_->meter().attach_ledger(ledger);
   }
-#endif
 
   network_->set_dead_letter_callback([this](const router::Packet& p, Cycle now) {
     if (p.labelled) ++labelled_dead_;
@@ -191,7 +185,6 @@ Simulation::Simulation(const SimOptions& opts)
   network_->set_delivery_callback([this](const router::Packet& p, Cycle now) {
     if (in_measurement_) ++delivered_measured_;
     ERAPID_COUNTER(hub_.get(), m_delivered_, 1);
-#if !defined(ERAPID_NO_OBS)
     // Traffic-matrix feed: payload bytes per (src board, dst board).
     if (telemetry_ != nullptr) {
       telemetry_->on_packet(opts_.system.board_of(p.src).value(),
@@ -199,7 +192,6 @@ Simulation::Simulation(const SimOptions& opts)
                             static_cast<std::uint64_t>(p.flits) *
                                 (opts_.system.flit_bits / 8));
     }
-#endif
     if (p.labelled) {
       ++labelled_delivered_;
       const auto lat = static_cast<double>(now - p.created);
@@ -228,10 +220,8 @@ SimResult Simulation::run() {
   // of the recorder and telemetry, completion-bounded drivers after them
   // and after the meter checkpoint.
   if (!completion_bounded_) driver_->start();
-#if !defined(ERAPID_NO_OBS)
   if (recorder_ != nullptr) recorder_->start();
   if (telemetry_ != nullptr) telemetry_->start();
-#endif
 
   // Power is averaged from the meter checkpoint to the end of the window:
   // the measurement interval (open loop) or the whole run (completion-
@@ -324,7 +314,6 @@ SimResult Simulation::run() {
   r.labelled_delivered = labelled_delivered_;
   r.control = network_->reconfig_manager().counters();
   r.fault = injector_->stats();
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr) {
     if (recorder_ != nullptr) recorder_->stop();
     if (telemetry_ != nullptr) {
@@ -350,7 +339,6 @@ SimResult Simulation::run() {
     r.metrics = hub_->metrics().snapshot(engine_.now());
     hub_->close(engine_.now());
   }
-#endif
   return r;
 }
 
@@ -394,7 +382,6 @@ void Simulation::fill_resilience_summary(SimResult& r, Cycle now) {
 }
 
 void Simulation::fill_telemetry_summary(SimResult& r) {
-#if !defined(ERAPID_NO_OBS)
   if (hub_ == nullptr) return;
   auto& t = r.telemetry;
   if (const auto* fr = hub_->flight()) {
@@ -421,9 +408,6 @@ void Simulation::fill_telemetry_summary(SimResult& r) {
       t.energy_serdes_mw_cycles += e.serdes_mw_cycles;
     }
   }
-#else
-  (void)r;
-#endif
 }
 
 ModeComparison compare_modes(SimOptions base) {

@@ -173,7 +173,7 @@ class Simulation {
   [[nodiscard]] des::Engine& engine() { return engine_; }
   [[nodiscard]] const SimOptions& options() const { return opts_; }
   [[nodiscard]] double capacity() const { return capacity_; }
-  /// Null unless obs.enabled (or under ERAPID_NO_OBS builds).
+  /// Null unless obs.enabled.
   [[nodiscard]] obs::Hub* hub() { return hub_.get(); }
   /// Null unless a `degrade.*` policy is configured.
   [[nodiscard]] resilience::DegradeController* degrade_controller() {

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <stdexcept>
 
 namespace erapid::util {
 
@@ -35,14 +36,29 @@ std::string Cli::get_or(const std::string& key, const std::string& def) const {
   return get(key).value_or(def);
 }
 
-long Cli::get_int(const std::string& key, long def) const {
-  auto v = get(key);
-  return v ? std::strtol(v->c_str(), nullptr, 10) : def;
+std::uint64_t Cli::parse_uint(const std::string& key, const std::string& text,
+                              std::uint64_t max) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) {
+    throw std::invalid_argument("--" + key + ": '" + text +
+                                "' is not an unsigned integer in [0, " +
+                                std::to_string(max) + "]");
+  }
+  return v;
 }
 
 double Cli::get_double(const std::string& key, double def) const {
-  auto v = get(key);
-  return v ? std::strtod(v->c_str(), nullptr) : def;
+  const auto v = get(key);
+  if (!v) return def;
+  double out = 0.0;
+  const char* end = v->data() + v->size();
+  const auto [ptr, ec] = std::from_chars(v->data(), end, out);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("--" + key + ": '" + *v + "' is not a number");
+  }
+  return out;
 }
 
 bool Cli::get_bool(const std::string& key, bool def) const {

@@ -11,9 +11,8 @@ namespace erapid::workload {
 
 namespace {
 
-/// Zero-padded tenant tag ("07") so metric names sort numerically. Unused
-/// when ERAPID_NO_OBS compiles the metric probes out.
-[[maybe_unused]] std::string tenant_tag(std::uint32_t t) {
+/// Zero-padded tenant tag ("07") so metric names sort numerically.
+std::string tenant_tag(std::uint32_t t) {
   return (t < 10 ? "0" : "") + std::to_string(t);
 }
 
@@ -43,7 +42,6 @@ TenantFleet::TenantFleet(des::Engine& engine, TenantFleetConfig cfg,
     // Forked in tenant order: tenant t's stream depends only on (seed, t).
     tenants_.push_back(Tenant{master.fork(), {}, 0});
   }
-#if !defined(ERAPID_NO_OBS)
   if (hub_ != nullptr && hub_->enabled()) {
     m_tenant_bytes_.reserve(cfg_.tenants);
     for (std::uint32_t t = 0; t < cfg_.tenants; ++t) {
@@ -52,7 +50,6 @@ TenantFleet::TenantFleet(des::Engine& engine, TenantFleetConfig cfg,
     }
     m_tenant_series_ = hub_->metrics().series("workload.tenant_bytes");
   }
-#endif
 }
 
 void TenantFleet::start() {
@@ -71,7 +68,7 @@ void TenantFleet::stop() {
     s->end_event.cancel();
   }
   // Delivered-bytes distribution: one sample per tenant, in tenant order.
-  for ([[maybe_unused]] const std::uint64_t b : tenant_bytes_) {
+  for (const std::uint64_t b : tenant_bytes_) {
     ERAPID_OBSERVE(hub_, m_tenant_series_, static_cast<double>(b));
   }
 }
@@ -140,9 +137,7 @@ void TenantFleet::on_delivered(const router::Packet& p, Cycle now) {
   const auto bytes = static_cast<std::uint64_t>(p.flits) * cfg_.flit_bytes;
   tenant_bytes_[p.tenant] += bytes;
   ++delivered_;
-#if !defined(ERAPID_NO_OBS)
   if (!m_tenant_bytes_.empty()) ERAPID_COUNTER(hub_, m_tenant_bytes_[p.tenant], bytes);
-#endif
 }
 
 WorkloadStats TenantFleet::stats() const {

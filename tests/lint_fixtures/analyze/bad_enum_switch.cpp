@@ -1,4 +1,4 @@
-// det-lint fixture: enum-class switch that falls through silently
+// Fixture: enum-class switch that falls through silently
 // -> `enum-switch-default`.
 enum class Mode { A, B };
 

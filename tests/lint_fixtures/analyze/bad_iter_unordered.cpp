@@ -1,4 +1,6 @@
 // Fixture: range-for over an unordered container -> iter-unordered.
+// The declaration itself is unordered-container's (bad_unordered.cpp).
+// erapid-analyze: allow-file(unordered-container)
 #include <unordered_map>
 
 int sum_values() {

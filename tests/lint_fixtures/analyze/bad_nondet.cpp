@@ -1,4 +1,4 @@
-// det-lint fixture: wall-clock / entropy sources -> `nondet-source`.
+// Fixture: wall-clock / entropy sources -> `nondet-source`.
 #include <chrono>
 #include <cstdlib>
 #include <ctime>

@@ -1,4 +1,4 @@
-// det-lint fixture: pointer values as ordering keys -> `pointer-order`.
+// Fixture: pointer values as ordering keys -> `pointer-order`.
 #include <algorithm>
 #include <map>
 #include <set>

@@ -1,4 +1,4 @@
-// det-lint fixture: uninitialized scalar members -> `uninit-member`.
+// Fixture: uninitialized scalar members -> `uninit-member`.
 #pragma once
 #include <cstdint>
 

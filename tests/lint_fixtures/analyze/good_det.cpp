@@ -1,4 +1,4 @@
-// det-lint fixture: clean model code — zero findings expected.
+// Fixture: clean model code — zero findings expected.
 #include <algorithm>
 #include <vector>
 

@@ -1,4 +1,4 @@
-// det-lint fixture: deterministic idioms — zero findings expected.
+// Fixture: deterministic idioms — zero findings expected.
 #pragma once
 #include <cstdint>
 #include <map>

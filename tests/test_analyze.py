@@ -52,7 +52,11 @@ class BadFixturesTrip(unittest.TestCase):
         "bad_unit_param.cpp": "unit-param",
         "bad_iter_unordered.cpp": "iter-unordered",
         "bad_float_accum.cpp": "float-accum",
-        "bad_ptr_map_key.cpp": "ptr-map-key",
+        "bad_unordered.cpp": "unordered-container",
+        "bad_nondet.cpp": "nondet-source",
+        "bad_pointer_order.cpp": "pointer-order",
+        "bad_uninit.hpp": "uninit-member",
+        "bad_enum_switch.cpp": "enum-switch-default",
         "bad_no_pragma.hpp": "pragma-once",
         "bad_std_include.hpp": "std-include",
         "power/bad_uncontracted.hpp": "contract-coverage",
@@ -65,6 +69,23 @@ class BadFixturesTrip(unittest.TestCase):
                 self.assertEqual(rc, 1, name)
                 self.assertEqual(rules_of(doc), [rule], name)
 
+    def test_determinism_fixtures_flag_every_hazard(self):
+        _, doc = run_json([FIXTURES / "bad_unordered.cpp"])
+        # Both includes and both member declarations.
+        self.assertGreaterEqual(doc["finding_count"], 4)
+        _, doc = run_json([FIXTURES / "bad_nondet.cpp"])
+        # random_device/rand, time(), steady_clock, clock() all fire.
+        self.assertGreaterEqual(len({f["line"] for f in doc["findings"]}), 4)
+        _, doc = run_json([FIXTURES / "bad_pointer_order.cpp"])
+        # Pointer-keyed map, pointer-keyed set, pointer comparator lambda.
+        self.assertGreaterEqual(doc["finding_count"], 3)
+        _, doc = run_json([FIXTURES / "bad_uninit.hpp"])
+        # threshold, window, enabled, sink.
+        self.assertEqual(doc["finding_count"], 4)
+        self.assertTrue(all("file" in f and "line" in f for f in doc["findings"]))
+        _, doc = run_json([FIXTURES / "bad_enum_switch.cpp"])
+        self.assertEqual(doc["finding_count"], 1)
+
     def test_include_cycle_reported_once(self):
         rc, doc = run_json([FIXTURES / "cycle_a.hpp", FIXTURES / "cycle_b.hpp"])
         self.assertEqual(rc, 1)
@@ -76,7 +97,8 @@ class BadFixturesTrip(unittest.TestCase):
 
 class GoodFixturesClean(unittest.TestCase):
     def test_good_files_are_clean(self):
-        rc, doc = run_json([FIXTURES / "good.hpp", FIXTURES / "good.cpp"])
+        rc, doc = run_json([FIXTURES / "good.hpp", FIXTURES / "good.cpp",
+                            FIXTURES / "good_det.hpp", FIXTURES / "good_det.cpp"])
         self.assertEqual(rc, 0)
         self.assertEqual(doc["findings"], [])
 
@@ -99,10 +121,24 @@ class Suppressions(unittest.TestCase):
             SourceFile(Path("x"), (FIXTURES / "suppressed_line.cpp").read_text())
             .raw_lines[:findings[0]["line"]]))
 
-    def test_file_allow_silences_whole_file(self):
-        rc, doc = run_json([FIXTURES / "suppressed_file.cpp"])
+    def test_inline_allows_on_and_above_the_line(self):
+        rc, doc = run_json([FIXTURES / "suppressed.cpp"])
         self.assertEqual(rc, 0)
         self.assertEqual(doc["findings"], [])
+
+    def test_file_allow_silences_whole_file(self):
+        for name in ("suppressed_file.cpp", "suppressed_file_det.cpp"):
+            with self.subTest(fixture=name):
+                rc, doc = run_json([FIXTURES / name])
+                self.assertEqual(rc, 0)
+                self.assertEqual(doc["findings"], [])
+
+    def test_allow_only_covers_named_rule(self):
+        # allow-file(unordered-container) must not silence iter-unordered.
+        rc, doc = run_json([FIXTURES / "bad_iter_unordered.cpp"],
+                           rules=["unordered-container", "iter-unordered"])
+        self.assertEqual(rc, 1)
+        self.assertEqual(rules_of(doc), ["iter-unordered"])
 
     def test_suppressed_method_leaves_coverage_pool(self):
         rc, doc = run_json([FIXTURES / "power" / "suppressed_method.hpp"])
@@ -125,6 +161,11 @@ class CliContract(unittest.TestCase):
 
     def test_no_paths_is_usage_error(self):
         self.assertEqual(erapid_analyze.main([]), 2)
+
+    def test_rule_subset_filters(self):
+        rc, doc = run_json([FIXTURES / "bad_unordered.cpp"], rules=["nondet-source"])
+        self.assertEqual(rc, 0)
+        self.assertEqual(doc["finding_count"], 0)
 
     def test_family_selector_expands_to_member_rules(self):
         rc, doc = run_json([FIXTURES / "bad_unit_mix.cpp",
@@ -270,6 +311,7 @@ class BaselineGate(unittest.TestCase):
 class SrcTreeGate(unittest.TestCase):
     def test_src_tree_is_clean_at_head(self):
         rc = erapid_analyze.main([str(REPO_ROOT / "src"),
+                                  str(REPO_ROOT / "tools" / "campaign"),
                                   "--root", str(REPO_ROOT),
                                   "--baseline",
                                   str(REPO_ROOT / "tools" / "analyze" / "baseline.json")])

@@ -12,9 +12,6 @@
 //   * and stays byte-inert when no check is configured (no `obs_monitors`
 //     block; the obs-off golden fixture in test_determinism.cpp pins the
 //     monitors-off report bytes).
-//
-// Built with ERAPID_NO_OBS the integration layer flips: configured
-// monitors must produce nothing at all.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -139,8 +136,6 @@ TEST(MonitorSet, P99CeilingCheckedAtFinalize) {
 
 // ---- integration ------------------------------------------------------------
 
-#if !defined(ERAPID_NO_OBS)
-
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in) << "missing file " << path;
@@ -243,20 +238,5 @@ TEST(MonitorIntegration, QuiescenceDeadlineOfOneCycleFlagsDbrConvergence) {
   EXPECT_EQ(r.monitors[0].first, "quiescence_deadline");
   EXPECT_GT(r.monitor_violations, 0u);
 }
-
-#else  // ERAPID_NO_OBS
-
-TEST(MonitorCompiledOut, ConfiguredMonitorsProduceNothing) {
-  sim::SimOptions o = base_options();
-  o.obs.enabled = true;
-  o.obs.monitors.power_cap_mw = 1.0;
-  o.obs.monitor_fail_fast = true;  // must not fire: no hub, no monitors
-  const auto r = sim::Simulation(o).run();
-  EXPECT_EQ(r.monitor_violations, 0u);
-  EXPECT_TRUE(r.monitors.empty());
-  EXPECT_EQ(sim::to_json(r).find("obs_monitors"), std::string::npos);
-}
-
-#endif  // ERAPID_NO_OBS
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Observability subsystem tests.
 //
-// Three layers of guarantees, strongest first:
+// Two layers of guarantees, strongest first:
 //
 //   1. Inertness: with obs off the simulation result serializes identically
 //      to an obs-on run's core fields, and the report carries no
@@ -10,14 +10,9 @@
 //      files (both backends), and a committed golden trace pins the tiny
 //      4-board run's full event stream. Regenerate with
 //      ERAPID_REGEN_GOLDEN=1 only when the change is intended.
-//   3. Compile-out: built with ERAPID_NO_OBS the probes vanish — a run with
-//      obs.enabled=true produces no trace file and no metrics snapshot.
-//      This binary is part of the NO_OBS CI matrix, so both sides of the
-//      #if are exercised.
 //
 // Plus unit tests for the Args builder, the MetricsRegistry kinds, and the
-// trace writers (always compiled; only the probe macros gate on
-// ERAPID_NO_OBS).
+// trace writers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -260,8 +255,6 @@ TEST(ObsInert, DisabledRunCarriesNoMetricsBlock) {
   EXPECT_EQ(sim::to_json(r).find("obs_metrics"), std::string::npos);
 }
 
-#if !defined(ERAPID_NO_OBS)
-
 TEST(ObsInert, EnabledRunLeavesCoreResultUntouched) {
   sim::SimOptions off = base_options();
   const auto report_off = sim::to_json(sim::Simulation(off).run());
@@ -332,33 +325,5 @@ TEST(GoldenTrace, SmallRunTraceMatchesCommittedFixtureExactly) {
                         kind == des::QueueKind::Heap);
   }
 }
-
-#else  // ERAPID_NO_OBS
-
-TEST(ObsCompiledOut, EnabledOptionsProduceNothing) {
-  sim::SimOptions o = base_options();
-  o.obs.enabled = true;
-  o.obs.trace_path = tmp_path("no_obs.trace.json");
-  const auto r = sim::Simulation(o).run();
-  EXPECT_TRUE(r.metrics.empty());
-  EXPECT_EQ(sim::to_json(r).find("obs_metrics"), std::string::npos);
-  EXPECT_FALSE(file_exists(o.obs.trace_path));
-}
-
-TEST(ObsCompiledOut, ProbeMacroArgumentsAreNotEvaluated) {
-  // The macros must compile away completely: argument expressions with side
-  // effects never run under ERAPID_NO_OBS.
-  [[maybe_unused]] obs::Hub* hub = nullptr;
-  int touched = 0;
-  [[maybe_unused]] auto touch = [&touched]() {
-    ++touched;
-    return obs::MetricId{0};
-  };
-  ERAPID_COUNTER(hub, touch(), 1);
-  ERAPID_OBSERVE(hub, touch(), 1.0);
-  EXPECT_EQ(touched, 0);
-}
-
-#endif  // ERAPID_NO_OBS
 
 }  // namespace

@@ -165,8 +165,6 @@ TEST(SelfHealing, ArqDeadLettersOnExhaustionAndRunStillDrains) {
 
 // ---- chaos: fault storm under an active brownout ladder ---------------------
 
-#if !defined(ERAPID_NO_OBS)
-
 /// A tight power cap (deep ladder: sleeps + sheds) with a transient fault
 /// storm landing mid-descent. The two planes must stay disjoint: lanes the
 /// controller put to sleep or shed are policy decisions, not outages, so
@@ -226,7 +224,5 @@ TEST(Chaos, StormUnderBrownoutIsByteIdenticalAcrossQueueKinds) {
   const std::string b = sim::to_json(sim::Simulation(cal).run());
   EXPECT_EQ(a, b);
 }
-
-#endif  // !ERAPID_NO_OBS
 
 }  // namespace

@@ -9,9 +9,6 @@
 // the run is byte-deterministic (same seed, heap and calendar queues) and
 // its full report is pinned against a committed golden fixture. A config
 // with no `degrade.*` key must stay byte-inert (no `resilience` block).
-//
-// Built with ERAPID_NO_OBS the integration layer flips: configured
-// policies must build no controller and produce nothing.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -154,8 +151,6 @@ TEST(DegradeController, BrownoutLadderNeedsThePowerCapItDefends) {
 
 // ---- integration ------------------------------------------------------------
 
-#if !defined(ERAPID_NO_OBS)
-
 sim::SimOptions base_options() {
   sim::SimOptions o;
   o.system.boards = 4;
@@ -293,30 +288,5 @@ TEST(GoldenBrownout, ReportMatchesCommittedFixtureExactly) {
   test::expect_golden(sim::to_json(sim::Simulation(brownout_options()).run()) + "\n",
                       "golden_brownout_small.json", "brownout golden");
 }
-
-#else  // ERAPID_NO_OBS
-
-TEST(BrownoutCompiledOut, ConfiguredPoliciesProduceNothing) {
-  sim::SimOptions o;
-  o.system.boards = 4;
-  o.system.nodes_per_board = 4;
-  o.reconfig.mode = reconfig::NetworkMode::p_b();
-  o.load_fraction = 0.5;
-  o.seed = 1;
-  o.warmup_cycles = 4000;
-  o.measure_cycles = 8000;
-  o.drain_limit = 60000;
-  o.obs.enabled = true;
-  o.obs.monitor_fail_fast = true;
-  o.obs.monitors.power_cap_mw = 100.0;
-  o.degrade.power_cap = resilience::ResponsePolicy::Shed;
-  sim::Simulation s(o);
-  const auto r = s.run();  // no hub, no monitors, no controller: must not throw
-  EXPECT_EQ(s.degrade_controller(), nullptr);
-  EXPECT_FALSE(r.resilience.active);
-  EXPECT_EQ(sim::to_json(r).find("\"resilience\""), std::string::npos);
-}
-
-#endif  // ERAPID_NO_OBS
 
 }  // namespace

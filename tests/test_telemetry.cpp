@@ -5,8 +5,7 @@
 //   1. Inertness: with telemetry off (the default) a run schedules no
 //      telemetry event and its report carries no "obs_telemetry" block —
 //      the golden fixtures in test_determinism.cpp additionally pin the
-//      off-path reports byte-for-byte. Under ERAPID_NO_OBS the plane
-//      compiles out entirely.
+//      off-path reports byte-for-byte.
 //   2. Determinism: two same-seed telemetry runs write byte-identical
 //      erapid-telemetry-1 JSONL, across runs AND across the heap|calendar
 //      event-queue implementations; a committed golden stream pins the
@@ -313,8 +312,6 @@ TEST(TelemetryInert, ObsWithoutTelemetryPathSchedulesNothing) {
   EXPECT_EQ(sim::to_json(r).find("obs_telemetry"), std::string::npos);
 }
 
-#if !defined(ERAPID_NO_OBS)
-
 // ---- integration: determinism -----------------------------------------------
 
 std::string run_telemetry(const std::string& path,
@@ -424,20 +421,5 @@ TEST(GoldenTelemetry, SmallRunStreamMatchesCommittedFixtureExactly) {
   test::expect_golden(run_telemetry(tmp_path("tel_golden.jsonl")),
                       "golden_telemetry_small.jsonl", "telemetry golden");
 }
-
-#else  // ERAPID_NO_OBS
-
-// ---- compile-out: the plane must be fully inert -----------------------------
-
-TEST(TelemetryNoObs, ConfiguredTelemetryProducesNothing) {
-  const std::string path = tmp_path("tel_noobs.jsonl");
-  std::remove(path.c_str());
-  const auto r = sim::Simulation(telemetry_options(path)).run();
-  EXPECT_FALSE(r.telemetry.active);
-  EXPECT_FALSE(file_exists(path));
-  EXPECT_EQ(sim::to_json(r).find("obs_telemetry"), std::string::npos);
-}
-
-#endif  // ERAPID_NO_OBS
 
 }  // namespace

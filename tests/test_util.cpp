@@ -8,6 +8,8 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/arena.hpp"
@@ -182,10 +184,20 @@ TEST(Table, FixedFormatsDigits) {
 // ---- CLI ---------------------------------------------------------------
 
 TEST(Cli, ParsesKeyEqualsValue) {
-  const char* argv[] = {"prog", "--load=0.5", "--name=abc"};
-  const auto cli = Cli::parse(3, argv);
+  const char* argv[] = {"prog", "--load=0.5", "--name=abc", "--junk=0.5x", "--empty="};
+  const auto cli = Cli::parse(5, argv);
   EXPECT_DOUBLE_EQ(cli.get_double("load", 0), 0.5);
   EXPECT_EQ(cli.get_or("name", ""), "abc");
+  // The whole value must be one number; the error names the flag.
+  for (const char* bad : {"name", "junk", "empty"}) {
+    try {
+      (void)cli.get_double(bad, 0);
+      ADD_FAILURE() << "--" << bad << " parsed as a number";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + bad), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Cli, ParsesKeySpaceValue) {
@@ -210,10 +222,25 @@ TEST(Cli, PositionalArgumentsPreserved) {
 }
 
 TEST(Cli, IntParsingWithDefault) {
-  const char* argv[] = {"prog", "--n=12"};
-  const auto cli = Cli::parse(2, argv);
-  EXPECT_EQ(cli.get_int("n", 0), 12);
-  EXPECT_EQ(cli.get_int("missing", 99), 99);
+  const char* argv[] = {"prog",        "--n=12",    "--seed=abc",        "--boards=-1",
+                        "--trail=12x", "--plus=+3", "--wide=4294967296", "--space= 7"};
+  const auto cli = Cli::parse(8, argv);
+  EXPECT_EQ(cli.get_uint<std::uint32_t>("n", 0), 12u);
+  EXPECT_EQ(cli.get_uint<std::uint32_t>("missing", 99), 99u);
+  EXPECT_EQ(cli.get_uint<std::uint64_t>("wide", 0), 4294967296u);
+  // Malformed, signed, trailing junk and out-of-range values throw instead
+  // of running seed 0 or 4294967295 boards.
+  EXPECT_THROW((void)cli.get_uint<std::uint64_t>("seed", 1), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint<std::uint32_t>("boards", 4), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint<std::uint32_t>("trail", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint<std::uint32_t>("plus", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint<std::uint32_t>("wide", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint<std::uint32_t>("space", 0), std::invalid_argument);
+  try {
+    (void)cli.get_uint<std::uint32_t>("boards", 4);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--boards"), std::string::npos) << e.what();
+  }
 }
 
 // ---- Arena -------------------------------------------------------------

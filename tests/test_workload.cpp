@@ -344,9 +344,6 @@ TEST(WorkloadSim, BernoulliReportIsByteIdenticalToPreWorkloadShape) {
   EXPECT_EQ(json.find("\"workload\""), std::string::npos);
 }
 
-// Monitors compile out under ERAPID_NO_OBS, so the impossible deadline
-// cannot fire there.
-#if !defined(ERAPID_NO_OBS)
 TEST(WorkloadSim, WorkloadDeadlineMonitorFiresOnSlowCollective) {
   SimOptions o = workload_opts(workload::WorkloadKind::AllToAll);
   o.obs.enabled = true;
@@ -363,7 +360,6 @@ TEST(WorkloadSim, WorkloadDeadlineMonitorFiresOnSlowCollective) {
   }
   EXPECT_TRUE(found);
 }
-#endif  // !ERAPID_NO_OBS
 
 TEST(WorkloadSim, WorkloadDeadlineMonitorPassesWhenGenerous) {
   SimOptions o = workload_opts(workload::WorkloadKind::AllToAll);
@@ -462,15 +458,12 @@ TEST(Golden, AllReduceSmallReportMatchesCommittedFixtureExactly) {
 }
 
 // The tenant fleet with obs on, so the workload.tenant_bytes series and the
-// per-tenant counters in the metrics block are pinned too (the metrics
-// block compiles out under ERAPID_NO_OBS).
-#if !defined(ERAPID_NO_OBS)
+// per-tenant counters in the metrics block are pinned too.
 TEST(Golden, TenantsSmallReportMatchesCommittedFixtureExactly) {
   SimOptions o = tenant_opts();
   o.obs.enabled = true;
   erapid::test::expect_report_golden(o, "golden_tenants_small.json", "tenants golden");
 }
-#endif  // !ERAPID_NO_OBS
 
 // tiny_app.trace replayed to completion on R(1,4,4).
 TEST(Golden, TraceKindSmallReportMatchesCommittedFixtureExactly) {

@@ -1,16 +1,11 @@
-"""Shared comment/string-aware lexing layer for the E-RAPID analysis tools.
+"""Comment/string-aware lexing layer for erapid_analyze.py.
 
-Both det_lint.py (the determinism linter) and erapid_analyze.py (the
-project-wide static-analysis suite) see C++ through this module: raw lines
-for reporting, "code lines" with comments and string/char literals blanked
-out for rule matching, and in-place suppression comments.
+Every rule sees C++ through this module: raw lines for reporting, "code
+lines" with comments and string/char literals blanked out for rule
+matching, and in-place suppression comments:
 
-The suppression grammar (shared shape, per-tool tag):
-
-    // <tag>: allow(<rule>[, <rule>...])       -- this line and the next
-    // <tag>: allow-file(<rule>[, <rule>...])  -- the whole file
-
-where <tag> is ``det-lint`` or ``erapid-analyze``.
+    // erapid-analyze: allow(<rule>[, <rule>...])       -- this line and the next
+    // erapid-analyze: allow-file(<rule>[, <rule>...])  -- the whole file
 """
 
 from __future__ import annotations
@@ -63,34 +58,30 @@ def strip_comments_and_strings(line: str, in_block_comment: bool) -> tuple[str, 
     return "".join(out), in_block_comment
 
 
-def _suppress_res(tag: str) -> tuple[re.Pattern, re.Pattern]:
-    rules = r"([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)"
-    return (
-        re.compile(rf"//\s*{re.escape(tag)}:\s*allow\({rules}\)"),
-        re.compile(rf"//\s*{re.escape(tag)}:\s*allow-file\({rules}\)"),
-    )
+_RULE_LIST = r"([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)"
+SUPPRESS_LINE_RE = re.compile(rf"//\s*erapid-analyze:\s*allow\({_RULE_LIST}\)")
+SUPPRESS_FILE_RE = re.compile(rf"//\s*erapid-analyze:\s*allow-file\({_RULE_LIST}\)")
 
 
 class SourceFile:
     """One lexed C++ file: raw lines, comment/string-stripped code lines,
-    and the suppressions declared for a given tool tag."""
+    and the suppressions it declares."""
 
-    def __init__(self, path: Path, text: str, tag: str = "erapid-analyze"):
+    def __init__(self, path: Path, text: str):
         self.path = path
         self.raw_lines = text.splitlines()
         self.code_lines: list[str] = []
         # rule -> line numbers it is suppressed on; "*" key never used.
         self.suppressed: dict[str, set[int]] = {}
         self.file_suppressed: set[str] = set()
-        line_re, file_re = _suppress_res(tag)
         in_block = False
         for lineno, raw in enumerate(self.raw_lines, 1):
-            for m in line_re.finditer(raw):
+            for m in SUPPRESS_LINE_RE.finditer(raw):
                 for rule in re.split(r"\s*,\s*", m.group(1)):
                     # A suppression covers its own line and the next line
                     # (so a comment line above the flagged code works).
                     self.suppressed.setdefault(rule, set()).update((lineno, lineno + 1))
-            for m in file_re.finditer(raw):
+            for m in SUPPRESS_FILE_RE.finditer(raw):
                 for rule in re.split(r"\s*,\s*", m.group(1)):
                     self.file_suppressed.add(rule)
             code, in_block = strip_comments_and_strings(raw, in_block)
@@ -109,5 +100,5 @@ class SourceFile:
         return lineno in self.suppressed.get(rule, ())
 
     @classmethod
-    def read(cls, path: Path, tag: str = "erapid-analyze") -> "SourceFile":
-        return cls(path, path.read_text(encoding="utf-8", errors="replace"), tag)
+    def read(cls, path: Path) -> "SourceFile":
+        return cls(path, path.read_text(encoding="utf-8", errors="replace"))

@@ -2,10 +2,9 @@
 """erapid-analyze — project-wide static-analysis suite for the E-RAPID
 simulator.
 
-Where det-lint (tools/lint/det_lint.py) is a line-oriented determinism
-linter, erapid-analyze is the project gate: it lexes every translation
-unit once (comment/string-aware), builds a per-file declaration index and
-the project include graph, and runs four rule families over them:
+erapid-analyze is the project gate: it lexes every translation unit once
+(comment/string-aware), builds a per-file declaration index and the
+project include graph, and runs four rule families over them:
 
   contract   contract-coverage   public mutating methods in the contracted
                                  modules (src/{des,reconfig,optical,power,
@@ -16,9 +15,14 @@ the project include graph, and runs four rule families over them:
                                  mW / Gb/s suffixed identifiers.
              unit-param          unit-suffixed argument passed to a
                                  parameter of a different unit domain.
-  det        iter-unordered      range-for over an unordered container.
+  det        unordered-container std::unordered_* declared, used or included.
+             iter-unordered      range-for over an unordered container.
+             nondet-source       wall-clock / environmental entropy.
+             pointer-order       raw pointer values as an ordering key.
+             uninit-member       scalar struct member with no initializer.
+             enum-switch-default enum-class switch that falls through
+                                 silently on an unmodeled value.
              float-accum         float accumulator in a reduction loop.
-             ptr-map-key         pointer-keyed ordered container.
   hygiene    pragma-once         missing #pragma once (fixable, --fix).
              include-cycle       cycle in the quoted-include graph.
              std-include         header uses a std:: symbol without
@@ -116,7 +120,7 @@ def analyze(indexes: dict[Path, FileIndex], root: Path, rules: set[str],
         findings.extend(contract_findings)
     if rules & {"unit-mix", "unit-param"}:
         findings.extend(rules_units.run(indexes, root))
-    if rules & {"iter-unordered", "float-accum", "ptr-map-key"}:
+    if any(RULES[r].family == "det" for r in rules):
         findings.extend(rules_det.run(indexes, root))
     if rules & {"pragma-once", "include-cycle", "std-include"}:
         findings.extend(rules_hygiene.run(indexes, root, include_roots))

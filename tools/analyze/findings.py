@@ -26,15 +26,27 @@ RULES: dict[str, Rule] = {r.id: r for r in (
     Rule("unit-param", "units", "warning",
          "Call passes a unit-suffixed identifier to a parameter declared "
          "with a different unit suffix"),
+    Rule("unordered-container", "det", "warning",
+         "Declaration, use or header include of a std::unordered_* "
+         "container; iteration order is nondeterministic"),
     Rule("iter-unordered", "det", "warning",
          "Range-for over an unordered container; iteration order is "
          "nondeterministic and will leak into output"),
+    Rule("nondet-source", "det", "warning",
+         "Wall-clock or environmental entropy (rand, random_device, time, "
+         "clock, std::chrono clocks) in model code"),
+    Rule("pointer-order", "det", "warning",
+         "Raw pointer values used as an ordering key: pointer-keyed ordered "
+         "container or std::less, or a comparator lambda comparing two "
+         "pointers; heap addresses vary run to run"),
+    Rule("uninit-member", "det", "warning",
+         "Scalar struct member in a header without a default initializer"),
+    Rule("enum-switch-default", "det", "warning",
+         "Enum-class switch with no default: and no trailing "
+         "ERAPID_UNREACHABLE; an unmodeled value falls through silently"),
     Rule("float-accum", "det", "warning",
          "32-bit float accumulator in a reduction loop; rounding makes the "
          "sum order-sensitive — accumulate in double"),
-    Rule("ptr-map-key", "det", "warning",
-         "Ordered container keyed by a raw pointer (directly or through an "
-         "alias); heap addresses vary run to run"),
     Rule("pragma-once", "hygiene", "warning",
          "Header without #pragma once", fixable=True),
     Rule("include-cycle", "hygiene", "warning",

@@ -25,7 +25,7 @@
 // code never reads a wall clock (that is the determinism contract; the
 // lint suppressions below mark the one sanctioned harness-side use).
 
-#include <chrono>  // det-lint: allow-file(nondet-source)
+#include <chrono>  // erapid-analyze: allow-file(nondet-source)
 #include <iostream>
 #include <sstream>
 #include <string>
