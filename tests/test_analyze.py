@@ -7,7 +7,8 @@ clean, suppressions must be honored (and remove methods from the contract
 coverage pool), --fix must be idempotent, the SARIF report must be
 structurally valid 2.1.0, and the baseline must gate findings and enforce
 the contract-coverage ratchet. Registered in CTest as
-`lint.analyze_self_test`.
+`lint.analyze_self_test`; the DeterminismRules class alone, which covers
+the five determinism rules, also runs as `lint.self_test`.
 """
 
 import json
@@ -46,30 +47,27 @@ def rules_of(doc):
     return sorted({f["rule"] for f in doc["findings"]})
 
 
-class BadFixturesTrip(unittest.TestCase):
+def assert_each_trips_exactly(test, cases):
+    for name, rule in cases.items():
+        with test.subTest(fixture=name):
+            rc, doc = run_json([FIXTURES / name])
+            test.assertEqual(rc, 1, name)
+            test.assertEqual(rules_of(doc), [rule], name)
+
+
+class DeterminismRules(unittest.TestCase):
     CASES = {
-        "bad_unit_mix.cpp": "unit-mix",
-        "bad_unit_param.cpp": "unit-param",
-        "bad_iter_unordered.cpp": "iter-unordered",
-        "bad_float_accum.cpp": "float-accum",
         "bad_unordered.cpp": "unordered-container",
         "bad_nondet.cpp": "nondet-source",
         "bad_pointer_order.cpp": "pointer-order",
         "bad_uninit.hpp": "uninit-member",
         "bad_enum_switch.cpp": "enum-switch-default",
-        "bad_no_pragma.hpp": "pragma-once",
-        "bad_std_include.hpp": "std-include",
-        "power/bad_uncontracted.hpp": "contract-coverage",
     }
 
     def test_each_bad_fixture_trips_exactly_its_rule(self):
-        for name, rule in self.CASES.items():
-            with self.subTest(fixture=name):
-                rc, doc = run_json([FIXTURES / name])
-                self.assertEqual(rc, 1, name)
-                self.assertEqual(rules_of(doc), [rule], name)
+        assert_each_trips_exactly(self, self.CASES)
 
-    def test_determinism_fixtures_flag_every_hazard(self):
+    def test_bad_fixtures_flag_every_hazard(self):
         _, doc = run_json([FIXTURES / "bad_unordered.cpp"])
         # Both includes and both member declarations.
         self.assertGreaterEqual(doc["finding_count"], 4)
@@ -86,6 +84,48 @@ class BadFixturesTrip(unittest.TestCase):
         _, doc = run_json([FIXTURES / "bad_enum_switch.cpp"])
         self.assertEqual(doc["finding_count"], 1)
 
+    def test_good_files_are_clean(self):
+        rc, doc = run_json([FIXTURES / "good_det.hpp", FIXTURES / "good_det.cpp"])
+        self.assertEqual(rc, 0)
+        self.assertEqual(doc["findings"], [])
+
+    def test_inline_allows_on_and_above_the_line(self):
+        rc, doc = run_json([FIXTURES / "suppressed.cpp"])
+        self.assertEqual(rc, 0)
+        self.assertEqual(doc["findings"], [])
+
+    def test_file_allow_silences_whole_file(self):
+        rc, doc = run_json([FIXTURES / "suppressed_file_det.cpp"])
+        self.assertEqual(rc, 0)
+        self.assertEqual(doc["findings"], [])
+
+    def test_allow_only_covers_named_rule(self):
+        # allow-file(unordered-container) must not silence iter-unordered.
+        rc, doc = run_json([FIXTURES / "bad_iter_unordered.cpp"],
+                           rules=["unordered-container", "iter-unordered"])
+        self.assertEqual(rc, 1)
+        self.assertEqual(rules_of(doc), ["iter-unordered"])
+
+    def test_rule_subset_filters(self):
+        rc, doc = run_json([FIXTURES / "bad_unordered.cpp"], rules=["nondet-source"])
+        self.assertEqual(rc, 0)
+        self.assertEqual(doc["finding_count"], 0)
+
+
+class BadFixturesTrip(unittest.TestCase):
+    CASES = {
+        "bad_unit_mix.cpp": "unit-mix",
+        "bad_unit_param.cpp": "unit-param",
+        "bad_iter_unordered.cpp": "iter-unordered",
+        "bad_float_accum.cpp": "float-accum",
+        "bad_no_pragma.hpp": "pragma-once",
+        "bad_std_include.hpp": "std-include",
+        "power/bad_uncontracted.hpp": "contract-coverage",
+    }
+
+    def test_each_bad_fixture_trips_exactly_its_rule(self):
+        assert_each_trips_exactly(self, self.CASES)
+
     def test_include_cycle_reported_once(self):
         rc, doc = run_json([FIXTURES / "cycle_a.hpp", FIXTURES / "cycle_b.hpp"])
         self.assertEqual(rc, 1)
@@ -97,8 +137,7 @@ class BadFixturesTrip(unittest.TestCase):
 
 class GoodFixturesClean(unittest.TestCase):
     def test_good_files_are_clean(self):
-        rc, doc = run_json([FIXTURES / "good.hpp", FIXTURES / "good.cpp",
-                            FIXTURES / "good_det.hpp", FIXTURES / "good_det.cpp"])
+        rc, doc = run_json([FIXTURES / "good.hpp", FIXTURES / "good.cpp"])
         self.assertEqual(rc, 0)
         self.assertEqual(doc["findings"], [])
 
@@ -121,24 +160,10 @@ class Suppressions(unittest.TestCase):
             SourceFile(Path("x"), (FIXTURES / "suppressed_line.cpp").read_text())
             .raw_lines[:findings[0]["line"]]))
 
-    def test_inline_allows_on_and_above_the_line(self):
-        rc, doc = run_json([FIXTURES / "suppressed.cpp"])
+    def test_file_allow_silences_whole_file(self):
+        rc, doc = run_json([FIXTURES / "suppressed_file.cpp"])
         self.assertEqual(rc, 0)
         self.assertEqual(doc["findings"], [])
-
-    def test_file_allow_silences_whole_file(self):
-        for name in ("suppressed_file.cpp", "suppressed_file_det.cpp"):
-            with self.subTest(fixture=name):
-                rc, doc = run_json([FIXTURES / name])
-                self.assertEqual(rc, 0)
-                self.assertEqual(doc["findings"], [])
-
-    def test_allow_only_covers_named_rule(self):
-        # allow-file(unordered-container) must not silence iter-unordered.
-        rc, doc = run_json([FIXTURES / "bad_iter_unordered.cpp"],
-                           rules=["unordered-container", "iter-unordered"])
-        self.assertEqual(rc, 1)
-        self.assertEqual(rules_of(doc), ["iter-unordered"])
 
     def test_suppressed_method_leaves_coverage_pool(self):
         rc, doc = run_json([FIXTURES / "power" / "suppressed_method.hpp"])
@@ -161,11 +186,6 @@ class CliContract(unittest.TestCase):
 
     def test_no_paths_is_usage_error(self):
         self.assertEqual(erapid_analyze.main([]), 2)
-
-    def test_rule_subset_filters(self):
-        rc, doc = run_json([FIXTURES / "bad_unordered.cpp"], rules=["nondet-source"])
-        self.assertEqual(rc, 0)
-        self.assertEqual(doc["finding_count"], 0)
 
     def test_family_selector_expands_to_member_rules(self):
         rc, doc = run_json([FIXTURES / "bad_unit_mix.cpp",
