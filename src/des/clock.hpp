@@ -12,9 +12,17 @@
 // The two-phase protocol removes intra-cycle ordering sensitivity between
 // components (a component never observes a peer's same-cycle update), which
 // keeps the simulation deterministic regardless of registration order for
-// all cross-component signals. (Signals that genuinely take a cycle —
-// credits, channel flits — additionally travel through Engine events with
-// explicit >= 1 cycle delay.)
+// all cross-component signals. (Signals that genuinely take time —
+// credits, channel flits — are handed off with post(), which delivers them
+// through Engine events at their arrival cycle.)
+//
+// post() coalesces: every hand-off one tick makes for the same arrival
+// cycle shares one calendar event, which runs the callbacks back to back in
+// call order. Components schedule nothing else during a tick, and the next
+// tick is scheduled only after all of them have ticked, so one tick's
+// hand-offs for a cycle are a contiguous run in the calendar's (time, seq)
+// order; one event in the place of that run's first entry executes the same
+// callbacks in the same order (DESIGN.md §11).
 //
 // The domain goes idle automatically: when every component reports
 // quiescence (nothing buffered, nothing in flight) the recurring event is
@@ -70,13 +78,30 @@ class ClockDomain {
   /// Cycles actually ticked (excludes slept cycles); for diagnostics.
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
 
+  /// Runs `fn` at cycle `when` (>= now). Callable only from inside a tick
+  /// (either phase). All posts of one tick for the same `when` share one
+  /// calendar event, tagged "clock.post", that sits where the first post's
+  /// own event would have been and runs the callbacks in call order.
+  void post(Cycle when, EventFn fn);
+
  private:
+  /// A batch the current tick has scheduled and may still append to.
+  struct OpenBatch {
+    Cycle when = 0;
+    std::uint32_t slot = 0;  ///< index into batches_
+  };
+
   void tick_once();
+  void run_batch(std::uint32_t slot);
 
   Engine& engine_;
   std::vector<Clocked*> components_;
   bool running_ = false;
+  bool in_tick_ = false;
   std::uint64_t ticks_ = 0;
+  std::vector<std::vector<EventFn>> batches_;  ///< pooled callback lists
+  std::vector<std::uint32_t> free_batches_;    ///< batches_ slots not in flight
+  std::vector<OpenBatch> open_;                ///< cleared when a tick ends
 };
 
 }  // namespace erapid::des

@@ -15,7 +15,8 @@
 //  * Cycle-driven components. Routers are clocked pipelines; ClockDomain
 //    (clock.hpp) multiplexes all per-cycle work onto a single recurring
 //    event so the calendar holds O(#messages) entries, not O(#routers) per
-//    cycle.
+//    cycle, and ClockDomain::post coalesces one tick's flit and credit
+//    hand-offs into one event per arrival cycle.
 #pragma once
 
 #include <cstddef>

@@ -37,9 +37,10 @@
 
 namespace erapid::des {
 
-/// Callback type executed when an event fires. Inline storage is sized for
-/// the largest hot-path capture (flit delivery: sink + flit + vc + cycle)
-/// so scheduling never heap-allocates for it.
+/// Callback type executed when an event fires, and the element type of the
+/// hand-off batches ClockDomain::post fills. Inline storage is sized for
+/// the largest hot-path capture (the router's flit delivery: sink + flit +
+/// vc + cycle), so neither scheduling nor posting heap-allocates for it.
 using EventFn = util::InplaceFn<96>;
 
 /// Which event calendar the engine runs on (`des.queue` in configs).

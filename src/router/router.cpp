@@ -4,11 +4,10 @@
 
 namespace erapid::router {
 
-Router::Router(des::Engine& engine, des::ClockDomain& domain, std::string name,
+Router::Router(des::Engine& /*engine*/, des::ClockDomain& domain, std::string name,
                std::uint32_t num_inputs, std::uint32_t vcs_per_input,
                std::uint32_t vc_depth_flits, std::uint32_t credit_delay, RouteFn route)
-    : engine_(engine),
-      domain_(domain),
+    : domain_(domain),
       name_(std::move(name)),
       vcs_per_input_(vcs_per_input),
       vc_depth_(vc_depth_flits),
@@ -173,13 +172,12 @@ void Router::stage_switch(Cycle now) {
     const Cycle arrive = now + out.cfg.cycles_per_flit + out.cfg.wire_delay;
     FlitReceiver* sink = out.cfg.sink;
     const std::uint32_t dvc = ch.out_vc;
-    engine_.schedule_at(arrive, [sink, f, dvc, arrive] { sink->receive_flit(f, dvc, arrive); });
+    domain_.post(arrive, [sink, f, dvc, arrive] { sink->receive_flit(f, dvc, arrive); });
 
     // Return one input-buffer credit upstream.
     if (inputs_[wi].credit_return) {
-      engine_.schedule(credit_delay_, [this, wi, vc] {
-        inputs_[wi].credit_return(vc, engine_.now());
-      });
+      const Cycle freed = now + credit_delay_;
+      domain_.post(freed, [this, wi, vc, freed] { inputs_[wi].credit_return(vc, freed); });
     }
 
     if (f.tail) {

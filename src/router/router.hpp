@@ -78,6 +78,9 @@ struct RouterCounters {
 /// The VC wormhole router.
 class Router : public des::Clocked {
  public:
+  /// Registers with `domain`, through which the router hands off every
+  /// flit and credit (ClockDomain::post). `engine` is the engine the
+  /// domain runs on; the router keeps no reference to it.
   Router(des::Engine& engine, des::ClockDomain& domain, std::string name,
          std::uint32_t num_inputs, std::uint32_t vcs_per_input,
          std::uint32_t vc_depth_flits, std::uint32_t credit_delay, RouteFn route);
@@ -161,7 +164,6 @@ class Router : public des::Clocked {
     return in_port * vcs_per_input_ + vc;
   }
 
-  des::Engine& engine_;
   des::ClockDomain& domain_;
   std::string name_;
   std::uint32_t vcs_per_input_;

@@ -2,11 +2,11 @@
 //
 // std::function gives ~16 bytes of small-buffer storage on mainstream
 // implementations; the router's flit-delivery closure captures a sink
-// pointer, a Flit, a VC index and a cycle (~72 bytes), so every scheduled
-// delivery heap-allocates and every heap pop copies it back out. InplaceFn
-// widens the inline buffer past the largest hot-path capture and is
-// move-only, so events move through the calendar without allocation or
-// copying. Closures larger than the buffer (or with throwing moves) still
+// pointer, a Flit, a VC index and a cycle (~72 bytes), so with it every
+// posted delivery would heap-allocate and be copied again on its way out.
+// InplaceFn widens the inline buffer past the largest hot-path capture and
+// is move-only, so callbacks move through the calendar and through
+// ClockDomain::post's hand-off batches without allocation or copying. Closures larger than the buffer (or with throwing moves) still
 // work via a heap fallback — correctness never depends on fitting.
 #pragma once
 

@@ -1,6 +1,9 @@
 // Unit tests for the discrete-event kernel and clock domain.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "des/clock.hpp"
@@ -14,6 +17,7 @@ using erapid::kNeverCycle;
 using erapid::des::ClockDomain;
 using erapid::des::Clocked;
 using erapid::des::Engine;
+using erapid::des::QueueKind;
 
 TEST(Engine, StartsAtTimeZeroWithEmptyQueue) {
   Engine e;
@@ -237,5 +241,135 @@ TEST(ClockDomain, TwoComponentsTickInRegistrationOrder) {
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);
 }
+
+// ---- ClockDomain::post -------------------------------------------------
+
+// A component that runs `on_tick` on each of its first `busy_ticks` ticks.
+struct Poster : Clocked {
+  std::function<void(Cycle)> on_tick;
+  int busy_ticks = 1;
+  int ticks = 0;
+  void tick(Cycle now) override {
+    ++ticks;
+    if (on_tick) on_tick(now);
+  }
+  [[nodiscard]] bool quiescent() const override { return ticks >= busy_ticks; }
+};
+
+class ClockDomainPost : public testing::TestWithParam<QueueKind> {};
+
+TEST_P(ClockDomainPost, OneTicksPostsForACycleAreOneEventInCallOrder) {
+  Engine e(GetParam());
+  ClockDomain dom(e);
+  Poster p;
+  std::vector<int> order;
+  p.on_tick = [&](Cycle) {
+    for (int i = 0; i < 5; ++i) dom.post(5, [&order, i] { order.push_back(i); });
+  };
+  dom.add(p);
+  dom.wake();
+  e.run_until(4);
+  const auto before = e.events_executed();
+  e.run_until(5);
+  EXPECT_EQ(e.events_executed(), before + 1);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// The tick at cycle 1 interleaves posts for cycles 5 and 6. An event for
+// cycle 5 scheduled before the tick and one scheduled after it (by an
+// event later in cycle 1) bracket the batch exactly as they bracket
+// separate schedule_at() calls.
+std::vector<std::string> bracketed_order(QueueKind kind, bool coalesce) {
+  Engine e(kind);
+  ClockDomain dom(e);
+  Poster p;
+  std::vector<std::string> order;
+  auto log = [&order](const char* what) { return [&order, what] { order.emplace_back(what); }; };
+  e.schedule_at(5, log("before"));
+  const std::pair<Cycle, const char*> kHandOffs[] = {
+      {5, "a"}, {6, "x"}, {5, "b"}, {6, "y"}, {5, "c"}};
+  p.on_tick = [&](Cycle) {
+    for (const auto& [when, what] : kHandOffs) {
+      if (coalesce) {
+        dom.post(when, log(what));
+      } else {
+        e.schedule_at(when, log(what));
+      }
+    }
+  };
+  dom.add(p);
+  dom.wake();                                               // tick at 1
+  e.schedule_at(1, [&] { e.schedule_at(5, log("after")); });  // runs after it
+  e.run_all();
+  return order;
+}
+
+TEST_P(ClockDomainPost, BatchKeepsItsPlaceAmongSameCycleEvents) {
+  const auto batched = bracketed_order(GetParam(), true);
+  EXPECT_EQ(batched, bracketed_order(GetParam(), false));
+  EXPECT_EQ(batched, (std::vector<std::string>{"before", "a", "b", "c", "after", "x", "y"}));
+}
+
+TEST_P(ClockDomainPost, PostsFromTwoTicksAreTwoBatchesInTickOrder) {
+  Engine e(GetParam());
+  ClockDomain dom(e);
+  Poster p;
+  p.busy_ticks = 2;
+  std::vector<std::string> order;
+  p.on_tick = [&](Cycle now) {
+    const std::string t = "t" + std::to_string(now);
+    dom.post(5, [&order, t] { order.push_back(t + "a"); });
+    dom.post(5, [&order, t] { order.push_back(t + "b"); });
+  };
+  dom.add(p);
+  dom.wake();  // ticks at 1 and 2
+  // Scheduled after the first tick and before the second.
+  e.schedule_at(1, [&] { e.schedule_at(5, [&] { order.emplace_back("between"); }); });
+  e.run_until(4);
+  const auto before = e.events_executed();
+  e.run_until(5);
+  EXPECT_EQ(e.events_executed(), before + 3);
+  EXPECT_EQ(order, (std::vector<std::string>{"t1a", "t1b", "between", "t2a", "t2b"}));
+}
+
+TEST_P(ClockDomainPost, PostOutsideATickViolatesItsPrecondition) {
+  Engine e(GetParam());
+  ClockDomain dom(e);
+  Poster p;
+  dom.add(p);
+  EXPECT_THROW(dom.post(3, [] {}), erapid::ModelInvariantError);
+  bool threw = false;
+  e.schedule(2, [&] {
+    try {
+      dom.post(3, [] {});
+    } catch (const erapid::ModelInvariantError&) {
+      threw = true;
+    }
+  });
+  e.run_all();
+  EXPECT_TRUE(threw);
+}
+
+TEST_P(ClockDomainPost, PostForTheCurrentCycleRunsAfterTheTick) {
+  Engine e(GetParam());
+  ClockDomain dom(e);
+  Poster p;
+  p.busy_ticks = 2;
+  std::vector<std::string> order;
+  p.on_tick = [&](Cycle now) {
+    order.push_back("tick" + std::to_string(now));
+    dom.post(now, [&order, &e] { order.push_back("post" + std::to_string(e.now())); });
+  };
+  dom.add(p);
+  dom.wake();
+  e.run_all();
+  EXPECT_EQ(order, (std::vector<std::string>{"tick1", "post1", "tick2", "post2"}));
+}
+
+INSTANTIATE_TEST_SUITE_P(BothKinds, ClockDomainPost,
+                         testing::Values(QueueKind::Heap, QueueKind::Calendar),
+                         [](const auto& kind_info) {
+                           return std::string(erapid::des::queue_kind_name(kind_info.param));
+                         });
 
 }  // namespace
