@@ -188,17 +188,16 @@ const Key kKeys[] = {
     integer("system.clusters", FIELD(system.clusters)),
     integer("system.boards", FIELD(system.boards)),
     integer("system.nodes_per_board", FIELD(system.nodes_per_board)),
-    integer("system.channel_width_bits", FIELD(system.channel_width_bits)),
+    integer<1>("system.channel_width_bits", FIELD(system.channel_width_bits)),
     integer("system.flit_bits", FIELD(system.flit_bits)),
     integer("system.packet_flits", FIELD(system.packet_flits)),
     integer("system.num_vcs", FIELD(system.num_vcs)),
     integer("system.vc_buffer_flits", FIELD(system.vc_buffer_flits)),
     integer("system.credit_delay", FIELD(system.credit_delay)),
-    integer("system.tx_queue_packets", FIELD(system.tx_queue_packets)),
+    integer<1>("system.tx_queue_packets", FIELD(system.tx_queue_packets)),
     integer("system.rx_queue_packets", FIELD(system.rx_queue_packets)),
     integer("system.fiber_delay_cycles", FIELD(system.fiber_delay_cycles)),
     integer("system.tx_feed_cycles_per_flit", FIELD(system.tx_feed_cycles_per_flit)),
-    integer("system.injection_queue_packets", FIELD(system.injection_queue_packets)),
     choice<parse_mode, mode_name>("reconfig.mode", FIELD(reconfig.mode)),
     integer("reconfig.window", FIELD(reconfig.window)),
     integer("reconfig.ring_hop_cycles", FIELD(reconfig.ring_hop_cycles)),

@@ -59,9 +59,6 @@ struct SystemConfig {
   /// Fixed NAK round-trip latency before a retransmission is re-queued.
   std::uint32_t arq_nak_cycles = 8;
 
-  // ---- node interface ----
-  std::uint32_t injection_queue_packets = 64;  ///< NI source queue depth.
-
   // ------------------------------------------------------------------
   [[nodiscard]] std::uint32_t num_boards_total() const { return clusters * boards; }
   [[nodiscard]] std::uint32_t num_nodes() const { return num_boards_total() * nodes_per_board; }
@@ -104,10 +101,12 @@ struct SystemConfig {
     ERAPID_EXPECT(clusters >= 1, "need at least one cluster");
     ERAPID_EXPECT(boards >= 2, "E-RAPID needs >= 2 boards for inter-board traffic");
     ERAPID_EXPECT(nodes_per_board >= 1, "need at least one node per board");
+    ERAPID_EXPECT(channel_width_bits >= 1, "electrical channel needs at least one bit");
     ERAPID_EXPECT(flit_bits % channel_width_bits == 0,
                   "flit must be a whole number of electrical phits");
     ERAPID_EXPECT(num_vcs >= 1 && vc_buffer_flits >= 1, "router needs buffers");
     ERAPID_EXPECT(packet_flits >= 1, "packet needs at least one flit");
+    ERAPID_EXPECT(tx_queue_packets >= 1, "transmit queue needs room for one packet");
     ERAPID_EXPECT(arq_retry_limit >= 1, "ARQ needs at least one retry before dead-letter");
   }
 

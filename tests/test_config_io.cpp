@@ -119,7 +119,6 @@ TEST(OptionsIo, EveryOptionsStructDefaultConstructsInitialized) {
   EXPECT_EQ(sys.rx_queue_packets, 8u);
   EXPECT_EQ(sys.fiber_delay_cycles, 8u);
   EXPECT_EQ(sys.tx_feed_cycles_per_flit, 1u);
-  EXPECT_EQ(sys.injection_queue_packets, 64u);
   EXPECT_NO_THROW(sys.validate());
 
   const erapid::reconfig::DpmPolicy dpm;
@@ -629,8 +628,6 @@ const KeyCase kKeyCases[] = {
     {"system.fiber_delay_cycles", Codec::Integer, "10", MEMBER(system.fiber_delay_cycles)},
     {"system.tx_feed_cycles_per_flit", Codec::Integer, "2",
      MEMBER(system.tx_feed_cycles_per_flit)},
-    {"system.injection_queue_packets", Codec::Integer, "32",
-     MEMBER(system.injection_queue_packets)},
     {"reconfig.mode", Codec::Choice, "P-B", MEMBER(reconfig.mode)},
     {"reconfig.window", Codec::Integer, "4000", MEMBER(reconfig.window)},
     {"reconfig.ring_hop_cycles", Codec::Integer, "20", MEMBER(reconfig.ring_hop_cycles)},
@@ -854,8 +851,11 @@ TEST(OptionsIo, IntegerKeysRejectMalformedValues) {
 TEST(OptionsIo, RealKeysRejectMalformedValues) {
   expect_codec_rejects(Codec::Real, {"", "abc", "nan", "inf", "-inf", "1e999", "0.5.5", " 0.5"});
   // Explicit bounds: unit weights in (0, 1], non-negative slack and
-  // monitor thresholds, positive phase threshold, integer floors of 1.
+  // monitor thresholds, positive phase threshold, integer floors of 1
+  // (a zero channel width divided by zero; a zero transmit queue ran
+  // without ever accepting a packet).
   const std::pair<const char*, const char*> kOutOfRange[] = {
+      {"system.channel_width_bits", "0"},    {"system.tx_queue_packets", "0"},
       {"obs.telemetry_ewma_alpha", "0"},     {"obs.telemetry_ewma_alpha", "1.0000001"},
       {"obs.telemetry_phase_alpha", "0"},    {"obs.telemetry_phase_alpha", "1.5"},
       {"obs.telemetry_phase_slack", "-0.1"}, {"obs.telemetry_phase_threshold", "0"},

@@ -69,6 +69,12 @@ TEST(SystemConfig, ValidateRejectsBrokenConfigs) {
   cfg.channel_width_bits = 24;  // 64 % 24 != 0
   EXPECT_THROW(cfg.validate(), erapid::ModelInvariantError);
   cfg = paper_config();
+  cfg.channel_width_bits = 0;  // would divide by zero
+  EXPECT_THROW(cfg.validate(), erapid::ModelInvariantError);
+  cfg = paper_config();
+  cfg.tx_queue_packets = 0;  // no packet could ever enter a transmit queue
+  EXPECT_THROW(cfg.validate(), erapid::ModelInvariantError);
+  cfg = paper_config();
   EXPECT_NO_THROW(cfg.validate());
 }
 
