@@ -9,17 +9,17 @@
 // caps alongside how deep the ladder had to go to hold each one.
 //
 // Setting ERAPID_BENCH_JSON=<dir> writes BENCH_brownout.json there
-// (schema erapid-bench-1); ERAPID_GIT_REV stamps the producing revision.
+// (schema erapid-bench-1, see write_artifact); points are keyed (mode,
+// cap_mw, load) and carry the resilience block compare_runs.py gates.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "figure_common.hpp"  // Point, write_artifact()
 #include "sim/simulation.hpp"
 #include "util/table.hpp"
 
@@ -68,22 +68,23 @@ sim::SimOptions capped_options(double cap, double load) {
   return o;
 }
 
-struct Point {
-  sim::SimResult result;
-  double wall_ms = 0.0;
-};
+sim::SimOptions& last_options() {
+  static sim::SimOptions o;
+  return o;
+}
 
-std::map<std::pair<double, double>, Point>& store() {
-  static std::map<std::pair<double, double>, Point> s;
+std::map<std::pair<double, double>, bench::Point>& store() {
+  static std::map<std::pair<double, double>, bench::Point> s;
   return s;
 }
 
 void run_point(benchmark::State& state, double cap, double load) {
   sim::SimResult result;
   double wall_ms = 0.0;
+  const sim::SimOptions o = capped_options(cap, load);
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
-    sim::Simulation s(capped_options(cap, load));
+    sim::Simulation s(o);
     result = s.run();
     wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
@@ -94,7 +95,8 @@ void run_point(benchmark::State& state, double cap, double load) {
   state.counters["power_mW"] = result.power_avg_mw;
   state.counters["steps_down"] = static_cast<double>(result.resilience.steps_down);
   state.counters["lanes_shed"] = static_cast<double>(result.resilience.lanes_shed);
-  store()[{cap, load}] = Point{result, wall_ms};
+  store()[{cap, load}] = bench::Point{result, wall_ms};
+  last_options() = o;
 }
 
 std::string cap_label(double cap) {
@@ -151,55 +153,13 @@ void print_summary() {
   d.print(std::cout);
 }
 
-/// Writes the BENCH_brownout.json artifact (schema erapid-bench-1). Points
-/// carry the standard figure-bench metrics plus the resilience block that
-/// compare_runs.py gates: ladder depth, lane disposition, and the
-/// suppressed-violation tally (absence of the block = degradation-free).
-void write_json(const std::string& dir) {
-  const char* rev_env = std::getenv("ERAPID_GIT_REV");
-  const std::string rev = rev_env != nullptr ? rev_env : "unknown";
-  const std::string path = dir + "/BENCH_brownout.json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench: cannot open " << path << " for writing\n";
-    return;
-  }
-  out.precision(15);
-  out << "{\n"
-      << "  \"schema\": \"erapid-bench-1\",\n"
-      << "  \"bench\": \"Brownout ladder\",\n"
-      << "  \"pattern\": \"uniform\",\n"
-      << "  \"git_rev\": \"" << rev << "\",\n"
-      << "  \"points\": [";
-  bool first = true;
+void write_json() {
+  std::vector<sim::BenchPoint> points;
   for (const auto& [key, p] : store()) {
-    const auto& r = p.result;
-    out << (first ? "\n" : ",\n") << "    {"
-        << "\"mode\": \"P-B\", "
-        << "\"cap_mw\": " << key.first << ", "
-        << "\"load\": " << key.second << ", "
-        << "\"throughput_xNc\": " << r.accepted_fraction << ", "
-        << "\"latency_avg_cycles\": " << r.latency_avg << ", "
-        << "\"latency_p99_cycles\": " << r.latency_p99 << ", "
-        << "\"power_avg_mw\": " << r.power_avg_mw << ", "
-        << "\"active_power_avg_mw\": " << r.active_power_avg_mw << ", "
-        << "\"drained\": " << (r.drained ? "true" : "false");
-    if (r.resilience.active) {
-      out << ", \"resilience\": {"
-          << "\"engaged\": " << (r.resilience.engaged ? "true" : "false") << ", "
-          << "\"peak_stage\": \"" << r.resilience.peak_stage << "\", "
-          << "\"steps_down\": " << r.resilience.steps_down << ", "
-          << "\"steps_up\": " << r.resilience.steps_up << ", "
-          << "\"lanes_shed\": " << r.resilience.lanes_shed << ", "
-          << "\"lanes_slept\": " << r.resilience.lanes_slept << ", "
-          << "\"suppressed_violations\": " << r.resilience.suppressed_violations
-          << "}";
-    }
-    out << ", \"wall_ms\": " << p.wall_ms << "}";
-    first = false;
+    points.push_back(
+        {{{"mode", "P-B"}, {"cap_mw", key.first}, {"load", key.second}}, &p.result, p.wall_ms});
   }
-  out << "\n  ]\n}\n";
-  std::cout << "\nbench json: wrote " << path << "\n";
+  bench::write_artifact("brownout", "Brownout ladder", "uniform", last_options(), points);
 }
 
 }  // namespace
@@ -219,9 +179,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   print_summary();
-  if (const char* json_dir = std::getenv("ERAPID_BENCH_JSON");
-      json_dir != nullptr && *json_dir != '\0') {
-    write_json(json_dir);
-  }
+  write_json();
   return 0;
 }

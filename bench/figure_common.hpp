@@ -8,25 +8,25 @@
 // the SimResults, and finally prints the three panels as aligned tables —
 // the same series the paper reports.
 // Setting ERAPID_BENCH_JSON=<dir> additionally writes a machine-readable
-// BENCH_<slug>.json artifact there (schema erapid-bench-1): one record per
-// (mode, load) point with throughput, latency, power/energy and the
-// wall-clock runtime of the whole point measured here in the harness —
-// never inside the simulator, which must stay wall-clock free. CI uploads
-// these artifacts; ERAPID_GIT_REV stamps the producing revision.
+// BENCH_<slug>.json artifact there (schema erapid-bench-1, written by
+// sim/report): one point per (mode, load) with the wall-clock runtime of
+// the whole point measured here in the harness — never inside the
+// simulator, which must stay wall-clock free. CI uploads these artifacts;
+// ERAPID_GIT_REV stamps the producing revision.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "des/event_queue.hpp"
+#include "sim/report.hpp"
 #include "sim/simulation.hpp"
 #include "util/table.hpp"
 
@@ -43,34 +43,41 @@ inline std::vector<reconfig::NetworkMode> all_modes() {
           reconfig::NetworkMode::np_b(), reconfig::NetworkMode::p_b()};
 }
 
+/// One recorded point: its result and the wall time the harness measured.
+struct Point {
+  sim::SimResult result;
+  double wall_ms = 0.0;
+};
+
+/// Writes BENCH_<slug>.json (schema erapid-bench-1) into $ERAPID_BENCH_JSON,
+/// stamped with $ERAPID_GIT_REV; does nothing when the directory is unset
+/// or there are no points. `last` holds the options of the last point run.
+inline void write_artifact(const std::string& slug, const std::string& bench,
+                           const std::string& pattern, const sim::SimOptions& last,
+                           const std::vector<sim::BenchPoint>& points) {
+  const char* dir = std::getenv("ERAPID_BENCH_JSON");
+  if (dir == nullptr || *dir == '\0' || points.empty()) return;
+  const char* rev = std::getenv("ERAPID_GIT_REV");
+  const std::string path = std::string(dir) + "/BENCH_" + slug + ".json";
+  sim::write_bench_json(path, bench, pattern, rev != nullptr ? rev : "unknown", last, points);
+  std::cout << "\nbench JSON written to " << path << "\n";
+}
+
 /// Collects results across benchmark invocations of one binary.
 class FigureStore {
  public:
-  void put(const std::string& mode, double load, const sim::SimResult& r,
-           double wall_ms = 0.0) {
-    results_[{mode, load}] = r;
-    wall_ms_[{mode, load}] = wall_ms;
-  }
-
-  /// Records the run configuration stamped into the JSON artifact so it is
-  /// self-describing: which DES queue produced it and which obs features
-  /// were live. Every point of one bench runs the same configuration, so
-  /// the last stamp wins. compare_runs.py never gates on these fields.
-  void stamp_provenance(const sim::SimOptions& o) {
-    des_queue_ = des::queue_kind_name(o.des_queue);
-    obs_enabled_ = o.obs.enabled;
-    obs_trace_ = o.obs.enabled && !o.obs.trace_path.empty();
-    obs_monitors_ = o.obs.enabled && o.obs.monitors.any();
-    obs_telemetry_ = o.obs.telemetry_on();
-    obs_flight_ = o.obs.flight_recorder_on();
+  void put(const std::string& mode, double load, const sim::SimResult& r, double wall_ms,
+           const sim::SimOptions& o) {
+    points_[{mode, load}] = {r, wall_ms};
+    last_ = o;
   }
 
   /// Prints the paper's three panels (throughput, latency, power).
   void print(const std::string& figure, const std::string& pattern) const {
-    if (results_.empty()) return;
+    if (points_.empty()) return;
     std::vector<std::string> modes;
     std::vector<double> loads;
-    for (const auto& [key, r] : results_) {
+    for (const auto& [key, p] : points_) {
       if (std::find(modes.begin(), modes.end(), key.first) == modes.end())
         modes.push_back(key.first);
       if (std::find(loads.begin(), loads.end(), key.second) == loads.end())
@@ -92,9 +99,10 @@ class FigureStore {
       for (double load : loads) {
         std::vector<std::string> row = {util::TablePrinter::fixed(load, 1)};
         for (const auto& m : present) {
-          const auto it = results_.find({m, load});
-          row.push_back(it == results_.end() ? "-"
-                                             : util::TablePrinter::fixed(metric(it->second), 3));
+          const auto it = points_.find({m, load});
+          row.push_back(it == points_.end()
+                            ? "-"
+                            : util::TablePrinter::fixed(metric(it->second.result), 3));
         }
         t.row(std::move(row));
       }
@@ -111,89 +119,19 @@ class FigureStore {
           [](const sim::SimResult& r) { return r.power_avg_mw; });
   }
 
-  [[nodiscard]] const sim::SimResult* find(const std::string& mode, double load) const {
-    const auto it = results_.find({mode, load});
-    return it == results_.end() ? nullptr : &it->second;
-  }
-
-  [[nodiscard]] bool empty() const { return results_.empty(); }
-
-  /// Writes the BENCH_<slug>.json artifact (schema erapid-bench-1) into
-  /// `dir`. `slug` must already be filename-safe. Returns the path.
-  std::string write_json(const std::string& dir, const std::string& slug,
-                         const std::string& figure, const std::string& pattern) const {
-    const char* rev_env = std::getenv("ERAPID_GIT_REV");
-    const std::string rev = rev_env != nullptr ? rev_env : "unknown";
-    const std::string path = dir + "/BENCH_" + slug + ".json";
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "bench: cannot open " << path << " for writing\n";
-      return {};
+  /// Writes the artifact (see write_artifact); points are keyed (mode, load).
+  void write(const std::string& slug, const std::string& figure,
+             const std::string& pattern) const {
+    std::vector<sim::BenchPoint> points;
+    for (const auto& [key, p] : points_) {
+      points.push_back({{{"mode", key.first}, {"load", key.second}}, &p.result, p.wall_ms});
     }
-    out.precision(15);
-    out << "{\n"
-        << "  \"schema\": \"erapid-bench-1\",\n"
-        << "  \"bench\": \"" << figure << "\",\n"
-        << "  \"pattern\": \"" << pattern << "\",\n"
-        << "  \"git_rev\": \"" << rev << "\",\n"
-        << "  \"des_queue\": \"" << des_queue_ << "\",\n"
-        << "  \"obs\": {\"enabled\": " << (obs_enabled_ ? "true" : "false")
-        << ", \"trace\": " << (obs_trace_ ? "true" : "false")
-        << ", \"monitors\": " << (obs_monitors_ ? "true" : "false")
-        << ", \"telemetry\": " << (obs_telemetry_ ? "true" : "false")
-        << ", \"flight_recorder\": " << (obs_flight_ ? "true" : "false") << "},\n"
-        << "  \"points\": [";
-    bool first = true;
-    for (const auto& [key, r] : results_) {
-      const auto wall_it = wall_ms_.find(key);
-      const double wall = wall_it == wall_ms_.end() ? 0.0 : wall_it->second;
-      out << (first ? "\n" : ",\n") << "    {"
-          << "\"mode\": \"" << key.first << "\", "
-          << "\"load\": " << key.second << ", "
-          << "\"throughput_xNc\": " << r.accepted_fraction << ", "
-          << "\"latency_avg_cycles\": " << r.latency_avg << ", "
-          << "\"latency_p99_cycles\": " << r.latency_p99 << ", "
-          << "\"power_avg_mw\": " << r.power_avg_mw << ", "
-          << "\"active_power_avg_mw\": " << r.active_power_avg_mw << ", "
-          << "\"energy_per_packet_mw_cycles\": "
-          << (r.packets_delivered_measured > 0
-                  ? r.power_avg_mw * static_cast<double>(r.end_cycle) /
-                        static_cast<double>(r.packets_delivered_measured)
-                  : 0.0)
-          << ", "
-          << "\"drained\": " << (r.drained ? "true" : "false");
-      // Monitor verdicts stamp the artifact only when the point ran with
-      // monitors configured, keeping monitor-free artifacts unchanged.
-      if (!r.monitors.empty()) {
-        out << ", \"monitors_ok\": " << (r.monitors_ok() ? "true" : "false")
-            << ", \"monitor_violations\": " << r.monitor_violations;
-      }
-      out << ", \"wall_ms\": " << wall << "}";
-      first = false;
-    }
-    // Aggregate wall time: sum is total serial cost, max is the critical
-    // path — what a perfectly parallel campaign of these points would cost.
-    double wall_sum = 0.0;
-    double wall_max = 0.0;
-    for (const auto& [key, wall] : wall_ms_) {
-      wall_sum += wall;
-      if (wall > wall_max) wall_max = wall;
-    }
-    out << "\n  ],\n"
-        << "  \"wall_ms_sum\": " << wall_sum << ",\n"
-        << "  \"wall_ms_max\": " << wall_max << "\n}\n";
-    return path;
+    write_artifact(slug, figure, pattern, last_, points);
   }
 
  private:
-  std::map<std::pair<std::string, double>, sim::SimResult> results_;
-  std::map<std::pair<std::string, double>, double> wall_ms_;
-  std::string des_queue_ = "heap";
-  bool obs_enabled_ = false;
-  bool obs_trace_ = false;
-  bool obs_monitors_ = false;
-  bool obs_telemetry_ = false;
-  bool obs_flight_ = false;
+  std::map<std::pair<std::string, double>, Point> points_;
+  sim::SimOptions last_;
 };
 
 inline FigureStore& store() {
@@ -218,13 +156,12 @@ inline void run_point(benchmark::State& state, traffic::PatternKind pattern,
                       const reconfig::NetworkMode& mode, double load) {
   sim::SimResult result;
   double wall_ms = 0.0;
+  sim::SimOptions o = figure_options();
+  o.pattern = pattern;
+  o.load_fraction = load;
+  o.reconfig.mode = mode;
   for (auto _ : state) {
     const auto wall_start = std::chrono::steady_clock::now();
-    sim::SimOptions o = figure_options();
-    o.pattern = pattern;
-    o.load_fraction = load;
-    o.reconfig.mode = mode;
-    store().stamp_provenance(o);
     sim::Simulation s(o);
     result = s.run();
     benchmark::DoNotOptimize(&result);  // lvalue-double DoNotOptimize miscompiles on this gcc
@@ -235,7 +172,7 @@ inline void run_point(benchmark::State& state, traffic::PatternKind pattern,
   state.counters["thru_xNc"] = result.accepted_fraction;
   state.counters["lat_cyc"] = result.latency_avg;
   state.counters["power_mW"] = result.power_avg_mw;
-  store().put(std::string(mode.name), load, result, wall_ms);
+  store().put(std::string(mode.name), load, result, wall_ms, o);
 }
 
 /// Registers the full 4-mode × 9-load sweep for one pattern.
@@ -277,12 +214,7 @@ inline int figure_main(int argc, char** argv, traffic::PatternKind pattern,
   benchmark::Shutdown();
   const std::string pattern_str(traffic::pattern_name(pattern));
   store().print(figure, pattern_str);
-  if (const char* json_dir = std::getenv("ERAPID_BENCH_JSON");
-      json_dir != nullptr && !store().empty()) {
-    const auto path =
-        store().write_json(json_dir, bench_slug(figure), figure, pattern_str);
-    if (!path.empty()) std::cout << "\nbench JSON written to " << path << "\n";
-  }
+  store().write(bench_slug(figure), figure, pattern_str);
   return 0;
 }
 

@@ -6,29 +6,28 @@
 // network configurations NP-NB / P-NB / NP-B / P-B. Every point is one
 // completion-bounded run: the schedule injects a fixed byte volume and the
 // simulation ends when the last packet resolves, so the headline metric is
-// the makespan (completion cycle), not a steady-state throughput. Each
-// point still carries the standard erapid-bench-1 metrics so
-// tools/obs/compare_runs.py gates the committed artifacts unmodified;
-// points are keyed (pattern = workload kind, mode, load = phase_rate,
-// seed).
+// the makespan (completion cycle), not a steady-state throughput. Points
+// are keyed (pattern = workload kind, mode, load = phase_rate, seed); the
+// completion fields come with the erapid-bench-1 format whenever a
+// workload ran.
 //
-// ERAPID_BENCH_JSON=<dir> writes BENCH_<slug>.json there; ERAPID_GIT_REV
-// stamps the producing revision; ERAPID_BENCH_TINY=1 shrinks the volume
+// ERAPID_BENCH_JSON=<dir> writes BENCH_<slug>.json there (see
+// write_artifact); ERAPID_BENCH_TINY=1 shrinks the volume
 // for sanitizer CI runs (tiny artifacts are NOT comparable to committed
 // full-size ones — CI compares tiny-vs-tiny self-runs only).
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "figure_common.hpp"  // all_modes(), bench_slug()
+#include "figure_common.hpp"  // all_modes(), bench_slug(), Point, write_artifact()
 #include "sim/simulation.hpp"
 #include "util/table.hpp"
 #include "workload/spec.hpp"
@@ -63,39 +62,25 @@ inline sim::SimOptions workload_bench_options(workload::WorkloadKind kind) {
 /// deterministic.
 class WorkloadStore {
  public:
-  void put(const std::string& kind, const std::string& mode, double load,
-           std::uint64_t seed, const sim::SimResult& r, double wall_ms) {
-    results_[{kind, mode}] = r;
-    wall_ms_[{kind, mode}] = wall_ms;
-    load_ = load;
-    seed_ = seed;
-  }
-
-  /// Same self-describing stamp as FigureStore::stamp_provenance: the DES
-  /// queue kind and live obs features land in the artifact header so a
-  /// reader knows what produced it. Never part of the compare_runs gate.
-  void stamp_provenance(const sim::SimOptions& o) {
-    des_queue_ = des::queue_kind_name(o.des_queue);
-    obs_enabled_ = o.obs.enabled;
-    obs_trace_ = o.obs.enabled && !o.obs.trace_path.empty();
-    obs_monitors_ = o.obs.enabled && o.obs.monitors.any();
-    obs_telemetry_ = o.obs.telemetry_on();
-    obs_flight_ = o.obs.flight_recorder_on();
+  void put(const std::string& kind, const std::string& mode, const sim::SimResult& r,
+           double wall_ms, const sim::SimOptions& o) {
+    points_[{kind, mode}] = {r, wall_ms};
+    last_ = o;
   }
 
   /// Prints one row per workload kind, one column block per mode: the
   /// makespan panel (the headline), then throughput and active power.
   void print(const std::string& title) const {
-    if (results_.empty()) return;
+    if (points_.empty()) return;
     std::vector<std::string> kinds;
-    for (const auto& [key, r] : results_) {
+    for (const auto& [key, p] : points_) {
       if (std::find(kinds.begin(), kinds.end(), key.first) == kinds.end())
         kinds.push_back(key.first);
     }
     const std::vector<std::string> order = {"NP-NB", "P-NB", "NP-B", "P-B"};
     std::vector<std::string> present;
     for (const auto& m : order) {
-      for (const auto& [key, r] : results_) {
+      for (const auto& [key, p] : points_) {
         if (key.second == m) {
           present.push_back(m);
           break;
@@ -111,10 +96,10 @@ class WorkloadStore {
       for (const auto& kind : kinds) {
         std::vector<std::string> row = {kind};
         for (const auto& m : present) {
-          const auto it = results_.find({kind, m});
-          row.push_back(it == results_.end()
+          const auto it = points_.find({kind, m});
+          row.push_back(it == points_.end()
                             ? "-"
-                            : util::TablePrinter::fixed(metric(it->second), 3));
+                            : util::TablePrinter::fixed(metric(it->second.result), 3));
         }
         t.row(std::move(row));
       }
@@ -132,98 +117,32 @@ class WorkloadStore {
           [](const sim::SimResult& r) { return r.active_power_avg_mw; });
   }
 
-  [[nodiscard]] bool empty() const { return results_.empty(); }
-
   /// True only if every recorded point ran its workload to completion.
   [[nodiscard]] bool all_completed() const {
-    for (const auto& [key, r] : results_) {
-      if (!r.workload.completed) return false;
+    for (const auto& [key, p] : points_) {
+      if (!p.result.workload.completed) return false;
     }
     return true;
   }
 
-  /// Writes the BENCH_<slug>.json artifact (schema erapid-bench-1).
-  /// Points carry the standard figure-bench metrics plus the
-  /// completion-bounded ones (completed, makespan_cycles, worst phase /
-  /// episode) that compare_runs.py gates as regressions.
-  std::string write_json(const std::string& dir, const std::string& slug,
-                         const std::string& title) const {
-    const char* rev_env = std::getenv("ERAPID_GIT_REV");
-    const std::string rev = rev_env != nullptr ? rev_env : "unknown";
-    const std::string path = dir + "/BENCH_" + slug + ".json";
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "bench: cannot open " << path << " for writing\n";
-      return {};
+  /// Writes the artifact (see write_artifact); points are keyed
+  /// (pattern = kind, mode, load = phase_rate, seed).
+  void write(const std::string& slug, const std::string& title) const {
+    std::vector<sim::BenchPoint> points;
+    for (const auto& [key, p] : points_) {
+      points.push_back({{{"pattern", key.first},
+                         {"mode", key.second},
+                         {"load", last_.workload.phase_rate},
+                         {"seed", last_.seed}},
+                        &p.result,
+                        p.wall_ms});
     }
-    out.precision(15);
-    out << "{\n"
-        << "  \"schema\": \"erapid-bench-1\",\n"
-        << "  \"bench\": \"" << title << "\",\n"
-        << "  \"pattern\": \"workload\",\n"
-        << "  \"git_rev\": \"" << rev << "\",\n"
-        << "  \"des_queue\": \"" << des_queue_ << "\",\n"
-        << "  \"obs\": {\"enabled\": " << (obs_enabled_ ? "true" : "false")
-        << ", \"trace\": " << (obs_trace_ ? "true" : "false")
-        << ", \"monitors\": " << (obs_monitors_ ? "true" : "false")
-        << ", \"telemetry\": " << (obs_telemetry_ ? "true" : "false")
-        << ", \"flight_recorder\": " << (obs_flight_ ? "true" : "false") << "},\n"
-        << "  \"points\": [";
-    bool first = true;
-    for (const auto& [key, r] : results_) {
-      const auto wall_it = wall_ms_.find(key);
-      const double wall = wall_it == wall_ms_.end() ? 0.0 : wall_it->second;
-      out << (first ? "\n" : ",\n") << "    {"
-          << "\"pattern\": \"" << key.first << "\", "
-          << "\"mode\": \"" << key.second << "\", "
-          << "\"load\": " << load_ << ", "
-          << "\"seed\": " << seed_ << ", "
-          << "\"completed\": " << (r.workload.completed ? "true" : "false") << ", "
-          << "\"makespan_cycles\": " << r.end_cycle << ", "
-          << "\"worst_phase_cycles\": " << r.workload.worst_phase_cycles << ", "
-          << "\"worst_episode_cycles\": " << r.workload.worst_episode_cycles << ", "
-          << "\"throughput_xNc\": " << r.accepted_fraction << ", "
-          << "\"latency_avg_cycles\": " << r.latency_avg << ", "
-          << "\"latency_p99_cycles\": " << r.latency_p99 << ", "
-          << "\"power_avg_mw\": " << r.power_avg_mw << ", "
-          << "\"active_power_avg_mw\": " << r.active_power_avg_mw << ", "
-          << "\"energy_per_packet_mw_cycles\": "
-          << (r.packets_delivered_measured > 0
-                  ? r.power_avg_mw * static_cast<double>(r.end_cycle) /
-                        static_cast<double>(r.packets_delivered_measured)
-                  : 0.0)
-          << ", "
-          << "\"drained\": " << (r.drained ? "true" : "false");
-      if (!r.monitors.empty()) {
-        out << ", \"monitors_ok\": " << (r.monitors_ok() ? "true" : "false")
-            << ", \"monitor_violations\": " << r.monitor_violations;
-      }
-      out << ", \"wall_ms\": " << wall << "}";
-      first = false;
-    }
-    double wall_sum = 0.0;
-    double wall_max = 0.0;
-    for (const auto& [key, wall] : wall_ms_) {
-      wall_sum += wall;
-      if (wall > wall_max) wall_max = wall;
-    }
-    out << "\n  ],\n"
-        << "  \"wall_ms_sum\": " << wall_sum << ",\n"
-        << "  \"wall_ms_max\": " << wall_max << "\n}\n";
-    return path;
+    write_artifact(slug, title, "workload", last_, points);
   }
 
  private:
-  std::map<std::pair<std::string, std::string>, sim::SimResult> results_;
-  std::map<std::pair<std::string, std::string>, double> wall_ms_;
-  double load_ = 0.0;
-  std::uint64_t seed_ = 0;
-  std::string des_queue_ = "heap";
-  bool obs_enabled_ = false;
-  bool obs_trace_ = false;
-  bool obs_monitors_ = false;
-  bool obs_telemetry_ = false;
-  bool obs_flight_ = false;
+  std::map<std::pair<std::string, std::string>, Point> points_;
+  sim::SimOptions last_;
 };
 
 inline WorkloadStore& workload_store() {
@@ -241,7 +160,6 @@ inline void run_workload_point(benchmark::State& state, workload::WorkloadKind k
   for (auto _ : state) {
     const auto wall_start = std::chrono::steady_clock::now();
     o.reconfig.mode = mode;
-    workload_store().stamp_provenance(o);
     sim::Simulation s(o);
     result = s.run();
     benchmark::DoNotOptimize(&result);
@@ -252,9 +170,8 @@ inline void run_workload_point(benchmark::State& state, workload::WorkloadKind k
   state.counters["makespan_cyc"] = static_cast<double>(result.end_cycle);
   state.counters["completed"] = result.workload.completed ? 1.0 : 0.0;
   state.counters["power_mW"] = result.active_power_avg_mw;
-  workload_store().put(std::string(workload::kind_name(kind)),
-                       std::string(mode.name), o.workload.phase_rate, o.seed, result,
-                       wall_ms);
+  workload_store().put(std::string(workload::kind_name(kind)), std::string(mode.name), result,
+                       wall_ms, o);
 }
 
 /// Registers the kinds × 4-mode sweep.
@@ -283,13 +200,8 @@ inline int workload_main(int argc, char** argv,
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   workload_store().print(title);
-  if (const char* json_dir = std::getenv("ERAPID_BENCH_JSON");
-      json_dir != nullptr && !workload_store().empty()) {
-    const auto path =
-        workload_store().write_json(json_dir, bench_slug(title), title);
-    if (!path.empty()) std::cout << "\nbench JSON written to " << path << "\n";
-  }
-  if (!workload_store().empty() && !workload_store().all_completed()) {
+  workload_store().write(bench_slug(title), title);
+  if (!workload_store().all_completed()) {
     std::cerr << "\nbench: at least one workload point hit its horizon without "
                  "completing\n";
     return 1;

@@ -45,7 +45,7 @@ FaultInjector::FaultInjector(des::Engine& engine, const topology::SystemConfig& 
                 "bit_error events need the receiver array (one per board × wavelength)");
   drop_budget_[0].assign(terminals_.size(), 0);
   drop_budget_[1].assign(terminals_.size(), 0);
-  if (hub_ != nullptr && hub_->enabled()) {
+  if (hub_ != nullptr) {
     m_faults_ = hub_->metrics().counter("fault.injected");
     m_reroute_wait_ = hub_->metrics().series("fault.reroute_wait");
     // Recovery histograms exist only when a repair can actually happen —

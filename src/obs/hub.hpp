@@ -6,9 +6,10 @@
 //
 //   * library users and tests that build components directly pay nothing
 //     and change nothing;
-//   * with obs off (the default) the only cost at a probe site is one
-//     null-pointer test — the golden fixture pins that the event stream is
-//     byte-identical to pre-obs builds.
+//   * with obs off (the default) the Simulation builds no Hub, so the only
+//     cost at a probe site is one null-pointer test — the golden fixture
+//     pins that the event stream is byte-identical to pre-obs builds. A
+//     Hub that exists is on: there is no second switch to test.
 //
 // The Hub also implements des::Engine::DispatchHook: installed by the
 // Simulation driver, it self-profiles the event calendar (events per tag,
@@ -107,8 +108,6 @@ class Hub final : public des::Engine::DispatchHook {
   Hub(const Hub&) = delete;
   Hub& operator=(const Hub&) = delete;
 
-  /// Master toggle — probe macros check this before touching anything.
-  [[nodiscard]] bool enabled() const { return cfg_.enabled; }
   [[nodiscard]] const ObsConfig& config() const { return cfg_; }
 
   /// Null when tracing is off (metrics may still be on).

@@ -1,12 +1,10 @@
 // Zero-cost-when-off probe macros.
 //
 // Instrumented model code emits through these instead of calling the Hub
-// directly, so observability has two "off" gears:
-//
-//   1. hub == nullptr (a component built without a hub): one branch.
-//   2. hub->enabled() == false (obs.enabled=false at runtime): two
-//      branches, no allocation, no I/O. Argument expressions are not
-//      evaluated in either gear.
+// directly, so observability has one off switch: hub == nullptr. The
+// Simulation builds a hub only with obs.enabled=true, and components
+// built without one get nullptr. Off costs one branch, no allocation, no
+// I/O, and the argument expressions are not evaluated.
 //
 // Trace-only probes additionally check that a TraceSink is attached.
 // The `hub` argument is always an `obs::Hub*` (possibly null).
@@ -17,7 +15,7 @@
 /// Runs `call` against the hub's TraceSink when tracing is live.
 #define ERAPID_OBS_DETAIL_SINK(hub, call)                          \
   do {                                                             \
-    if ((hub) != nullptr && (hub)->enabled()) {                    \
+    if ((hub) != nullptr) {                    \
       if (auto* erapid_obs_sink_ = (hub)->trace()) {               \
         erapid_obs_sink_->call;                                    \
       }                                                            \
@@ -27,7 +25,7 @@
 /// Runs `call` against the hub's MetricsRegistry when obs is on.
 #define ERAPID_OBS_DETAIL_METRICS(hub, call)                       \
   do {                                                             \
-    if ((hub) != nullptr && (hub)->enabled()) {                    \
+    if ((hub) != nullptr) {                    \
       (hub)->metrics().call;                                       \
     }                                                              \
   } while (false)

@@ -11,8 +11,8 @@ Receiver::Receiver(des::Engine& engine, router::Router& router, std::uint32_t in
     : capacity_(queue_capacity),
       injector_(engine, router, in_port, vcs, credits_per_vc, cycles_per_flit),
       hub_(hub) {
-  ERAPID_REQUIRE(queue_capacity >= 1, "receiver queue needs >= 1 slot");
-  if (hub_ != nullptr && hub_->enabled()) {
+  ERAPID_EXPECT(queue_capacity >= 1, "receiver queue needs >= 1 slot");
+  if (hub_ != nullptr) {
     m_rx_ = hub_->metrics().counter("optical.rx_packets");
   }
   injector_.set_idle_callback([this](Cycle now) {

@@ -50,7 +50,7 @@ OpticalTerminal::OpticalTerminal(des::Engine& engine, const topology::SystemConf
       lanes_[lane_index(dest, WavelengthId{w})] = std::move(lane);
     }
   }
-  if (hub_ != nullptr && hub_->enabled()) {
+  if (hub_ != nullptr) {
     m_lane_util_ = hub_->metrics().series("optical.lane_util");
     m_buffer_util_ = hub_->metrics().series("optical.buffer_util");
     m_tx_packets_ = hub_->metrics().counter("optical.tx_packets");

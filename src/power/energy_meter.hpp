@@ -42,7 +42,7 @@ class EnergyMeter {
   // erapid-analyze: allow(contract-coverage)
   void attach_hub(obs::Hub* hub) {
     hub_ = hub;
-    if (hub_ != nullptr && hub_->enabled()) {
+    if (hub_ != nullptr) {
       m_total_ = hub_->metrics().gauge("power.total_mw");
     }
   }

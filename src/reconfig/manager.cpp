@@ -23,12 +23,12 @@ ReconfigManager::ReconfigManager(des::Engine& engine, const topology::SystemConf
   ERAPID_REQUIRE(terminals_.size() == cfg_.num_boards_total(),
                  "one optical terminal per board required: got " << terminals_.size()
                      << " terminals for " << cfg_.num_boards_total() << " boards");
-  ERAPID_REQUIRE(cfg_rc_.window > 0, "reconfiguration window must be positive");
-  ERAPID_REQUIRE(cfg_rc_.ring_hop_cycles > 0 && cfg_rc_.lc_hop_cycles > 0,
-                 "control-plane hops take >= 1 cycle: ring=" << cfg_rc_.ring_hop_cycles
-                     << " lc=" << cfg_rc_.lc_hop_cycles);
-  ERAPID_REQUIRE(cfg_rc_.rc_watchdog_cycles > 0,
-                 "ring-token watchdog timeout must be >= 1 cycle");
+  ERAPID_EXPECT(cfg_rc_.window > 0, "reconfiguration window must be positive");
+  ERAPID_EXPECT(cfg_rc_.ring_hop_cycles > 0 && cfg_rc_.lc_hop_cycles > 0,
+                "control-plane hops take >= 1 cycle: ring=" << cfg_rc_.ring_hop_cycles
+                    << " lc=" << cfg_rc_.lc_hop_cycles);
+  ERAPID_EXPECT(cfg_rc_.rc_watchdog_cycles > 0,
+                "ring-token watchdog timeout must be >= 1 cycle");
   lane_stats_.resize(terminals_.size());
   flow_stats_.resize(terminals_.size());
   board_level_changes_.resize(terminals_.size(), 0);
@@ -39,7 +39,7 @@ ReconfigManager::ReconfigManager(des::Engine& engine, const topology::SystemConf
     dpm_.push_back(
         make_dpm_strategy(cfg_rc_.dpm_strategy, cfg_rc_.mode.dpm, cfg_rc_.dpm_params));
   }
-  if (hub_ != nullptr && hub_->enabled()) {
+  if (hub_ != nullptr) {
     m_windows_ = hub_->metrics().counter("reconfig.windows");
     m_lanes_moved_ = hub_->metrics().series("reconfig.dbr_lanes_moved");
     m_grants_ = hub_->metrics().counter("reconfig.lane_grants");
@@ -401,7 +401,7 @@ void ReconfigManager::run_bandwidth_cycle(Cycle t) {
     // darkness past t_apply) or a stale drop. The engine's event stream is
     // identical with or without the tracker.
     std::function<void(Cycle)> settled;
-    if (hub_ != nullptr && hub_->enabled() && !decided.empty()) {
+    if (hub_ != nullptr && !decided.empty()) {
       struct ResolveTracker {
         Cycle resolve_at = 0;
         std::size_t outstanding = 0;

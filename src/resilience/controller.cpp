@@ -30,7 +30,7 @@ DegradeController::DegradeController(const DegradeConfig& cfg, double power_cap_
     ERAPID_REQUIRE(cap_mw_ > 0.0,
                    "brownout ladder needs the power-cap threshold it defends");
   }
-  if (hub_ != nullptr && hub_->enabled()) {
+  if (hub_ != nullptr) {
     auto& m = hub_->metrics();
     m_steps_down_ = m.counter("resilience.ladder_steps");
     m_steps_up_ = m.counter("resilience.recover_steps");
@@ -76,7 +76,7 @@ obs::MonitorSet::ActuationDecision DegradeController::on_violation(const char* n
   if (*pol == ResponsePolicy::Abort) return obs::MonitorSet::ActuationDecision::Abort;
   if (*pol == ResponsePolicy::Degrade || *pol == ResponsePolicy::Shed) act(now);
   ++stats_.suppressed_violations;
-  if (hub_ != nullptr && hub_->enabled()) hub_->metrics().add(m_suppressed_);
+  if (hub_ != nullptr) hub_->metrics().add(m_suppressed_);
   return obs::MonitorSet::ActuationDecision::Suppress;
 }
 
@@ -101,7 +101,7 @@ void DegradeController::act(Cycle now) {
     stats_.engaged = true;
   }
   ++stats_.steps_down;
-  if (hub_ != nullptr && hub_->enabled()) hub_->metrics().add(m_steps_down_);
+  if (hub_ != nullptr) hub_->metrics().add(m_steps_down_);
 
   const bool shed_policy =
       cfg_.power_cap.has_value() && *cfg_.power_cap == ResponsePolicy::Shed;
@@ -172,7 +172,7 @@ void DegradeController::on_power_sample(Cycle now, double mw) {
 void DegradeController::step_up(Cycle now) {
   last_action_ = now;
   ++stats_.steps_up;
-  if (hub_ != nullptr && hub_->enabled()) hub_->metrics().add(m_steps_up_);
+  if (hub_ != nullptr) hub_->metrics().add(m_steps_up_);
   switch (stage_) {
     case Stage::Shed:
       if (!shed_batches_.empty()) {
@@ -200,7 +200,7 @@ void DegradeController::step_up(Cycle now) {
       ++stats_.episodes;
       const CycleDelta dur = now - *episode_start_;
       stats_.time_degraded += dur;
-      if (hub_ != nullptr && hub_->enabled()) {
+      if (hub_ != nullptr) {
         hub_->metrics().observe(m_degraded_time_, static_cast<double>(dur));
       }
       episode_start_.reset();
@@ -260,7 +260,7 @@ std::uint32_t DegradeController::sleep_idle_lanes(Cycle now) {
     }
   }
   stats_.lanes_slept += slept;
-  if (hub_ != nullptr && hub_->enabled()) {
+  if (hub_ != nullptr) {
     for (std::uint32_t i = 0; i < slept; ++i) hub_->metrics().add(m_lanes_slept_);
   }
   return slept;
@@ -310,7 +310,7 @@ std::uint32_t DegradeController::shed_batch(Cycle now) {
   const auto n = static_cast<std::uint32_t>(batch.size());
   shed_total_ += n;
   stats_.lanes_shed += n;
-  if (hub_ != nullptr && hub_->enabled()) {
+  if (hub_ != nullptr) {
     auto& m = hub_->metrics();
     for (std::uint32_t i = 0; i < n; ++i) m.add(m_lanes_shed_);
     m.observe(m_shed_batch_, static_cast<double>(n));
@@ -331,7 +331,7 @@ std::uint32_t DegradeController::restore_batch(Cycle /*now*/) {
   ERAPID_INVARIANT(shed_total_ >= n, "restored more lanes than were shed");
   shed_total_ -= n;
   stats_.lanes_restored += n;
-  if (hub_ != nullptr && hub_->enabled()) {
+  if (hub_ != nullptr) {
     auto& m = hub_->metrics();
     for (std::uint32_t i = 0; i < n; ++i) m.add(m_lanes_restored_);
     m.observe(m_restore_batch_, static_cast<double>(n));
@@ -346,7 +346,7 @@ void DegradeController::finalize(Cycle now) {
   // time-in-degraded-state (but not toward completed episodes).
   const CycleDelta dur = now - *episode_start_;
   stats_.time_degraded += dur;
-  if (hub_ != nullptr && hub_->enabled()) {
+  if (hub_ != nullptr) {
     hub_->metrics().observe(m_degraded_time_, static_cast<double>(dur));
   }
   episode_start_.reset();

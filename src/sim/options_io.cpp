@@ -195,17 +195,17 @@ const Key kKeys[] = {
     integer("system.vc_buffer_flits", FIELD(system.vc_buffer_flits)),
     integer("system.credit_delay", FIELD(system.credit_delay)),
     integer<1>("system.tx_queue_packets", FIELD(system.tx_queue_packets)),
-    integer("system.rx_queue_packets", FIELD(system.rx_queue_packets)),
+    integer<1>("system.rx_queue_packets", FIELD(system.rx_queue_packets)),
     integer("system.fiber_delay_cycles", FIELD(system.fiber_delay_cycles)),
     integer("system.tx_feed_cycles_per_flit", FIELD(system.tx_feed_cycles_per_flit)),
     choice<parse_mode, mode_name>("reconfig.mode", FIELD(reconfig.mode)),
-    integer("reconfig.window", FIELD(reconfig.window)),
-    integer("reconfig.ring_hop_cycles", FIELD(reconfig.ring_hop_cycles)),
-    integer("reconfig.lc_hop_cycles", FIELD(reconfig.lc_hop_cycles)),
+    integer<1>("reconfig.window", FIELD(reconfig.window)),
+    integer<1>("reconfig.ring_hop_cycles", FIELD(reconfig.ring_hop_cycles)),
+    integer<1>("reconfig.lc_hop_cycles", FIELD(reconfig.lc_hop_cycles)),
     choice<parse_strategy, reconfig::to_string>("reconfig.dpm_strategy",
                                                FIELD(reconfig.dpm_strategy)),
-    integer("reconfig.hysteresis_windows", FIELD(reconfig.dpm_params.hysteresis_windows)),
-    real("reconfig.ewma_alpha", FIELD(reconfig.dpm_params.ewma_alpha)),
+    integer<1>("reconfig.hysteresis_windows", FIELD(reconfig.dpm_params.hysteresis_windows)),
+    real<kPositive, 1.0>("reconfig.ewma_alpha", FIELD(reconfig.dpm_params.ewma_alpha)),
     real("reconfig.l_min", FIELD(reconfig.mode.dpm.l_min)),
     real("reconfig.l_max", FIELD(reconfig.mode.dpm.l_max)),
     real("reconfig.b_max", FIELD(reconfig.mode.dpm.b_max)),
@@ -214,7 +214,7 @@ const Key kKeys[] = {
     integer("reconfig.max_lanes_per_flow", FIELD(reconfig.mode.dbr.max_lanes_per_flow)),
     flag("reconfig.shutdown_idle", FIELD(reconfig.mode.dpm.shutdown_idle)),
     integer("reconfig.ctrl_retry_limit", FIELD(reconfig.ctrl_retry_limit)),
-    integer("reconfig.rc_watchdog_cycles", FIELD(reconfig.rc_watchdog_cycles)),
+    integer<1>("reconfig.rc_watchdog_cycles", FIELD(reconfig.rc_watchdog_cycles)),
     integer("link.arq_retry_limit", FIELD(system.arq_retry_limit)),
     integer("link.arq_backoff_cycles", FIELD(system.arq_backoff_cycles)),
     integer("link.arq_nak_cycles", FIELD(system.arq_nak_cycles)),
@@ -228,7 +228,7 @@ const Key kKeys[] = {
     real("workload.load", FIELD(load_fraction)),
     integer("workload.seed", FIELD(seed)),
     integer("workload.warmup_cycles", FIELD(warmup_cycles)),
-    integer("workload.measure_cycles", FIELD(measure_cycles)),
+    integer<1>("workload.measure_cycles", FIELD(measure_cycles)),
     integer("workload.drain_limit", FIELD(drain_limit)),
     choice<workload::parse_kind, workload::kind_name>("workload.kind", FIELD(workload.kind)),
     integer("workload.episodes", FIELD(workload.episodes)),

@@ -20,7 +20,7 @@ Recorder::Recorder(des::Engine& engine, Network& network, CycleDelta interval, o
 }
 
 obs::MetricsRegistry& Recorder::registry() {
-  if (hub_ != nullptr && hub_->enabled()) return hub_->metrics();
+  if (hub_ != nullptr) return hub_->metrics();
   return own_;
 }
 

@@ -1,5 +1,6 @@
 #include "sim/report.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -11,7 +12,15 @@ namespace {
 
 class JsonObject {
  public:
+  /// Multi-line object: one field per line at `indent + 2`.
   explicit JsonObject(int indent) : indent_(indent) { os_.precision(15); }
+
+  /// Single-line object: {"a": 1, "b": 2}.
+  static JsonObject one_line() {
+    JsonObject o(0);
+    o.one_line_ = true;
+    return o;
+  }
 
   template <typename T>
   void field(const char* name, const T& value) {
@@ -32,19 +41,40 @@ class JsonObject {
   }
 
   [[nodiscard]] std::string str() const {
+    if (one_line_) return "{" + os_.str() + "}";
     return "{" + os_.str() + "\n" + pad(indent_) + "}";
   }
 
  private:
   static std::string pad(int n) { return std::string(static_cast<std::size_t>(n), ' '); }
   void sep() {
-    os_ << (first_ ? "\n" : ",\n") << pad(indent_ + 2);
+    if (one_line_) {
+      os_ << (first_ ? "" : ", ");
+    } else {
+      os_ << (first_ ? "\n" : ",\n") << pad(indent_ + 2);
+    }
     first_ = false;
   }
   std::ostringstream os_;
   int indent_;
+  bool one_line_ = false;
   bool first_ = true;
 };
+
+/// The `resilience` block's fields: one list for the report and the bench
+/// point alike.
+void resilience_fields(JsonObject& d, const SimResult::ResilienceSummary& r) {
+  d.field("engaged", r.engaged);
+  d.field("peak_stage", r.peak_stage);
+  d.field("steps_down", r.steps_down);
+  d.field("steps_up", r.steps_up);
+  d.field("lanes_shed", r.lanes_shed);
+  d.field("lanes_restored", r.lanes_restored);
+  d.field("lanes_slept", r.lanes_slept);
+  d.field("episodes", r.episodes);
+  d.field("time_degraded", r.time_degraded);
+  d.field("suppressed_violations", r.suppressed_violations);
+}
 
 }  // namespace
 
@@ -181,16 +211,7 @@ std::string to_json(const SimResult& r, int indent) {
   // byte-exactly (absence of the block reads as "degradation-free run").
   if (r.resilience.active) {
     JsonObject d(indent + 2);
-    d.field("engaged", r.resilience.engaged);
-    d.field("peak_stage", r.resilience.peak_stage);
-    d.field("steps_down", r.resilience.steps_down);
-    d.field("steps_up", r.resilience.steps_up);
-    d.field("lanes_shed", r.resilience.lanes_shed);
-    d.field("lanes_restored", r.resilience.lanes_restored);
-    d.field("lanes_slept", r.resilience.lanes_slept);
-    d.field("episodes", r.resilience.episodes);
-    d.field("time_degraded", r.resilience.time_degraded);
-    d.field("suppressed_violations", r.resilience.suppressed_violations);
+    resilience_fields(d, r.resilience);
     o.raw_field("resilience", d.str());
   }
   return o.str();
@@ -218,6 +239,82 @@ void write_results_json(const std::string& path,
   std::ofstream out(path);
   ERAPID_EXPECT(static_cast<bool>(out), "cannot open JSON report: " + path);
   out << results_to_json(named);
+}
+
+std::string bench_point_json(const BenchPoint& p) {
+  const SimResult& r = *p.result;
+  auto o = JsonObject::one_line();
+  for (const auto& [name, value] : p.key) {
+    std::visit([&o, &name](const auto& v) { o.field(name.c_str(), v); }, value);
+  }
+  if (r.workload.active()) {
+    o.field("completed", r.workload.completed);
+    o.field("makespan_cycles", r.end_cycle);
+    o.field("worst_phase_cycles", r.workload.worst_phase_cycles);
+    o.field("worst_episode_cycles", r.workload.worst_episode_cycles);
+  }
+  o.field("throughput_xNc", r.accepted_fraction);
+  o.field("latency_avg_cycles", r.latency_avg);
+  o.field("latency_p99_cycles", r.latency_p99);
+  o.field("power_avg_mw", r.power_avg_mw);
+  o.field("active_power_avg_mw", r.active_power_avg_mw);
+  o.field("energy_per_packet_mw_cycles",
+          r.packets_delivered_measured > 0
+              ? r.power_avg_mw * static_cast<double>(r.end_cycle) /
+                    static_cast<double>(r.packets_delivered_measured)
+              : 0.0);
+  o.field("drained", r.drained);
+  if (!r.monitors.empty()) {
+    o.field("monitors_ok", r.monitors_ok());
+    o.field("monitor_violations", r.monitor_violations);
+  }
+  if (r.resilience.active) {
+    auto d = JsonObject::one_line();
+    resilience_fields(d, r.resilience);
+    o.raw_field("resilience", d.str());
+  }
+  o.field("wall_ms", p.wall_ms);
+  return o.str();
+}
+
+std::string bench_to_json(const std::string& bench, const std::string& pattern,
+                          const std::string& git_rev, const SimOptions& last,
+                          const std::vector<BenchPoint>& points) {
+  JsonObject doc(0);
+  doc.field("schema", "erapid-bench-1");
+  doc.field("bench", bench);
+  doc.field("pattern", pattern);
+  doc.field("git_rev", git_rev);
+  doc.field("des_queue", des::queue_kind_name(last.des_queue));
+  auto obs = JsonObject::one_line();
+  obs.field("enabled", last.obs.enabled);
+  obs.field("trace", last.obs.enabled && !last.obs.trace_path.empty());
+  obs.field("monitors", last.obs.enabled && last.obs.monitors.any());
+  obs.field("telemetry", last.obs.telemetry_on());
+  obs.field("flight_recorder", last.obs.flight_recorder_on());
+  doc.raw_field("obs", obs.str());
+  std::string arr = "[";
+  // Aggregate wall time: sum is total serial cost, max is the critical
+  // path — what a perfectly parallel campaign of these points would cost.
+  double wall_sum = 0.0;
+  double wall_max = 0.0;
+  for (const auto& p : points) {
+    arr += (arr.size() == 1 ? "\n    " : ",\n    ") + bench_point_json(p);
+    wall_sum += p.wall_ms;
+    wall_max = std::max(wall_max, p.wall_ms);
+  }
+  doc.raw_field("points", arr + "\n  ]");
+  doc.field("wall_ms_sum", wall_sum);
+  doc.field("wall_ms_max", wall_max);
+  return doc.str() + "\n";
+}
+
+void write_bench_json(const std::string& path, const std::string& bench,
+                      const std::string& pattern, const std::string& git_rev,
+                      const SimOptions& last, const std::vector<BenchPoint>& points) {
+  std::ofstream out(path);
+  ERAPID_EXPECT(static_cast<bool>(out), "cannot open bench artifact: " + path);
+  out << bench_to_json(bench, pattern, git_rev, last, points);
 }
 
 }  // namespace erapid::sim

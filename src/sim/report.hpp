@@ -1,12 +1,16 @@
 // Machine-readable result export.
 //
 // SimResult → JSON, for downstream plotting or regression tracking without
-// scraping the console tables. Hand-rolled emitter (flat structs only; a
-// JSON library dependency is not warranted).
+// scraping the console tables, and the erapid-bench-1 artifact format that
+// every bench and campaign point is written in (DESIGN.md §8, "Bench
+// artifacts"). Hand-rolled emitter (flat structs only; a JSON library
+// dependency is not warranted).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -23,5 +27,34 @@ namespace erapid::sim {
 /// Writes results_to_json to a file (throws ModelInvariantError on I/O).
 void write_results_json(const std::string& path,
                         const std::vector<std::pair<std::string, SimResult>>& named);
+
+/// Point-key fields of one erapid-bench-1 point, in output order. They are
+/// the point's identity: compare_runs.py matches points on them.
+using BenchKey =
+    std::vector<std::pair<std::string, std::variant<std::string, double, std::uint64_t>>>;
+
+/// One erapid-bench-1 point: what only the caller knows (key, wall time
+/// measured in the harness) plus the result that fills in the rest.
+struct BenchPoint {
+  BenchKey key;
+  const SimResult* result = nullptr;
+  double wall_ms = 0.0;
+};
+
+/// One point as a single-line JSON object: the key fields, then the
+/// result-driven fields, then wall_ms.
+[[nodiscard]] std::string bench_point_json(const BenchPoint& p);
+
+/// erapid-bench-1 document. `git_rev` is supplied by the harness; the
+/// provenance header (DES queue kind, live obs features) is read from
+/// `last`, the options of the last point run.
+[[nodiscard]] std::string bench_to_json(const std::string& bench, const std::string& pattern,
+                                        const std::string& git_rev, const SimOptions& last,
+                                        const std::vector<BenchPoint>& points);
+
+/// Writes bench_to_json to a file (throws ModelInvariantError on I/O).
+void write_bench_json(const std::string& path, const std::string& bench,
+                      const std::string& pattern, const std::string& git_rev,
+                      const SimOptions& last, const std::vector<BenchPoint>& points);
 
 }  // namespace erapid::sim

@@ -1,33 +1,24 @@
-// Arena and pool allocation for the simulator hot path.
+// Arena allocation for the simulator hot path.
 //
 // The DES core used to pay one heap allocation per scheduled event (the
 // shared cancellation flag) and one per large event closure; at millions of
 // events per run that is a measurable slice of the `engine dispatch cost`
-// histogram. Two building blocks remove it:
+// histogram. Arena removes it: a chunked bump allocator. allocate() is a
+// pointer increment; nothing is freed individually. reset() rewinds every
+// chunk for reuse (capacity is retained), which suits strictly run-scoped
+// lifetimes: one Simulation owns one Arena, and everything allocated from
+// it dies with the run. Requests larger than the chunk size fall back to a
+// dedicated exact-size chunk (still arena-owned, still freed with it).
 //
-//  * Arena — a chunked bump allocator. allocate() is a pointer increment;
-//    nothing is freed individually. reset() rewinds every chunk for reuse
-//    (capacity is retained), which suits strictly run-scoped lifetimes:
-//    one Simulation owns one Arena, and everything allocated from it dies
-//    with the run. Requests larger than the chunk size fall back to a
-//    dedicated exact-size chunk (still arena-owned, still freed with it).
-//
-//  * Pool<T> — a typed free-list on top of an Arena. create() reuses a
-//    recycled slot when one exists and bump-allocates otherwise; destroy()
-//    runs the destructor and recycles the slot. Slot memory is never
-//    returned to the OS before the Arena dies.
-//
-// Lifetime rules (see DESIGN.md §11): objects handed out by a Pool must not
-// outlive the Arena backing it, and Arena::reset() invalidates every live
-// pool object at once — callers reset only between runs, never mid-run.
-// Neither type is thread-safe; in a sharded campaign each worker owns its
-// whole simulation, arena included.
+// Lifetime rules (see DESIGN.md §11): Arena::reset() invalidates every
+// object allocated from the arena at once — callers reset only between
+// runs, never mid-run. Arena is not thread-safe; in a sharded campaign
+// each worker owns its whole simulation, arena included.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -122,58 +113,6 @@ class Arena {
   std::size_t active_ = 0;  ///< index of the chunk the bump pointer lives in
   std::size_t chunk_bytes_;
   std::size_t bytes_served_ = 0;
-};
-
-/// Typed free-list pool over an Arena: O(1) create/destroy with slot reuse.
-template <typename T>
-class Pool {
- public:
-  explicit Pool(Arena& arena) : arena_(arena) {}
-
-  Pool(const Pool&) = delete;
-  Pool& operator=(const Pool&) = delete;
-
-  template <typename... Args>
-  [[nodiscard]] T* create(Args&&... args) {
-    Slot* s = free_;
-    if (s != nullptr) {
-      free_ = s->next;
-      --free_count_;
-    } else {
-      s = static_cast<Slot*>(arena_.allocate(sizeof(Slot), alignof(Slot)));
-      ++slots_created_;
-    }
-    ++live_;
-    return ::new (static_cast<void*>(s->storage)) T(std::forward<Args>(args)...);
-  }
-
-  /// Destroys `p` (which must have come from this pool) and recycles its
-  /// slot. Null is ignored.
-  void destroy(T* p) {
-    if (p == nullptr) return;
-    p->~T();
-    auto* s = std::launder(reinterpret_cast<Slot*>(p));
-    s->next = free_;
-    free_ = s;
-    ++free_count_;
-    --live_;
-  }
-
-  [[nodiscard]] std::size_t live() const { return live_; }
-  [[nodiscard]] std::size_t free_count() const { return free_count_; }
-  [[nodiscard]] std::size_t slots_created() const { return slots_created_; }
-
- private:
-  union Slot {
-    Slot* next;
-    alignas(T) std::byte storage[sizeof(T)];
-  };
-
-  Arena& arena_;
-  Slot* free_ = nullptr;
-  std::size_t live_ = 0;
-  std::size_t free_count_ = 0;
-  std::size_t slots_created_ = 0;
 };
 
 }  // namespace erapid::util

@@ -36,7 +36,7 @@ PhaseEngine::PhaseEngine(des::Engine& engine, Schedule schedule, PhaseEngineConf
   stats_.phases_total = static_cast<std::uint32_t>(schedule_.phases.size());
   stats_.episodes_total =
       static_cast<std::uint32_t>(schedule_.phases.size()) / phases_per_episode();
-  if (hub_ != nullptr && hub_->enabled()) {
+  if (hub_ != nullptr) {
     m_phase_hist_ = hub_->metrics().histogram("workload.phase_cycles");
     m_episode_hist_ = hub_->metrics().histogram("workload.collective_cycles");
   }

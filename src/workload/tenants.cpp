@@ -42,7 +42,7 @@ TenantFleet::TenantFleet(des::Engine& engine, TenantFleetConfig cfg,
     // Forked in tenant order: tenant t's stream depends only on (seed, t).
     tenants_.push_back(Tenant{master.fork(), {}, 0});
   }
-  if (hub_ != nullptr && hub_->enabled()) {
+  if (hub_ != nullptr) {
     m_tenant_bytes_.reserve(cfg_.tenants);
     for (std::uint32_t t = 0; t < cfg_.tenants; ++t) {
       m_tenant_bytes_.push_back(

@@ -359,6 +359,30 @@ class GoldenCampaignTest(unittest.TestCase):
             "campaign artifact drifted from golden; if intentional, "
             "regenerate with ERAPID_REGEN_GOLDEN=1")
 
+    def test_result_driven_blocks_reach_campaign_points(self):
+        binary = campaign_binary()
+        if binary is None:
+            self.skipTest("erapid_campaign binary not built")
+        small = {"system.boards": 4, "system.nodes_per_board": 4}
+        allreduce = {**small, "workload.kind": "allreduce", "workload.episodes": 1,
+                     "workload.volume_packets": 2, "workload.phase_rate": 0.6}
+        brownout = {**small, "workload.warmup_cycles": 1000,
+                    "workload.measure_cycles": 2000, "obs.enabled": "true",
+                    "monitor.power_cap_mw": 100, "degrade.power_cap": "shed"}
+        records = []
+        for overrides in (allreduce, brownout):
+            point = {"pattern": "uniform", "mode": "P-B", "load": 0.5, "seed": 1,
+                     "overrides": overrides}
+            record, _ = campaign.run_point_once(binary, point, no_wall=True)
+            self.assertNotIn("failed", record, record.get("error"))
+            records.append(record)
+        self.assertIs(records[0]["completed"], True)
+        self.assertIn("makespan_cycles", records[0])
+        self.assertNotIn("resilience", records[0])
+        self.assertIn("resilience", records[1])
+        self.assertIn("time_degraded", records[1]["resilience"])
+        self.assertNotIn("completed", records[1])
+
 
 if __name__ == "__main__":
     unittest.main()

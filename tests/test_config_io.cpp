@@ -853,7 +853,9 @@ TEST(OptionsIo, RealKeysRejectMalformedValues) {
   // Explicit bounds: unit weights in (0, 1], non-negative slack and
   // monitor thresholds, positive phase threshold, integer floors of 1
   // (a zero channel width divided by zero; a zero transmit queue ran
-  // without ever accepting a packet).
+  // without ever accepting a packet; a zero measurement window printed
+  // NaN throughput; a zero reconfiguration window rescheduled its timer
+  // on the same cycle forever).
   const std::pair<const char*, const char*> kOutOfRange[] = {
       {"system.channel_width_bits", "0"},    {"system.tx_queue_packets", "0"},
       {"obs.telemetry_ewma_alpha", "0"},     {"obs.telemetry_ewma_alpha", "1.0000001"},
@@ -862,6 +864,11 @@ TEST(OptionsIo, RealKeysRejectMalformedValues) {
       {"monitor.power_cap_mw", "-1"},        {"monitor.throughput_floor", "-0.5"},
       {"monitor.p99_latency_ceiling", "-900"}, {"obs.counter_interval", "0"},
       {"obs.telemetry_window", "0"},         {"obs.telemetry_top_k", "0"},
+      {"workload.measure_cycles", "0"},      {"reconfig.window", "0"},
+      {"reconfig.ring_hop_cycles", "0"},     {"reconfig.lc_hop_cycles", "0"},
+      {"reconfig.rc_watchdog_cycles", "0"},  {"system.rx_queue_packets", "0"},
+      {"reconfig.hysteresis_windows", "0"},  {"reconfig.ewma_alpha", "0"},
+      {"reconfig.ewma_alpha", "1.5"},
   };
   for (const auto& [key, value] : kOutOfRange) {
     Ini ini;
@@ -1092,6 +1099,125 @@ TEST(Report, WriteFileRoundTrip) {
   ss << in.rdbuf();
   EXPECT_NE(ss.str().find("\"x\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+// erapid-bench-1 points: each result-driven block pinned byte for byte.
+erapid::sim::SimResult bench_result() {
+  erapid::sim::SimResult r;
+  r.accepted_fraction = 0.25;
+  r.latency_avg = 100.5;
+  r.latency_p99 = 300;
+  r.power_avg_mw = 50;
+  r.active_power_avg_mw = 20.125;
+  r.packets_delivered_measured = 40;
+  r.end_cycle = 1000;
+  r.drained = true;
+  return r;
+}
+
+const char kBenchMetrics[] =
+    "\"throughput_xNc\": 0.25, \"latency_avg_cycles\": 100.5, \"latency_p99_cycles\": 300, "
+    "\"power_avg_mw\": 50, \"active_power_avg_mw\": 20.125, "
+    "\"energy_per_packet_mw_cycles\": 1250, \"drained\": true";
+
+TEST(Report, BenchPointOpenLoop) {
+  const auto r = bench_result();
+  EXPECT_EQ(erapid::sim::bench_point_json({{{"mode", std::string("P-B")}, {"load", 0.3}}, &r, 12.5}),
+            std::string("{\"mode\": \"P-B\", \"load\": 0.3, ") + kBenchMetrics +
+                ", \"wall_ms\": 12.5}");
+}
+
+TEST(Report, BenchPointWorkloadBlock) {
+  auto r = bench_result();
+  r.workload.kind = "allreduce";
+  r.workload.completed = true;
+  r.workload.worst_phase_cycles = 312;
+  r.workload.worst_episode_cycles = 900;
+  EXPECT_EQ(erapid::sim::bench_point_json({{{"pattern", std::string("allreduce")},
+                                             {"mode", std::string("NP-NB")},
+                                             {"load", 0.7},
+                                             {"seed", std::uint64_t{1}}},
+                                            &r,
+                                            0.0}),
+            std::string("{\"pattern\": \"allreduce\", \"mode\": \"NP-NB\", \"load\": 0.7, "
+                        "\"seed\": 1, \"completed\": true, \"makespan_cycles\": 1000, "
+                        "\"worst_phase_cycles\": 312, \"worst_episode_cycles\": 900, ") +
+                kBenchMetrics + ", \"wall_ms\": 0}");
+}
+
+TEST(Report, BenchPointMonitorsAndResilienceBlocks) {
+  auto r = bench_result();
+  r.monitors = {{"power_cap_mw", "{}"}};
+  r.monitor_violations = 3;
+  r.resilience.active = true;
+  r.resilience.engaged = true;
+  r.resilience.peak_stage = "shed";
+  r.resilience.steps_down = 4;
+  r.resilience.steps_up = 1;
+  r.resilience.lanes_shed = 2;
+  r.resilience.lanes_restored = 1;
+  r.resilience.lanes_slept = 5;
+  r.resilience.episodes = 1;
+  r.resilience.time_degraded = 700;
+  r.resilience.suppressed_violations = 3;
+  EXPECT_EQ(
+      erapid::sim::bench_point_json(
+          {{{"mode", std::string("P-B")}, {"cap_mw", 100.0}, {"load", 0.5}}, &r, 1.0}),
+      std::string("{\"mode\": \"P-B\", \"cap_mw\": 100, \"load\": 0.5, ") + kBenchMetrics +
+          ", \"monitors_ok\": false, \"monitor_violations\": 3, \"resilience\": "
+          "{\"engaged\": true, \"peak_stage\": \"shed\", \"steps_down\": 4, \"steps_up\": 1, "
+          "\"lanes_shed\": 2, \"lanes_restored\": 1, \"lanes_slept\": 5, \"episodes\": 1, "
+          "\"time_degraded\": 700, \"suppressed_violations\": 3}, \"wall_ms\": 1}");
+}
+
+// Every quoted key between `"resilience": {` and the block's closing brace.
+std::vector<std::string> resilience_keys(const std::string& json) {
+  std::vector<std::string> keys;
+  auto pos = json.find("\"resilience\": {");
+  if (pos == std::string::npos) return keys;
+  const auto end = json.find('}', pos);
+  pos += std::string("\"resilience\": {").size();
+  while ((pos = json.find('"', pos)) < end) {
+    const auto close = json.find('"', pos + 1);
+    if (json.compare(close + 1, 1, ":") == 0) keys.push_back(json.substr(pos + 1, close - pos - 1));
+    pos = json.find_first_of(",}", close);
+  }
+  return keys;
+}
+
+TEST(Report, BenchPointResilienceKeysMatchReport) {
+  auto r = bench_result();
+  r.resilience.active = true;
+  const auto point_keys = resilience_keys(erapid::sim::bench_point_json({{}, &r, 0.0}));
+  EXPECT_EQ(point_keys.size(), 10u);
+  EXPECT_EQ(point_keys, resilience_keys(erapid::sim::to_json(r)));
+}
+
+TEST(Report, BenchDocumentLayout) {
+  const auto r = bench_result();
+  erapid::sim::SimOptions last;
+  last.obs.enabled = true;
+  last.obs.monitors.power_cap_mw = 100;
+  const auto doc = erapid::sim::bench_to_json(
+      "Fig", "uniform", "abc", last,
+      {{{{"load", 0.1}}, &r, 2.0}, {{{"load", 0.2}}, &r, 3.0}});
+  EXPECT_EQ(doc, std::string("{\n"
+                             "  \"schema\": \"erapid-bench-1\",\n"
+                             "  \"bench\": \"Fig\",\n"
+                             "  \"pattern\": \"uniform\",\n"
+                             "  \"git_rev\": \"abc\",\n"
+                             "  \"des_queue\": \"heap\",\n"
+                             "  \"obs\": {\"enabled\": true, \"trace\": false, \"monitors\": "
+                             "true, \"telemetry\": false, \"flight_recorder\": false},\n"
+                             "  \"points\": [\n"
+                             "    {\"load\": 0.1, ") +
+                     kBenchMetrics + ", \"wall_ms\": 2},\n    {\"load\": 0.2, " +
+                     kBenchMetrics +
+                     ", \"wall_ms\": 3}\n"
+                     "  ],\n"
+                     "  \"wall_ms_sum\": 5,\n"
+                     "  \"wall_ms_max\": 3\n"
+                     "}\n");
 }
 
 }  // namespace

@@ -301,38 +301,6 @@ TEST(Arena, ZeroByteRequestStillReturnsDistinctStorage) {
   EXPECT_NE(a, b);
 }
 
-// ---- Pool --------------------------------------------------------------
-
-struct PoolProbe {
-  explicit PoolProbe(int v) : value(v) { ++alive; }
-  ~PoolProbe() { --alive; }
-  int value;
-  static int alive;
-};
-int PoolProbe::alive = 0;
-
-TEST(Pool, CreateDestroyRecyclesSlots) {
-  erapid::util::Arena arena(1024);
-  erapid::util::Pool<PoolProbe> pool(arena);
-  PoolProbe* a = pool.create(1);
-  PoolProbe* b = pool.create(2);
-  EXPECT_EQ(a->value, 1);
-  EXPECT_EQ(b->value, 2);
-  EXPECT_EQ(pool.live(), 2u);
-  EXPECT_EQ(PoolProbe::alive, 2);
-  pool.destroy(a);
-  EXPECT_EQ(pool.live(), 1u);
-  EXPECT_EQ(pool.free_count(), 1u);
-  PoolProbe* c = pool.create(3);  // reuses a's slot
-  EXPECT_EQ(static_cast<void*>(c), static_cast<void*>(a));
-  EXPECT_EQ(pool.free_count(), 0u);
-  EXPECT_EQ(pool.slots_created(), 2u);
-  pool.destroy(b);
-  pool.destroy(c);
-  EXPECT_EQ(PoolProbe::alive, 0);
-  pool.destroy(nullptr);  // ignored
-}
-
 // ---- InplaceFn ---------------------------------------------------------
 
 TEST(InplaceFn, SmallCapturesStayInline) {

@@ -3,14 +3,11 @@
 // The Python driver (tools/campaign/campaign.py) expands a sweep spec into
 // independent (pattern, mode, load, seed, overrides) points and runs one
 // worker process per point; this binary executes exactly one point and
-// prints its result as a single JSON object on stdout. Keeping the worker
+// prints its result as a single JSON object on stdout: one erapid-bench-1
+// point (sim/report), keyed (pattern, mode, load, seed). Keeping the worker
 // single-point makes sharding trivial and crash containment exact: a dying
 // point takes down one process, and the driver records the failure without
 // disturbing any other point.
-//
-// Output floats use precision 15, matching bench/figure_common.hpp, so a
-// campaign point is numerically comparable to the serial bench artifact
-// for the same configuration.
 //
 // Flags:
 //   --pattern=NAME --mode=NAME --load=F --seed=N   the point coordinates
@@ -27,10 +24,10 @@
 
 #include <chrono>  // erapid-analyze: allow-file(nondet-source)
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "sim/options_io.hpp"
+#include "sim/report.hpp"
 #include "sim/simulation.hpp"
 #include "util/cli.hpp"
 #include "util/ini.hpp"
@@ -54,36 +51,6 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
-}
-
-/// The per-point record. Field set mirrors bench/figure_common.hpp's
-/// write_json points, extended with the full point key (pattern, seed) so
-/// the merged campaign artifact can be compared point-by-point.
-void print_point_json(const SimOptions& o, const SimResult& r, double wall_ms,
-                      std::ostream& out) {
-  out.precision(15);
-  out << "{"
-      << "\"pattern\": \"" << erapid::traffic::pattern_name(o.pattern) << "\", "
-      << "\"mode\": \"" << o.reconfig.mode.name << "\", "
-      << "\"load\": " << o.load_fraction << ", "
-      << "\"seed\": " << o.seed << ", "
-      << "\"throughput_xNc\": " << r.accepted_fraction << ", "
-      << "\"latency_avg_cycles\": " << r.latency_avg << ", "
-      << "\"latency_p99_cycles\": " << r.latency_p99 << ", "
-      << "\"power_avg_mw\": " << r.power_avg_mw << ", "
-      << "\"active_power_avg_mw\": " << r.active_power_avg_mw << ", "
-      << "\"energy_per_packet_mw_cycles\": "
-      << (r.packets_delivered_measured > 0
-              ? r.power_avg_mw * static_cast<double>(r.end_cycle) /
-                    static_cast<double>(r.packets_delivered_measured)
-              : 0.0)
-      << ", "
-      << "\"drained\": " << (r.drained ? "true" : "false");
-  if (!r.monitors.empty()) {
-    out << ", \"monitors_ok\": " << (r.monitors_ok() ? "true" : "false")
-        << ", \"monitor_violations\": " << r.monitor_violations;
-  }
-  out << ", \"wall_ms\": " << wall_ms << "}\n";
 }
 
 }  // namespace
@@ -122,7 +89,14 @@ int main(int argc, char** argv) {
                                                             wall_start)
                       .count();
 
-    print_point_json(opts, result, wall_ms, std::cout);
+    std::cout << erapid::sim::bench_point_json(
+                     {{{"pattern", std::string(erapid::traffic::pattern_name(opts.pattern))},
+                       {"mode", std::string(opts.reconfig.mode.name)},
+                       {"load", opts.load_fraction},
+                       {"seed", opts.seed}},
+                      &result,
+                      wall_ms})
+              << "\n";
     return 0;
   } catch (const std::exception& e) {
     // One line of structured stderr: the driver embeds it in the failed
