@@ -5,7 +5,6 @@
 namespace erapid::obs {
 
 Hub::Hub(const ObsConfig& cfg) : cfg_(cfg) {
-  if (!cfg_.enabled) return;
   ERAPID_EXPECT(cfg_.counter_interval > 0, "obs.counter_interval must be positive");
   if (!cfg_.trace_path.empty()) {
     if (cfg_.trace_format == "chrome") {
@@ -64,17 +63,7 @@ void Hub::init_telemetry(des::Engine& engine, std::uint32_t boards,
                          Telemetry::Sampler sampler) {
   if (!cfg_.telemetry_on()) return;
   ERAPID_REQUIRE(telemetry_ == nullptr, "telemetry plane initialized twice");
-  ledger_ = std::make_unique<EnergyLedger>(boards);
-  TelemetryConfig tc;
-  tc.path = cfg_.telemetry_path;
-  tc.window = cfg_.telemetry_window;
-  tc.top_k = cfg_.telemetry_top_k;
-  tc.ewma_alpha = cfg_.telemetry_ewma_alpha;
-  tc.phase_alpha = cfg_.telemetry_phase_alpha;
-  tc.phase_slack = cfg_.telemetry_phase_slack;
-  tc.phase_threshold = cfg_.telemetry_phase_threshold;
-  telemetry_ = std::make_unique<Telemetry>(engine, tc, boards, ledger_.get(), *this,
-                                           std::move(sampler));
+  telemetry_ = std::make_unique<Telemetry>(engine, boards, *this, std::move(sampler));
 }
 
 Hub::~Hub() { close(profile_cycle_); }
@@ -98,7 +87,6 @@ void Hub::close(Cycle now) {
 
 void Hub::on_dispatch_begin(const char* tag, Cycle now) {
   ERAPID_EXPECT(!closed_, "event dispatched after Hub::close()");
-  if (!cfg_.enabled) return;
   if (trace_ && cfg_.trace_events) {
     trace_->begin(t_engine_, tag != nullptr ? tag : "event", now);
   }
@@ -107,7 +95,6 @@ void Hub::on_dispatch_begin(const char* tag, Cycle now) {
 void Hub::on_dispatch_end(const char* tag, Cycle now, std::size_t queue_size,
                           std::uint64_t /*executed*/) {
   ERAPID_EXPECT(!closed_, "event dispatched after Hub::close()");
-  if (!cfg_.enabled) return;
   metrics_.add(m_events_);
   metrics_.observe(m_queue_depth_, static_cast<double>(queue_size));
 

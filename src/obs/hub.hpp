@@ -24,7 +24,6 @@
 #include <string>
 
 #include "des/engine.hpp"
-#include "obs/energy_ledger.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
@@ -121,14 +120,12 @@ class Hub final : public des::Engine::DispatchHook {
   [[nodiscard]] FlightRecorder* flight() { return flight_.get(); }
   [[nodiscard]] const FlightRecorder* flight() const { return flight_.get(); }
   /// Null until init_telemetry on a telemetry-configured run.
-  [[nodiscard]] EnergyLedger* ledger() { return ledger_.get(); }
   [[nodiscard]] Telemetry* telemetry() { return telemetry_.get(); }
   [[nodiscard]] const Telemetry* telemetry() const { return telemetry_.get(); }
 
-  /// Builds the telemetry plane (energy ledger + estimator + emitter) on a
+  /// Builds the telemetry plane (estimator + detector + emitter) on a
   /// telemetry-configured run; a no-op otherwise. The driver calls this
-  /// once, after the network exists, and then tags the ledger's sources and
-  /// attaches it to the meter before any lane lights up.
+  /// once, after the network exists.
   void init_telemetry(des::Engine& engine, std::uint32_t boards,
                       Telemetry::Sampler sampler);
 
@@ -157,7 +154,6 @@ class Hub final : public des::Engine::DispatchHook {
   MetricsRegistry metrics_;
   std::unique_ptr<MonitorSet> monitors_;
   std::unique_ptr<FlightRecorder> flight_;
-  std::unique_ptr<EnergyLedger> ledger_;
   std::unique_ptr<Telemetry> telemetry_;
   bool contract_observer_installed_ = false;
 

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "obs/energy_ledger.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/hub.hpp"
 #include "obs/trace.hpp"
@@ -10,18 +9,18 @@
 
 namespace erapid::obs {
 
-Telemetry::Telemetry(des::Engine& engine, const TelemetryConfig& cfg,
-                     std::uint32_t boards, EnergyLedger* ledger, Hub& hub,
-                     Sampler sampler)
-    : engine_(engine), cfg_(cfg), ledger_(ledger), hub_(hub),
-      sampler_(std::move(sampler)), tm_(boards, cfg.ewma_alpha),
-      detector_({cfg.phase_alpha, cfg.phase_slack, cfg.phase_threshold}) {
-  ERAPID_REQUIRE(!cfg_.path.empty(), "telemetry needs an output path");
-  ERAPID_REQUIRE(cfg_.window > 0, "telemetry window must be positive");
-  ERAPID_REQUIRE(cfg_.top_k > 0, "telemetry top_k must be positive");
+Telemetry::Telemetry(des::Engine& engine, std::uint32_t boards, Hub& hub, Sampler sampler)
+    : engine_(engine), hub_(hub), cfg_(hub.config()), sampler_(std::move(sampler)),
+      tm_(boards, cfg_.telemetry_ewma_alpha),
+      detector_({cfg_.telemetry_phase_alpha, cfg_.telemetry_phase_slack,
+                 cfg_.telemetry_phase_threshold}) {
+  ERAPID_REQUIRE(!cfg_.telemetry_path.empty(), "telemetry needs an output path");
+  ERAPID_REQUIRE(cfg_.telemetry_window > 0, "telemetry window must be positive");
+  ERAPID_REQUIRE(cfg_.telemetry_top_k > 0, "telemetry top_k must be positive");
   ERAPID_REQUIRE(static_cast<bool>(sampler_), "telemetry needs a window sampler");
-  out_.open(cfg_.path);
-  ERAPID_EXPECT(static_cast<bool>(out_), "cannot open telemetry stream: " + cfg_.path);
+  out_.open(cfg_.telemetry_path);
+  ERAPID_EXPECT(static_cast<bool>(out_),
+                "cannot open telemetry stream: " + cfg_.telemetry_path);
   auto& reg = hub_.metrics();
   m_windows_ = reg.counter("telemetry.windows");
   m_phase_changes_ = reg.counter("telemetry.phase_changes");
@@ -29,10 +28,11 @@ Telemetry::Telemetry(des::Engine& engine, const TelemetryConfig& cfg,
 }
 
 void Telemetry::start() {
-  ERAPID_REQUIRE(cfg_.window > 0, "telemetry window must be positive");
+  ERAPID_REQUIRE(cfg_.telemetry_window > 0, "telemetry window must be positive");
   if (started_) return;
   started_ = true;
-  next_ = engine_.schedule(cfg_.window, [this] { on_window(); }, "obs.telemetry_window");
+  next_ = engine_.schedule(cfg_.telemetry_window, [this] { on_window(); },
+                           "obs.telemetry_window");
 }
 
 void Telemetry::on_window() {
@@ -60,13 +60,10 @@ void Telemetry::on_window() {
   }
   reg.set_gauge(m_phase_id_, now, static_cast<double>(detector_.phase_id()));
 
-  // Hold the attribution invariant at every window boundary, not just at
-  // the end of the run — a drift is caught within one window of its cause.
-  if (ledger_ != nullptr) ledger_->reconcile(now, o.energy_mw_cycles);
-
   emit_record(now, o, phase_changed);
   tm_.roll_window();
-  next_ = engine_.schedule(cfg_.window, [this] { on_window(); }, "obs.telemetry_window");
+  next_ = engine_.schedule(cfg_.telemetry_window, [this] { on_window(); },
+                           "obs.telemetry_window");
 }
 
 void Telemetry::emit_record(Cycle now, const WindowObservables& o, bool phase_changed) {
@@ -92,7 +89,7 @@ void Telemetry::emit_record(Cycle now, const WindowObservables& o, bool phase_ch
     << ", \"hotspot\": " << format_trace_value(tm_.window_hotspot())
     << ", \"top\": [";
   bool first = true;
-  for (const auto& e : tm_.top_k(cfg_.top_k)) {
+  for (const auto& e : tm_.top_k(cfg_.telemetry_top_k)) {
     r << (first ? "" : ", ") << "{\"src\": " << e.src << ", \"dst\": " << e.dst
       << ", \"bytes\": " << e.bytes << ", \"packets\": " << e.packets
       << ", \"ewma\": " << format_trace_value(e.ewma_bytes) << "}";
@@ -102,28 +99,25 @@ void Telemetry::emit_record(Cycle now, const WindowObservables& o, bool phase_ch
 
   r << ", \"energy\": {\"total_mw_cycles\": " << format_trace_value(o.energy_mw_cycles)
     << ", \"boards\": [";
-  if (ledger_ != nullptr) {
-    for (std::uint32_t b = 0; b < ledger_->boards(); ++b) {
-      const BoardEnergy e = ledger_->board_energy(b, now);
-      r << (b == 0 ? "" : ", ") << "{\"board\": " << b
-        << ", \"laser\": " << format_trace_value(e.laser_mw_cycles)
-        << ", \"serdes\": " << format_trace_value(e.serdes_mw_cycles)
-        << ", \"buffer\": " << format_trace_value(e.buffer_mw_cycles)
-        << ", \"ctrl\": " << format_trace_value(e.ctrl_mw_cycles) << "}";
-    }
+  for (std::size_t b = 0; b < o.boards.size(); ++b) {
+    const BoardEnergy& e = o.boards[b];
+    r << (b == 0 ? "" : ", ") << "{\"board\": " << b
+      << ", \"laser\": " << format_trace_value(e.laser_mw_cycles)
+      << ", \"serdes\": " << format_trace_value(e.serdes_mw_cycles)
+      << ", \"buffer\": " << format_trace_value(0.0)
+      << ", \"ctrl\": " << format_trace_value(0.0) << "}";
   }
   r << "]}}";
 
   out_ << r.str() << "\n";
 }
 
-void Telemetry::finish(Cycle now, double meter_total_mw_cycles) {
+void Telemetry::finish() {
   if (finished_) return;
   finished_ = true;
   next_.cancel();
-  if (ledger_ != nullptr) ledger_->reconcile(now, meter_total_mw_cycles);
   out_.flush();
-  ERAPID_EXPECT(static_cast<bool>(out_), "telemetry stream failed: " + cfg_.path);
+  ERAPID_EXPECT(static_cast<bool>(out_), "telemetry stream failed: " + cfg_.telemetry_path);
 }
 
 }  // namespace erapid::obs

@@ -1,14 +1,13 @@
 // Windowed telemetry plane — the periodic JSONL emitter that ties the
-// traffic-matrix estimator, the energy ledger and the phase detector to the
-// simulation clock.
+// traffic-matrix estimator and the phase detector to the simulation clock.
 //
-// Every `window` cycles a self-rescheduling DES event samples the run
-// (utilization, queue depths, lit lanes, power) through a driver-provided
-// callback, updates the phase detector, reconciles the energy ledger
-// against the meter, and appends one flat JSON record (schema
-// `erapid-telemetry-1`) to the configured path. The stream is the machine
-// front-end of tools/obs/telemetry_report.py and the offline input a
-// predictive-DPM policy would train on.
+// Every `obs.telemetry_window` cycles a self-rescheduling DES event samples
+// the run (utilization, queue depths, lit lanes, power, and each board's
+// laser/serdes energy split from power::EnergyMeter) through a
+// driver-provided callback, updates the phase detector, and appends one
+// flat JSON record (schema `erapid-telemetry-1`) to the configured path.
+// The stream is the machine front-end of tools/obs/telemetry_report.py and
+// the offline input a predictive-DPM policy would train on.
 //
 // Byte-compatibility discipline: the emitter exists only when
 // `obs.telemetry` is configured. Its window event would otherwise shift
@@ -23,6 +22,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "des/engine.hpp"
 #include "obs/phase_detect.hpp"
@@ -31,18 +31,14 @@
 
 namespace erapid::obs {
 
-class EnergyLedger;
 class Hub;
+struct ObsConfig;
 
-/// Knobs of the telemetry plane (the `obs.telemetry_*` keys).
-struct TelemetryConfig {
-  std::string path;                  ///< JSONL output; empty disables the plane
-  CycleDelta window = 2000;          ///< cycles per record
-  std::uint32_t top_k = 8;           ///< TM flows listed per record
-  double ewma_alpha = 0.3;           ///< TM per-flow decay weight
-  double phase_alpha = 0.2;          ///< phase detector EWMA weight
-  double phase_slack = 0.05;         ///< phase detector CUSUM dead-band
-  double phase_threshold = 0.25;     ///< phase detector firing threshold
+/// One board's cumulative energy split (mW·cycles). Only lanes are
+/// metered, so the record's `buffer` and `ctrl` buckets are always zero.
+struct BoardEnergy {
+  double laser_mw_cycles = 0.0;   ///< transmitter side (VCSEL + driver)
+  double serdes_mw_cycles = 0.0;  ///< receiver side (PD + TIA + CDR)
 };
 
 /// One window's worth of run state, sampled by the driver at the window
@@ -56,6 +52,7 @@ struct WindowObservables {
   std::uint64_t queue_depth = 0;   ///< total source backlog, flits
   double power_mw = 0.0;           ///< instantaneous draw at the boundary
   double energy_mw_cycles = 0.0;   ///< the meter's own cumulative integral
+  std::vector<BoardEnergy> boards; ///< per board, in board order
   std::string workload_phase;      ///< active workload phase name, or empty
 };
 
@@ -67,17 +64,17 @@ class Telemetry {
 
   using Sampler = std::function<WindowObservables(Cycle)>;
 
-  /// Opens the JSONL stream and builds the estimator/detector pair; call
-  /// start() to arm the first window event.
-  Telemetry(des::Engine& engine, const TelemetryConfig& cfg, std::uint32_t boards,
-            EnergyLedger* ledger, Hub& hub, Sampler sampler);
+  /// Opens the JSONL stream and builds the estimator/detector pair from
+  /// the hub's `obs.telemetry_*` keys; call start() to arm the first
+  /// window event.
+  Telemetry(des::Engine& engine, std::uint32_t boards, Hub& hub, Sampler sampler);
 
-  /// Arms the first window boundary `cfg.window` cycles out. Idempotent.
+  /// Arms the first window boundary `obs.telemetry_window` cycles out.
+  /// Idempotent.
   void start();
 
-  /// Cancels the pending window event, runs a final reconciliation against
-  /// `meter_total_mw_cycles` and flushes the stream. Idempotent.
-  void finish(Cycle now, double meter_total_mw_cycles);
+  /// Cancels the pending window event and flushes the stream. Idempotent.
+  void finish();
 
   /// Traffic-matrix feed: accounts one delivered packet. Called from the
   /// simulation's delivery callback.
@@ -89,16 +86,14 @@ class Telemetry {
   [[nodiscard]] std::uint64_t phase_changes() const { return detector_.changes(); }
   [[nodiscard]] std::uint64_t phase_id() const { return detector_.phase_id(); }
   [[nodiscard]] const TmEstimator& tm() const { return tm_; }
-  [[nodiscard]] const TelemetryConfig& config() const { return cfg_; }
 
  private:
   void on_window();
   void emit_record(Cycle now, const WindowObservables& o, bool phase_changed);
 
   des::Engine& engine_;
-  TelemetryConfig cfg_;
-  EnergyLedger* ledger_;  ///< may be null only when the meter has no sources
   Hub& hub_;
+  const ObsConfig& cfg_;  ///< hub_.config()
   Sampler sampler_;
   TmEstimator tm_;
   PhaseDetector detector_;

@@ -13,16 +13,19 @@ PowerLevel min_level(PowerLevel a, PowerLevel b) {
 }  // namespace
 
 Lane::Lane(des::Engine& engine, const topology::SystemConfig& cfg,
-           const power::LinkPowerModel& pw, power::EnergyMeter& meter,
+           const power::LinkPowerModel& pw, power::EnergyMeter& meter, BoardId owner,
            topology::LaneRef ref, Receiver* rx)
     : engine_(engine), cfg_(cfg), pw_(pw), meter_(meter), ref_(ref), rx_(rx) {
   ERAPID_REQUIRE(rx_ != nullptr, "lane needs its wavelength receiver");
-  meter_id_ = meter_.add_source();
+  meter_id_ = meter_.add_source(owner);
 }
 
 void Lane::update_power(Cycle now) {
-  meter_.set_power(meter_id_, now,
-                   enabled_ ? pw_.power_mw(level_) : units::Milliwatts{0.0});
+  if (enabled_) {
+    meter_.set_power(meter_id_, now, pw_.power_mw(level_), pw_.laser_mw(level_));
+  } else {
+    meter_.set_power(meter_id_, now, units::Milliwatts{0.0}, units::Milliwatts{0.0});
+  }
 }
 
 PowerLevel Lane::effective_cap() const { return min_level(level_cap_, brownout_cap_); }

@@ -42,8 +42,10 @@ namespace erapid::optical {
 /// One reconfigurable wavelength channel from this board to `ref.dest`.
 class Lane {
  public:
+  /// `owner` is the transmitting board: the meter charges the lane's power
+  /// (and its laser share) to it.
   Lane(des::Engine& engine, const topology::SystemConfig& cfg,
-       const power::LinkPowerModel& pw, power::EnergyMeter& meter,
+       const power::LinkPowerModel& pw, power::EnergyMeter& meter, BoardId owner,
        topology::LaneRef ref, Receiver* rx);
 
   Lane(const Lane&) = delete;
@@ -55,9 +57,6 @@ class Lane {
   [[nodiscard]] topology::LaneRef ref() const { return ref_; }
   [[nodiscard]] bool failed() const { return failed_; }
   [[nodiscard]] power::PowerLevel level_cap() const { return level_cap_; }
-  /// This lane's slot in the EnergyMeter — the id the energy attribution
-  /// ledger tags with the owning board.
-  [[nodiscard]] std::uint32_t meter_source() const { return meter_id_; }
 
   /// Ready to start a packet right now.
   [[nodiscard]] bool available(Cycle now) const {

@@ -44,7 +44,7 @@ OpticalTerminal::OpticalTerminal(des::Engine& engine, const topology::SystemConf
     // One lane per wavelength toward this destination.
     for (std::uint32_t w = 0; w < W; ++w) {
       Receiver* rx = receivers[static_cast<std::size_t>(d) * W + w];
-      auto lane = std::make_unique<Lane>(engine_, cfg_, pw_, meter,
+      auto lane = std::make_unique<Lane>(engine_, cfg_, pw_, meter, self_,
                                          topology::LaneRef{dest, WavelengthId{w}}, rx);
       lane->set_ready_callback([this, dest](Cycle now) { pump_flow(dest, now); });
       lanes_[lane_index(dest, WavelengthId{w})] = std::move(lane);

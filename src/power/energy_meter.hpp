@@ -1,16 +1,24 @@
-// Network-wide energy accounting.
+// Network-wide energy accounting, attributed per board.
 //
 // Each lane registers its instantaneous power draw (which changes on DVS
 // transitions and laser on/off events); the meter time-integrates the sum
 // so benches can report the paper's "overall power consumption" panel as
 // the time-averaged optical power over the measurement interval.
+//
+// Every source belongs to one board, and every update carries the laser
+// (transmitter: VCSEL + driver) share of the new draw as well as its
+// total, so the meter also integrates, per board, the board's total and
+// its laser part. The serdes (receiver: PD + TIA + CDR) part is the exact
+// complement, total - laser. Only lanes are metered: board buffers and the
+// control ring draw nothing here. The per-board integrals see the same
+// updates and checkpoints as the network total, so on a one-board meter
+// the board total equals the network total bitwise.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "obs/energy_ledger.hpp"
 #include "obs/hub.hpp"
 #include "obs/probe.hpp"
 #include "stats/time_weighted.hpp"
@@ -20,20 +28,24 @@
 
 namespace erapid::power {
 
-/// Aggregates per-source power signals into a network total.
+/// Aggregates per-source power signals into a network total and per-board
+/// totals and laser parts (see file comment).
 class EnergyMeter {
  public:
-  EnergyMeter() : total_(0, 0.0) {}
+  /// A meter for sources on boards [0, boards).
+  explicit EnergyMeter(std::uint32_t boards)
+      : total_(0, 0.0),
+        board_total_(boards, stats::TimeWeighted(0, 0.0)),
+        board_laser_(boards, stats::TimeWeighted(0, 0.0)) {}
 
-  /// Registers a new power source; returns its slot id. Sources must be
-  /// registered before the simulation starts (the initial level is folded
-  /// into the total at t = 0).
-  std::uint32_t add_source(units::Milliwatts initial = units::Milliwatts{0.0}) {
-    ERAPID_REQUIRE(initial.value() >= 0.0,
-                   "initial power draw cannot be negative: " << initial.value() << " mW");
-    levels_.push_back(initial.value());
-    total_.add(0, initial.value());
-    return static_cast<std::uint32_t>(levels_.size() - 1);
+  /// Registers a new power source on `board`; returns its slot id. A
+  /// source draws nothing until its first set_power.
+  std::uint32_t add_source(BoardId board) {
+    ERAPID_REQUIRE(board.value() < boards(),
+                   "power source on board " << board.value() << " of a " << boards()
+                                            << "-board meter");
+    sources_.push_back({board.value(), 0.0, 0.0});
+    return static_cast<std::uint32_t>(sources_.size() - 1);
   }
 
   /// Mirrors every network-power change onto the hub: a "power.total_mw"
@@ -47,31 +59,26 @@ class EnergyMeter {
     }
   }
 
-  /// Mirrors every accepted power update (and checkpoint) onto the energy
-  /// attribution ledger. `ledger` is nullable by design (telemetry off).
-  /// Sources present before attachment are replayed so the mirror starts
-  /// from the same levels the meter integrated at t = 0.
-  // erapid-analyze: allow(contract-coverage)
-  void attach_ledger(obs::EnergyLedger* ledger) {
-    ledger_ = ledger;
-    if (ledger_ != nullptr) {
-      for (std::uint32_t id = 0; id < levels_.size(); ++id) {
-        if (levels_[id] != 0.0) ledger_->on_set_power(id, 0, levels_[id]);
-      }
-    }
-  }
-
-  /// Source `id` draws `p` milliwatts from cycle `now` onwards.
-  void set_power(std::uint32_t id, Cycle now, units::Milliwatts p) {
-    ERAPID_REQUIRE(id < levels_.size(),
-                   "unregistered power source id=" << id << " (have " << levels_.size() << ")");
-    const double mw = p.value();
+  /// Source `id` draws `total` milliwatts from cycle `now` onwards, of
+  /// which `laser` on the transmitter side.
+  void set_power(std::uint32_t id, Cycle now, units::Milliwatts total, units::Milliwatts laser) {
+    ERAPID_REQUIRE(id < sources_.size(),
+                   "unregistered power source id=" << id << " (have " << sources_.size() << ")");
+    const double mw = total.value();
+    const double laser_mw = laser.value();
     ERAPID_REQUIRE(mw >= 0.0, "power draw cannot be negative: " << mw << " mW");
-    const double delta = mw - levels_[id];
-    if (delta == 0.0) return;
-    levels_[id] = mw;
+    ERAPID_REQUIRE(laser_mw >= 0.0 && laser_mw <= mw,
+                   "laser share must satisfy 0 <= laser <= total, got laser="
+                       << laser_mw << " total=" << mw);
+    Source& s = sources_[id];
+    const double delta = mw - s.mw;
+    const double laser_delta = laser_mw - s.laser_mw;
+    if (delta == 0.0 && laser_delta == 0.0) return;
+    s.mw = mw;
+    s.laser_mw = laser_mw;
     total_.add(now, delta);
-    if (ledger_ != nullptr) ledger_->on_set_power(id, now, mw);
+    board_total_[s.board].add(now, delta);
+    board_laser_[s.board].add(now, laser_delta);
     ERAPID_GAUGE_SET(hub_, m_total_, now, total_.level());
     ERAPID_TRACE_COUNTER(hub_, hub_->track_power(), "power.total_mw", now, total_.level());
   }
@@ -81,13 +88,14 @@ class EnergyMeter {
     return units::Milliwatts{total_.level()};
   }
 
-  /// Marks the start of the measurement window. The ledger mirror must
-  /// checkpoint too: a checkpoint partitions the integral's float sum, and
+  /// Marks the start of the measurement window. The per-board integrals
+  /// checkpoint too, so their float sums are partitioned like the total's:
   /// (a·dt1 + a·dt2) is not bitwise a·(dt1 + dt2).
   void checkpoint(Cycle now) {
     ERAPID_EXPECT(now >= window_start_, "checkpoint cannot move the window backwards");
     window_start_ = now, total_.checkpoint(now);
-    if (ledger_ != nullptr) ledger_->on_checkpoint(now);
+    for (auto& b : board_total_) b.checkpoint(now);
+    for (auto& b : board_laser_) b.checkpoint(now);
   }
 
   /// Average power over [checkpoint, now].
@@ -100,14 +108,38 @@ class EnergyMeter {
     return units::MilliwattCycles{total_.integral(now)};
   }
 
-  [[nodiscard]] std::size_t sources() const { return levels_.size(); }
+  /// Energy drawn by board `b`'s sources since construction.
+  [[nodiscard]] units::MilliwattCycles board_energy_mw_cycles(BoardId b, Cycle now) const {
+    ERAPID_REQUIRE(b.value() < boards(),
+                   "board " << b.value() << " outside a " << boards() << "-board meter");
+    return units::MilliwattCycles{board_total_[b.value()].integral(now)};
+  }
+
+  /// The laser (transmitter) part of board_energy_mw_cycles.
+  [[nodiscard]] units::MilliwattCycles board_laser_mw_cycles(BoardId b, Cycle now) const {
+    ERAPID_REQUIRE(b.value() < boards(),
+                   "board " << b.value() << " outside a " << boards() << "-board meter");
+    return units::MilliwattCycles{board_laser_[b.value()].integral(now)};
+  }
+
+  [[nodiscard]] std::size_t sources() const { return sources_.size(); }
+  [[nodiscard]] std::uint32_t boards() const {
+    return static_cast<std::uint32_t>(board_total_.size());
+  }
 
  private:
-  std::vector<double> levels_;
+  struct Source {
+    std::uint32_t board = 0;
+    double mw = 0.0;
+    double laser_mw = 0.0;
+  };
+
+  std::vector<Source> sources_;
   stats::TimeWeighted total_;
+  std::vector<stats::TimeWeighted> board_total_;
+  std::vector<stats::TimeWeighted> board_laser_;
   Cycle window_start_ = 0;
   obs::Hub* hub_ = nullptr;
-  obs::EnergyLedger* ledger_ = nullptr;
   obs::MetricId m_total_ = 0;
 };
 

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "power/components.hpp"
 #include "util/expect.hpp"
 #include "util/types.hpp"
 #include "util/units.hpp"
@@ -69,6 +70,17 @@ class LinkPowerModel {
   }
   [[nodiscard]] units::Milliwatts power_mw(PowerLevel l) const {
     return units::Milliwatts{table_[idx(l)].power_mw};
+  }
+
+  /// Transmitter (laser: VCSEL + driver) share of the quoted level total,
+  /// split by the analytic component model's tx/rx ratio at the level's
+  /// operating point. The receiver (serdes) share is the rest. Off draws 0.
+  [[nodiscard]] units::Milliwatts laser_mw(PowerLevel l) const {
+    if (l == PowerLevel::Off) return units::Milliwatts{0.0};
+    const ComponentModel comp;
+    const double tx = comp.transmitter_mw(supply_v(l), bitrate_gbps(l)).value();
+    const double rx = comp.receiver_mw(supply_v(l), bitrate_gbps(l)).value();
+    return units::Milliwatts{tx + rx > 0.0 ? power_mw(l).value() * (tx / (tx + rx)) : 0.0};
   }
 
   /// Lane pause (cycles) when moving `from` → `to`. Voltage changes

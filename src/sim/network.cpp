@@ -12,6 +12,7 @@ Network::Network(des::Engine& engine, const topology::SystemConfig& cfg,
       cfg_(cfg),
       domain_(engine),
       power_model_(power_model),
+      meter_(cfg.num_boards_total()),
       rwa_(cfg.num_boards_total()),
       lane_map_(cfg, rwa_) {
   cfg_.validate();

@@ -76,7 +76,6 @@ class Network {
 
   // ---- accessors ----
   [[nodiscard]] const topology::SystemConfig& config() const { return cfg_; }
-  [[nodiscard]] const power::LinkPowerModel& power_model() const { return power_model_; }
   [[nodiscard]] power::EnergyMeter& meter() { return meter_; }
   [[nodiscard]] const topology::Rwa& rwa() const { return rwa_; }
   [[nodiscard]] topology::LaneMap& lane_map() { return lane_map_; }

@@ -185,11 +185,10 @@ constexpr Key policy(std::string_view name, Get get) {
 // policy, so the threshold keys that override it come after it. Every
 // `degrade.*` row is written only when a degrade policy is set.
 const Key kKeys[] = {
-    integer("system.clusters", FIELD(system.clusters)),
     integer("system.boards", FIELD(system.boards)),
     integer("system.nodes_per_board", FIELD(system.nodes_per_board)),
     integer<1>("system.channel_width_bits", FIELD(system.channel_width_bits)),
-    integer("system.flit_bits", FIELD(system.flit_bits)),
+    integer<8>("system.flit_bits", FIELD(system.flit_bits)),
     integer("system.packet_flits", FIELD(system.packet_flits)),
     integer("system.num_vcs", FIELD(system.num_vcs)),
     integer("system.vc_buffer_flits", FIELD(system.vc_buffer_flits)),
@@ -197,7 +196,7 @@ const Key kKeys[] = {
     integer<1>("system.tx_queue_packets", FIELD(system.tx_queue_packets)),
     integer<1>("system.rx_queue_packets", FIELD(system.rx_queue_packets)),
     integer("system.fiber_delay_cycles", FIELD(system.fiber_delay_cycles)),
-    integer("system.tx_feed_cycles_per_flit", FIELD(system.tx_feed_cycles_per_flit)),
+    integer<1>("system.tx_feed_cycles_per_flit", FIELD(system.tx_feed_cycles_per_flit)),
     choice<parse_mode, mode_name>("reconfig.mode", FIELD(reconfig.mode)),
     integer<1>("reconfig.window", FIELD(reconfig.window)),
     integer<1>("reconfig.ring_hop_cycles", FIELD(reconfig.ring_hop_cycles)),

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/probe.hpp"
-#include "power/components.hpp"
 #include "workload/collectives.hpp"
 #include "workload/hpc_kernels.hpp"
 #include "workload/phase.hpp"
@@ -79,6 +78,18 @@ std::unique_ptr<workload::Driver> make_driver(const SimOptions& opts, double cap
   ERAPID_UNREACHABLE("unknown workload kind " << static_cast<int>(wl.kind));
 }
 
+/// Each board's laser/serdes split of its energy up to `now`; serdes is the
+/// exact complement of laser within the board's total.
+std::vector<obs::BoardEnergy> board_energy(const power::EnergyMeter& meter, Cycle now) {
+  std::vector<obs::BoardEnergy> out(meter.boards());
+  for (std::uint32_t b = 0; b < meter.boards(); ++b) {
+    const double total = meter.board_energy_mw_cycles(BoardId{b}, now).value();
+    out[b].laser_mw_cycles = meter.board_laser_mw_cycles(BoardId{b}, now).value();
+    out[b].serdes_mw_cycles = total - out[b].laser_mw_cycles;
+  }
+  return out;
+}
+
 }  // namespace
 
 Simulation::Simulation(const SimOptions& opts)
@@ -139,37 +150,9 @@ Simulation::Simulation(const SimOptions& opts)
   injector_->arm();
 
   if (hub_ != nullptr && opts_.obs.telemetry_on()) {
-    const std::uint32_t boards = opts_.system.num_boards_total();
-    hub_->init_telemetry(engine_, boards,
+    hub_->init_telemetry(engine_, opts_.system.num_boards_total(),
                          [this](Cycle now) { return sample_telemetry(now); });
     telemetry_ = hub_->telemetry();
-    obs::EnergyLedger* ledger = hub_->ledger();
-    // Component split per DVS level: the quoted level total divides by the
-    // analytic model's transmitter/receiver ratio at that operating point.
-    const power::ComponentModel comp;
-    const auto& pm = network_->power_model();
-    for (const power::PowerLevel l : power::LinkPowerModel::kActiveLevels) {
-      const double level_mw = pm.power_mw(l).value();
-      const double tx = comp.transmitter_mw(pm.supply_v(l), pm.bitrate_gbps(l)).value();
-      const double rx = comp.receiver_mw(pm.supply_v(l), pm.bitrate_gbps(l)).value();
-      const double laser = tx + rx > 0.0 ? level_mw * (tx / (tx + rx)) : 0.0;
-      ledger->set_laser_share(level_mw, laser);
-    }
-    // Tag every lane's meter slot with its owning board. Terminals hold no
-    // self-row (a board never transmits to itself), so d == b is skipped.
-    const std::uint32_t W = opts_.system.num_wavelengths();
-    for (std::uint32_t b = 0; b < boards; ++b) {
-      auto& term = network_->terminal(BoardId{b});
-      for (std::uint32_t d = 0; d < boards; ++d) {
-        if (d == b) continue;
-        for (std::uint32_t w = 0; w < W; ++w) {
-          ledger->tag_source(term.lane(BoardId{d}, WavelengthId{w}).meter_source(), b);
-        }
-      }
-    }
-    // Attach before any lane lights up (Network::start): from the first
-    // power update on, the ledger mirrors the meter bitwise.
-    network_->meter().attach_ledger(ledger);
   }
 
   network_->set_dead_letter_callback([this](const router::Packet& p, Cycle now) {
@@ -316,10 +299,7 @@ SimResult Simulation::run() {
   r.fault = injector_->stats();
   if (hub_ != nullptr) {
     if (recorder_ != nullptr) recorder_->stop();
-    if (telemetry_ != nullptr) {
-      telemetry_->finish(engine_.now(),
-                         network_->meter().energy_mw_cycles(engine_.now()).value());
-    }
+    if (telemetry_ != nullptr) telemetry_->finish();
     // Finalize the monitors before the snapshot so the monitor.violations
     // counter covers the end-of-run checks too.
     if (auto* mon = hub_->monitors()) {
@@ -359,6 +339,7 @@ obs::WindowObservables Simulation::sample_telemetry(Cycle now) {
   o.queue_depth = network_->total_source_backlog();
   o.power_mw = network_->meter().instantaneous_mw().value();
   o.energy_mw_cycles = network_->meter().energy_mw_cycles(now).value();
+  o.boards = board_energy(network_->meter(), now);
   o.workload_phase = driver_->active_phase();
   return o;
 }
@@ -400,10 +381,8 @@ void Simulation::fill_telemetry_summary(SimResult& r) {
     t.tm_flows = tm.flows();
     t.tm_skew = tm.total_skew();
     const Cycle now = engine_.now();
-    obs::EnergyLedger* ledger = hub_->ledger();
-    t.energy_total_mw_cycles = ledger->total_mw_cycles(now);
-    for (std::uint32_t b = 0; b < ledger->boards(); ++b) {
-      const obs::BoardEnergy e = ledger->board_energy(b, now);
+    t.energy_total_mw_cycles = network_->meter().energy_mw_cycles(now).value();
+    for (const obs::BoardEnergy& e : board_energy(network_->meter(), now)) {
       t.energy_laser_mw_cycles += e.laser_mw_cycles;
       t.energy_serdes_mw_cycles += e.serdes_mw_cycles;
     }

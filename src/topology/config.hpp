@@ -1,9 +1,9 @@
 // E-RAPID system configuration.
 //
 // A system is the 3-tuple R(C, B, D) of the paper: C clusters, B boards per
-// cluster, D nodes per board. The evaluation (and this reproduction's
-// default) uses R(1, 8, 8) = 64 nodes. All timing parameters below are the
-// Table 1 / §4.1 values:
+// cluster, D nodes per board. The evaluation uses one cluster, and so does
+// this reproduction: C is fixed at 1 and the default is R(1, 8, 8) = 64
+// nodes. All timing parameters below are the Table 1 / §4.1 values:
 //
 //   router clock          400 MHz (1 cycle = 2.5 ns)
 //   electrical channel    16 bit  => 6.4 Gb/s unidirectional, 4 cycles/flit
@@ -25,9 +25,8 @@ namespace erapid::topology {
 
 /// Static description of an E-RAPID system plus microarchitecture timing.
 struct SystemConfig {
-  // ---- R(C, B, D) ----
-  std::uint32_t clusters = 1;         ///< C: the paper evaluates C = 1.
-  std::uint32_t boards = 8;           ///< B: boards per cluster.
+  // ---- R(1, B, D) ----
+  std::uint32_t boards = 8;           ///< B: boards in the cluster.
   std::uint32_t nodes_per_board = 8;  ///< D: nodes per board.
 
   // ---- electrical router (Table 1, SGI-Spider-derived) ----
@@ -60,7 +59,7 @@ struct SystemConfig {
   std::uint32_t arq_nak_cycles = 8;
 
   // ------------------------------------------------------------------
-  [[nodiscard]] std::uint32_t num_boards_total() const { return clusters * boards; }
+  [[nodiscard]] std::uint32_t num_boards_total() const { return boards; }
   [[nodiscard]] std::uint32_t num_nodes() const { return num_boards_total() * nodes_per_board; }
 
   /// Wavelength count: one per board slot (λ_0 .. λ_{B-1}); λ_0 is the
@@ -98,21 +97,25 @@ struct SystemConfig {
 
   /// Validates structural requirements; throws ModelInvariantError.
   void validate() const {
-    ERAPID_EXPECT(clusters >= 1, "need at least one cluster");
     ERAPID_EXPECT(boards >= 2, "E-RAPID needs >= 2 boards for inter-board traffic");
     ERAPID_EXPECT(nodes_per_board >= 1, "need at least one node per board");
     ERAPID_EXPECT(channel_width_bits >= 1, "electrical channel needs at least one bit");
+    ERAPID_EXPECT(flit_bits >= 8 && flit_bits % 8 == 0,
+                  "flit must be a positive whole number of bytes, got " << flit_bits
+                                                                          << " bits");
     ERAPID_EXPECT(flit_bits % channel_width_bits == 0,
                   "flit must be a whole number of electrical phits");
     ERAPID_EXPECT(num_vcs >= 1 && vc_buffer_flits >= 1, "router needs buffers");
     ERAPID_EXPECT(packet_flits >= 1, "packet needs at least one flit");
     ERAPID_EXPECT(tx_queue_packets >= 1, "transmit queue needs room for one packet");
+    ERAPID_EXPECT(tx_feed_cycles_per_flit >= 1,
+                  "transmitter feed needs at least one cycle per flit");
     ERAPID_EXPECT(arq_retry_limit >= 1, "ARQ needs at least one retry before dead-letter");
   }
 
   [[nodiscard]] std::string describe() const {
-    return "R(" + std::to_string(clusters) + "," + std::to_string(boards) + "," +
-           std::to_string(nodes_per_board) + "), " + std::to_string(num_nodes()) + " nodes";
+    return "R(1," + std::to_string(boards) + "," + std::to_string(nodes_per_board) + "), " +
+           std::to_string(num_nodes()) + " nodes";
   }
 };
 

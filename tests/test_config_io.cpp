@@ -105,7 +105,6 @@ TEST(OptionsIo, DesQueueRoundTripsAndRejectsUnknown) {
 // sanitizer CI job), and check the documented defaults.
 TEST(OptionsIo, EveryOptionsStructDefaultConstructsInitialized) {
   const erapid::topology::SystemConfig sys;
-  EXPECT_EQ(sys.clusters, 1u);
   EXPECT_EQ(sys.boards, 8u);
   EXPECT_EQ(sys.nodes_per_board, 8u);
   EXPECT_DOUBLE_EQ(sys.router_clock_ghz, 0.4);
@@ -614,7 +613,6 @@ struct KeyCase {
 #define MEMBER(field) [](const SimOptions& o) { return str(o.field); }
 
 const KeyCase kKeyCases[] = {
-    {"system.clusters", Codec::Integer, "2", MEMBER(system.clusters)},
     {"system.boards", Codec::Integer, "4", MEMBER(system.boards)},
     {"system.nodes_per_board", Codec::Integer, "4", MEMBER(system.nodes_per_board)},
     {"system.channel_width_bits", Codec::Integer, "32", MEMBER(system.channel_width_bits)},
@@ -855,9 +853,13 @@ TEST(OptionsIo, RealKeysRejectMalformedValues) {
   // (a zero channel width divided by zero; a zero transmit queue ran
   // without ever accepting a packet; a zero measurement window printed
   // NaN throughput; a zero reconfiguration window rescheduled its timer
-  // on the same cycle forever).
+  // on the same cycle forever; a zero-bit flit or a zero-cycle transmitter
+  // feed stalled the router, and a flit that is not whole bytes carried
+  // none).
   const std::pair<const char*, const char*> kOutOfRange[] = {
       {"system.channel_width_bits", "0"},    {"system.tx_queue_packets", "0"},
+      {"system.flit_bits", "0"},             {"system.flit_bits", "4"},
+      {"system.tx_feed_cycles_per_flit", "0"},
       {"obs.telemetry_ewma_alpha", "0"},     {"obs.telemetry_ewma_alpha", "1.0000001"},
       {"obs.telemetry_phase_alpha", "0"},    {"obs.telemetry_phase_alpha", "1.5"},
       {"obs.telemetry_phase_slack", "-0.1"}, {"obs.telemetry_phase_threshold", "0"},

@@ -251,14 +251,20 @@ TEST(ContractPower, UnmodeledLevelNameIsUnreachable) {
 }
 
 TEST(ContractPower, UnregisteredMeterSourceViolatesRequire) {
-  power::EnergyMeter meter;
-  EXPECT_THROW(meter.set_power(3, 0, units::Milliwatts{10.0}), ModelInvariantError);
+  power::EnergyMeter meter(1);
+  EXPECT_THROW(meter.set_power(3, 0, units::Milliwatts{10.0}, units::Milliwatts{0.0}),
+               ModelInvariantError);
+  EXPECT_THROW((void)meter.add_source(BoardId{1}), ModelInvariantError);  // a 1-board meter
 }
 
 TEST(ContractPower, NegativeMeterPowerViolatesRequire) {
-  power::EnergyMeter meter;
-  const auto id = meter.add_source();
-  EXPECT_THROW(meter.set_power(id, 0, units::Milliwatts{-5.0}), ModelInvariantError);
+  power::EnergyMeter meter(1);
+  const auto id = meter.add_source(BoardId{0});
+  EXPECT_THROW(meter.set_power(id, 0, units::Milliwatts{-5.0}, units::Milliwatts{0.0}),
+               ModelInvariantError);
+  // A laser share above the total is not a split.
+  EXPECT_THROW(meter.set_power(id, 0, units::Milliwatts{1.0}, units::Milliwatts{2.0}),
+               ModelInvariantError);
 }
 
 // ---- obs: monitor lifecycle ------------------------------------------------

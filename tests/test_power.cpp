@@ -8,6 +8,7 @@
 
 namespace {
 
+using erapid::BoardId;
 using erapid::power::ComponentModel;
 using erapid::power::EnergyMeter;
 using erapid::power::LinkPowerModel;
@@ -142,39 +143,103 @@ TEST(Components, ReceiverDominatesLinkPower) {
 // ---- EnergyMeter ---------------------------------------------------------
 
 TEST(EnergyMeter, IntegratesConstantSource) {
-  EnergyMeter meter;
-  const auto id = meter.add_source(Milliwatts{0.0});
-  meter.set_power(id, 0, Milliwatts{10.0});
+  EnergyMeter meter(1);
+  const auto id = meter.add_source(BoardId{0});
+  meter.set_power(id, 0, Milliwatts{10.0}, Milliwatts{0.0});
   EXPECT_DOUBLE_EQ(meter.energy_mw_cycles(100).value(), 1000.0);
   EXPECT_DOUBLE_EQ(meter.instantaneous_mw().value(), 10.0);
 }
 
 TEST(EnergyMeter, SumsMultipleSources) {
-  EnergyMeter meter;
-  const auto a = meter.add_source();
-  const auto b = meter.add_source();
-  meter.set_power(a, 0, Milliwatts{5.0});
-  meter.set_power(b, 0, Milliwatts{7.0});
+  EnergyMeter meter(1);
+  const auto a = meter.add_source(BoardId{0});
+  const auto b = meter.add_source(BoardId{0});
+  meter.set_power(a, 0, Milliwatts{5.0}, Milliwatts{0.0});
+  meter.set_power(b, 0, Milliwatts{7.0}, Milliwatts{0.0});
   EXPECT_DOUBLE_EQ(meter.instantaneous_mw().value(), 12.0);
-  meter.set_power(a, 50, Milliwatts{0.0});
+  meter.set_power(a, 50, Milliwatts{0.0}, Milliwatts{0.0});
   EXPECT_DOUBLE_EQ(meter.energy_mw_cycles(100).value(), 12.0 * 50 + 7.0 * 50);
 }
 
 TEST(EnergyMeter, AverageOverCheckpointWindow) {
-  EnergyMeter meter;
-  const auto id = meter.add_source();
-  meter.set_power(id, 0, Milliwatts{100.0});
+  EnergyMeter meter(1);
+  const auto id = meter.add_source(BoardId{0});
+  meter.set_power(id, 0, Milliwatts{100.0}, Milliwatts{0.0});
   meter.checkpoint(1000);  // ignore the first 1000 cycles
-  meter.set_power(id, 1500, Milliwatts{0.0});
+  meter.set_power(id, 1500, Milliwatts{0.0}, Milliwatts{0.0});
   EXPECT_DOUBLE_EQ(meter.average_mw(2000).value(), 50.0);
 }
 
 TEST(EnergyMeter, RedundantSetIsNoOp) {
-  EnergyMeter meter;
-  const auto id = meter.add_source();
-  meter.set_power(id, 0, Milliwatts{3.0});
-  meter.set_power(id, 10, Milliwatts{3.0});  // same level, later time — no accounting glitch
+  EnergyMeter meter(1);
+  const auto id = meter.add_source(BoardId{0});
+  meter.set_power(id, 0, Milliwatts{3.0}, Milliwatts{1.0});
+  // Same level, later time: no accounting glitch.
+  meter.set_power(id, 10, Milliwatts{3.0}, Milliwatts{1.0});
   EXPECT_DOUBLE_EQ(meter.energy_mw_cycles(20).value(), 60.0);
+  EXPECT_DOUBLE_EQ(meter.board_laser_mw_cycles(BoardId{0}, 20).value(), 20.0);
+}
+
+// ---- per-board energy attribution ------------------------------------------
+
+TEST(EnergyAttribution, SplitsLaserAndSerdesPerBoard) {
+  EnergyMeter meter(2);
+  const auto a = meter.add_source(BoardId{0});
+  const auto b = meter.add_source(BoardId{1});
+  meter.set_power(a, 0, Milliwatts{10.0}, Milliwatts{4.0});  // 40% laser
+  meter.set_power(b, 0, Milliwatts{10.0}, Milliwatts{4.0});
+
+  EXPECT_DOUBLE_EQ(meter.board_energy_mw_cycles(BoardId{0}, 100).value(), 1000.0);
+  EXPECT_DOUBLE_EQ(meter.board_laser_mw_cycles(BoardId{0}, 100).value(), 400.0);
+
+  // Board 1 drops to a level with no laser share: only its serdes part
+  // keeps growing, and board 0 is untouched.
+  meter.set_power(b, 100, Milliwatts{7.5}, Milliwatts{0.0});
+  EXPECT_DOUBLE_EQ(meter.board_laser_mw_cycles(BoardId{1}, 200).value(), 400.0);
+  EXPECT_DOUBLE_EQ(meter.board_energy_mw_cycles(BoardId{1}, 200).value(),
+                   10.0 * 100 + 7.5 * 100);
+  EXPECT_DOUBLE_EQ(meter.board_energy_mw_cycles(BoardId{0}, 200).value(), 2000.0);
+  EXPECT_DOUBLE_EQ(meter.energy_mw_cycles(200).value(), 2000.0 + 1750.0);
+}
+
+TEST(EnergyAttribution, SingleBoardIntegralIsTheNetworkTotalBitwise) {
+  // The board integral sees every update and checkpoint the network total
+  // sees, so with one board the two are the same float sum.
+  EnergyMeter meter(1);
+  const auto a = meter.add_source(BoardId{0});
+  const auto b = meter.add_source(BoardId{0});
+  meter.set_power(a, 0, Milliwatts{43.03}, Milliwatts{1.2});
+  meter.set_power(b, 37, Milliwatts{8.6}, Milliwatts{0.3});
+  meter.checkpoint(251);
+  meter.set_power(a, 400, Milliwatts{26.0}, Milliwatts{0.7});
+  meter.set_power(b, 977, Milliwatts{0.0}, Milliwatts{0.0});
+  for (const erapid::Cycle end : {977u, 1333u, 5000u}) {
+    EXPECT_EQ(meter.board_energy_mw_cycles(BoardId{0}, end).value(),
+              meter.energy_mw_cycles(end).value())
+        << "at cycle " << end;
+  }
+}
+
+TEST(EnergyAttribution, LaserShareFollowsTheComponentModelAtEveryLevel) {
+  const ComponentModel comp;
+  const LinkPowerModel pw;
+  EXPECT_EQ(pw.laser_mw(PowerLevel::Off).value(), 0.0);
+  for (const PowerLevel l : LinkPowerModel::kActiveLevels) {
+    const double tx = comp.transmitter_mw(pw.supply_v(l), pw.bitrate_gbps(l)).value();
+    const double rx = comp.receiver_mw(pw.supply_v(l), pw.bitrate_gbps(l)).value();
+    EXPECT_EQ(pw.laser_mw(l).value(), pw.power_mw(l).value() * (tx / (tx + rx)))
+        << erapid::power::to_string(l);
+    // §3.1: the receiver dominates, so the laser share is a small part.
+    EXPECT_GT(pw.laser_mw(l).value(), 0.0);
+    EXPECT_LT(pw.laser_mw(l).value(), 0.1 * pw.power_mw(l).value());
+  }
+
+  // Two levels quoting the same total keep their own operating points'
+  // splits.
+  LinkPowerModel same_total;
+  same_total.set_power_mw(PowerLevel::Mid, Milliwatts{43.03});
+  EXPECT_NE(same_total.laser_mw(PowerLevel::Mid).value(),
+            same_total.laser_mw(PowerLevel::High).value());
 }
 
 }  // namespace

@@ -11,10 +11,9 @@
 //      event-queue implementations; a committed golden stream pins the
 //      tiny 4-board run (regenerate with ERAPID_REGEN_GOLDEN=1 only when
 //      the change is intended — see tests_support.hpp policy).
-//   3. Reconciliation: the per-board energy ledger's mirrored integral
-//      equals the EnergyMeter total with exact `==` (the run itself holds
-//      this as an ERAPID_INVARIANT every window; the unit tests pin the
-//      mirror arithmetic in isolation).
+//   3. Attribution: the report's energy totals are read from the
+//      EnergyMeter, whose per-board integrals sum to its network total
+//      (test_power.cpp pins the meter's per-board arithmetic in isolation).
 //
 // Plus unit tests for the CUSUM phase detector, the traffic-matrix
 // estimator's window/EWMA/top-K semantics, and the flight recorder's ring
@@ -27,13 +26,11 @@
 #include <sstream>
 #include <string>
 
-#include "obs/energy_ledger.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/phase_detect.hpp"
 #include "obs/tm_estimator.hpp"
 #include "sim/report.hpp"
 #include "sim/simulation.hpp"
-#include "stats/time_weighted.hpp"
 #include "tests_support.hpp"
 
 namespace {
@@ -219,62 +216,6 @@ TEST(TmEstimator, EmptyWindowScalarsAreZero) {
   EXPECT_TRUE(tm.top_k(8).empty());
 }
 
-// ---- unit: energy ledger ----------------------------------------------------
-
-TEST(EnergyLedger, MirrorsAnIndependentIntegralExactly) {
-  // Feed the ledger the same update sequence an EnergyMeter would see and
-  // hold its mirrored total against an independently-built TimeWeighted —
-  // the same exact-equality contract `reconcile` enforces in-run.
-  obs::EnergyLedger ledger(2);
-  ledger.set_laser_share(43.03, 20.0);
-  ledger.tag_source(0, 0);
-  ledger.tag_source(1, 1);
-
-  stats::TimeWeighted reference;
-  auto set_power = [&](std::uint32_t id, Cycle now, double mw, double prev) {
-    reference.add(now, mw - prev);
-    ledger.on_set_power(id, now, mw);
-  };
-  set_power(0, 0, 43.03, 0.0);
-  set_power(1, 100, 43.03, 0.0);
-  ledger.on_checkpoint(250);
-  reference.checkpoint(250);
-  set_power(0, 400, 0.0, 43.03);
-
-  const Cycle end = 1000;
-  EXPECT_EQ(ledger.total_mw_cycles(end), reference.integral(end));
-  ledger.reconcile(end, reference.integral(end));  // must not throw
-}
-
-TEST(EnergyLedger, SplitsLaserAndSerdesPerBoard) {
-  obs::EnergyLedger ledger(2);
-  ledger.set_laser_share(10.0, 4.0);  // 40% laser at this level
-  ledger.tag_source(0, 0);
-  ledger.tag_source(1, 1);
-  ledger.on_set_power(0, 0, 10.0);
-  ledger.on_set_power(1, 0, 10.0);
-
-  const auto b0 = ledger.board_energy(0, 100);
-  EXPECT_DOUBLE_EQ(b0.total_mw_cycles, 1000.0);
-  EXPECT_DOUBLE_EQ(b0.laser_mw_cycles, 400.0);
-  EXPECT_DOUBLE_EQ(b0.serdes_mw_cycles, 600.0);
-  EXPECT_DOUBLE_EQ(b0.buffer_mw_cycles, 0.0);
-  EXPECT_DOUBLE_EQ(b0.ctrl_mw_cycles, 0.0);
-
-  // A level without a share entry attributes fully to serdes.
-  ledger.on_set_power(1, 100, 7.5);
-  const auto b1 = ledger.board_energy(1, 200);
-  EXPECT_DOUBLE_EQ(b1.laser_mw_cycles, 400.0);  // laser stopped at cycle 100
-  EXPECT_DOUBLE_EQ(b1.total_mw_cycles, 10.0 * 100 + 7.5 * 100);
-}
-
-TEST(EnergyLedger, ReconcileTripsOnMismatch) {
-  obs::EnergyLedger ledger(1);
-  ledger.tag_source(0, 0);
-  ledger.on_set_power(0, 0, 10.0);
-  EXPECT_THROW(ledger.reconcile(100, 999.0), ModelInvariantError);
-}
-
 // ---- unit: flight recorder --------------------------------------------------
 
 TEST(FlightRecorder, RingKeepsTheLastDepthEvents) {
@@ -372,6 +313,25 @@ TEST(TelemetryReport, RunCarriesGatedSummaryBlock) {
   const auto report = sim::to_json(r);
   EXPECT_NE(report.find("\"obs_telemetry\""), std::string::npos);
   EXPECT_NE(report.find("\"windows\""), std::string::npos);
+}
+
+TEST(EnergyAttribution, ReportTotalsComeFromTheMeter) {
+  const std::string path = tmp_path("tel_energy.jsonl");
+  sim::Simulation sim(telemetry_options(path));
+  const auto r = sim.run();
+  std::remove(path.c_str());
+
+  const Cycle end = sim.engine().now();
+  const auto& meter = sim.network().meter();
+  ASSERT_TRUE(r.telemetry.active);
+  EXPECT_EQ(r.telemetry.energy_total_mw_cycles, meter.energy_mw_cycles(end).value());
+  double boards = 0.0;
+  for (std::uint32_t b = 0; b < meter.boards(); ++b) {
+    boards += meter.board_energy_mw_cycles(BoardId{b}, end).value();
+  }
+  EXPECT_EQ(meter.boards(), sim.options().system.num_boards_total());
+  EXPECT_NEAR(boards, r.telemetry.energy_total_mw_cycles,
+              1e-9 * r.telemetry.energy_total_mw_cycles);
 }
 
 // ---- integration: flight-recorder trigger -----------------------------------

@@ -75,6 +75,16 @@ TEST(SystemConfig, ValidateRejectsBrokenConfigs) {
   cfg.tx_queue_packets = 0;  // no packet could ever enter a transmit queue
   EXPECT_THROW(cfg.validate(), erapid::ModelInvariantError);
   cfg = paper_config();
+  cfg.flit_bits = 0;  // 0 % width == 0, but a zero-bit flit takes zero cycles
+  EXPECT_THROW(cfg.validate(), erapid::ModelInvariantError);
+  cfg = paper_config();
+  cfg.flit_bits = 4;  // whole phits of a 4-bit channel, but not a whole byte
+  cfg.channel_width_bits = 4;
+  EXPECT_THROW(cfg.validate(), erapid::ModelInvariantError);
+  cfg = paper_config();
+  cfg.tx_feed_cycles_per_flit = 0;  // a zero-cycle feed trips the router
+  EXPECT_THROW(cfg.validate(), erapid::ModelInvariantError);
+  cfg = paper_config();
   EXPECT_NO_THROW(cfg.validate());
 }
 

@@ -81,7 +81,7 @@ struct LaneRig {
   des::Engine engine;
   des::ClockDomain domain{engine};
   power::LinkPowerModel pw;
-  power::EnergyMeter meter;
+  power::EnergyMeter meter{2};
   std::unique_ptr<router::Router> router;
   std::unique_ptr<router::EjectionUnit> ejection;
   std::unique_ptr<optical::Receiver> rx;
@@ -107,7 +107,7 @@ struct LaneRig {
                                              cfg.vc_buffer_flits, 4,
                                              cfg.rx_queue_packets);
     lane = std::make_unique<optical::Lane>(
-        engine, cfg, pw, meter, topology::LaneRef{BoardId{1}, WavelengthId{2}},
+        engine, cfg, pw, meter, BoardId{0}, topology::LaneRef{BoardId{1}, WavelengthId{2}},
         rx.get());
   }
 
