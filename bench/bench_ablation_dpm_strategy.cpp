@@ -4,12 +4,12 @@
 // K-window hysteresis and EWMA prediction on a load profile with
 // fluctuation (shuffle at mid load), where transition churn matters:
 // every DVS transition stalls the lane for 65 cycles.
-#include <benchmark/benchmark.h>
-
+#include <cstdint>
 #include <iostream>
 #include <map>
+#include <string>
 
-#include "sim/simulation.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -23,39 +23,11 @@ struct Config {
   std::string label;
 };
 
-std::map<std::string, sim::SimResult>& results() {
-  static std::map<std::string, sim::SimResult> r;
-  return r;
-}
-
-void run_strategy(benchmark::State& state, const Config& cfg) {
-  sim::SimResult r;
-  for (auto _ : state) {
-    sim::SimOptions o;  // R(1,8,8)
-    o.pattern = traffic::PatternKind::PerfectShuffle;
-    o.load_fraction = 0.5;
-    o.warmup_cycles = 12000;
-    o.measure_cycles = 16000;
-    o.drain_limit = 50000;
-    o.reconfig.mode = reconfig::NetworkMode::p_b();
-    o.reconfig.dpm_strategy = cfg.kind;
-    o.reconfig.dpm_params.hysteresis_windows = cfg.hysteresis;
-    o.reconfig.dpm_params.ewma_alpha = cfg.alpha;
-    r = sim::Simulation(o).run();
-    benchmark::DoNotOptimize(&r);
-  }
-  results()[cfg.label] = r;
-  state.counters["thru_xNc"] = r.accepted_fraction;
-  state.counters["power_mW"] = r.power_avg_mw;
-  state.counters["dvs_changes"] = static_cast<double>(r.control.level_changes);
-}
-
-void print_ablation() {
-  if (results().empty()) return;
+void print_ablation(const std::map<std::string, sim::SimResult>& results) {
   std::cout << "\n== Extension: power scaling techniques (P-B, shuffle @ 0.5 N_c) ==\n";
   util::TablePrinter t({"strategy", "thru (xN_c)", "latency (cyc)", "total power (mW)",
                         "active power (mW)", "DVS changes"});
-  for (const auto& [label, r] : results()) {
+  for (const auto& [label, r] : results) {
     t.row_values(label, util::TablePrinter::fixed(r.accepted_fraction, 3),
                  util::TablePrinter::fixed(r.latency_avg, 1),
                  util::TablePrinter::fixed(r.power_avg_mw, 0),
@@ -69,8 +41,7 @@ void print_ablation() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+int main() {
   const Config configs[] = {
       {reconfig::DpmStrategyKind::Threshold, 0, 0.0, "threshold (paper)"},
       {reconfig::DpmStrategyKind::Hysteresis, 2, 0.0, "hysteresis K=2"},
@@ -79,14 +50,20 @@ int main(int argc, char** argv) {
       {reconfig::DpmStrategyKind::Ewma, 0, 0.5, "ewma a=0.5"},
       {reconfig::DpmStrategyKind::Ewma, 0, 0.75, "ewma a=0.75"},
   };
+  std::map<std::string, sim::SimResult> results;
   for (const auto& cfg : configs) {
-    benchmark::RegisterBenchmark(("dpm/" + cfg.label).c_str(),
-                                 [cfg](benchmark::State& st) { run_strategy(st, cfg); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    sim::SimOptions o;  // R(1,8,8)
+    o.pattern = traffic::PatternKind::PerfectShuffle;
+    o.load_fraction = 0.5;
+    o.warmup_cycles = 12000;
+    o.measure_cycles = 16000;
+    o.drain_limit = 50000;
+    o.reconfig.mode = reconfig::NetworkMode::p_b();
+    o.reconfig.dpm_strategy = cfg.kind;
+    o.reconfig.dpm_params.hysteresis_windows = cfg.hysteresis;
+    o.reconfig.dpm_params.ewma_alpha = cfg.alpha;
+    results[cfg.label] = bench::run("dpm/" + cfg.label, o).result;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_ablation();
+  print_ablation(results);
   return 0;
 }

@@ -4,49 +4,24 @@
 // lower the cost of the network"). We cap the lanes one flow may hold
 // (max_lanes_per_flow) and sweep the cap on complement traffic — the
 // pattern that exercises full flexibility hardest.
-#include <benchmark/benchmark.h>
-
+#include <cstdint>
 #include <iostream>
 #include <map>
+#include <string>
 
-#include "sim/simulation.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace erapid;
 
-std::map<std::uint32_t, sim::SimResult>& results() {
-  static std::map<std::uint32_t, sim::SimResult> r;
-  return r;
-}
-
-void run_cap(benchmark::State& state, std::uint32_t cap) {
-  sim::SimResult r;
-  for (auto _ : state) {
-    sim::SimOptions o;  // R(1,8,8)
-    o.pattern = traffic::PatternKind::Complement;
-    o.load_fraction = 0.6;
-    o.warmup_cycles = 10000;
-    o.measure_cycles = 15000;
-    o.drain_limit = 50000;
-    o.reconfig.mode = reconfig::NetworkMode::p_b();
-    o.reconfig.mode.dbr.max_lanes_per_flow = cap;
-    r = sim::Simulation(o).run();
-    benchmark::DoNotOptimize(&r);
-  }
-  results()[cap] = r;
-  state.counters["thru_xNc"] = r.accepted_fraction;
-  state.counters["active_mW"] = r.active_power_avg_mw;
-}
-
-void print_ablation() {
-  if (results().empty()) return;
+void print_ablation(const std::map<std::uint32_t, sim::SimResult>& results) {
   std::cout << "\n== Extension: limited reconfiguration flexibility "
                "(P-B, complement @ 0.6 N_c) ==\n";
   util::TablePrinter t({"max lanes/flow", "thru (xN_c)", "latency (cyc)",
                         "active power (mW)", "lane grants"});
-  for (const auto& [cap, r] : results()) {
+  for (const auto& [cap, r] : results) {
     t.row_values(cap == 0 ? "unlimited" : std::to_string(cap),
                  util::TablePrinter::fixed(r.accepted_fraction, 3),
                  util::TablePrinter::fixed(r.latency_avg, 1),
@@ -60,17 +35,20 @@ void print_ablation() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+int main() {
+  std::map<std::uint32_t, sim::SimResult> results;
   for (std::uint32_t cap : {1u, 2u, 3u, 4u, 6u, 0u}) {
-    benchmark::RegisterBenchmark(
-        ("flex/cap=" + (cap ? std::to_string(cap) : std::string("inf"))).c_str(),
-        [cap](benchmark::State& st) { run_cap(st, cap); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    sim::SimOptions o;  // R(1,8,8)
+    o.pattern = traffic::PatternKind::Complement;
+    o.load_fraction = 0.6;
+    o.warmup_cycles = 10000;
+    o.measure_cycles = 15000;
+    o.drain_limit = 50000;
+    o.reconfig.mode = reconfig::NetworkMode::p_b();
+    o.reconfig.mode.dbr.max_lanes_per_flow = cap;
+    results[cap] =
+        bench::run("flex/cap=" + (cap ? std::to_string(cap) : std::string("inf")), o).result;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_ablation();
+  print_ablation(results);
   return 0;
 }

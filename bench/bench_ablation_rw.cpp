@@ -7,49 +7,23 @@
 // We sweep R_w on P-B under shuffle traffic (adversarial enough that both
 // DPM and DBR matter) and report throughput, power, and the DVS transition
 // count (the "excess delay penalty" driver).
-#include <benchmark/benchmark.h>
-
+#include <cstdint>
 #include <iostream>
 #include <map>
+#include <string>
 
-#include "sim/simulation.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace erapid;
 
-std::map<std::uint64_t, sim::SimResult>& results() {
-  static std::map<std::uint64_t, sim::SimResult> r;
-  return r;
-}
-
-void run_rw(benchmark::State& state, Cycle rw) {
-  sim::SimResult r;
-  for (auto _ : state) {
-    sim::SimOptions o;  // R(1,8,8)
-    o.pattern = traffic::PatternKind::PerfectShuffle;
-    o.load_fraction = 0.6;
-    o.warmup_cycles = 12000;
-    o.measure_cycles = 16000;
-    o.drain_limit = 50000;
-    o.reconfig.mode = reconfig::NetworkMode::p_b();
-    o.reconfig.window = rw;
-    r = sim::Simulation(o).run();
-    benchmark::DoNotOptimize(&r);
-  }
-  results()[rw] = r;
-  state.counters["thru_xNc"] = r.accepted_fraction;
-  state.counters["power_mW"] = r.power_avg_mw;
-  state.counters["dvs_changes"] = static_cast<double>(r.control.level_changes);
-}
-
-void print_ablation() {
-  if (results().empty()) return;
+void print_ablation(const std::map<std::uint64_t, sim::SimResult>& results) {
   std::cout << "\n== Ablation: reconfiguration window R_w (P-B, shuffle @ 0.6 N_c) ==\n";
   util::TablePrinter t({"R_w (cycles)", "thru (xN_c)", "latency (cyc)", "power (mW)",
                         "DVS changes", "lane moves"});
-  for (const auto& [rw, r] : results()) {
+  for (const auto& [rw, r] : results) {
     t.row_values(rw, util::TablePrinter::fixed(r.accepted_fraction, 3),
                  util::TablePrinter::fixed(r.latency_avg, 1),
                  util::TablePrinter::fixed(r.power_avg_mw, 0), r.control.level_changes,
@@ -61,16 +35,19 @@ void print_ablation() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+int main() {
+  std::map<std::uint64_t, sim::SimResult> results;
   for (Cycle rw : {250u, 500u, 1000u, 2000u, 4000u, 8000u, 16000u}) {
-    benchmark::RegisterBenchmark(("rw/" + std::to_string(rw)).c_str(),
-                                 [rw](benchmark::State& st) { run_rw(st, rw); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    sim::SimOptions o;  // R(1,8,8)
+    o.pattern = traffic::PatternKind::PerfectShuffle;
+    o.load_fraction = 0.6;
+    o.warmup_cycles = 12000;
+    o.measure_cycles = 16000;
+    o.drain_limit = 50000;
+    o.reconfig.mode = reconfig::NetworkMode::p_b();
+    o.reconfig.window = rw;
+    results[rw] = bench::run("rw/" + std::to_string(rw), o).result;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_ablation();
+  print_ablation(results);
   return 0;
 }

@@ -2,12 +2,13 @@
 // to space constraints"; this bench sweeps R(1,B,D) to check that the
 // qualitative story (DBR gain on complement, P-B power savings on uniform)
 // holds as the system scales.
-#include <benchmark/benchmark.h>
-
+#include <cstdint>
 #include <iostream>
 #include <map>
+#include <string>
+#include <utility>
 
-#include "sim/simulation.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -20,11 +21,6 @@ struct ScalePoint {
   double uniform_thru_keep;    // P-B / NP-NB throughput on uniform
 };
 
-std::map<std::string, ScalePoint>& results() {
-  static std::map<std::string, ScalePoint> r;
-  return r;
-}
-
 sim::SimOptions opts(std::uint32_t boards, std::uint32_t nodes) {
   sim::SimOptions o;
   o.system.boards = boards;
@@ -36,43 +32,35 @@ sim::SimOptions opts(std::uint32_t boards, std::uint32_t nodes) {
   return o;
 }
 
-void run_scale(benchmark::State& state, std::uint32_t boards, std::uint32_t nodes) {
+ScalePoint run_scale(const std::string& name, std::uint32_t boards, std::uint32_t nodes) {
   ScalePoint pt{};
-  for (auto _ : state) {
-    // Complement: static vs bandwidth-reconfigured.
-    auto oc = opts(boards, nodes);
-    oc.pattern = traffic::PatternKind::Complement;
-    oc.reconfig.mode = reconfig::NetworkMode::np_nb();
-    const auto c_base = sim::Simulation(oc).run();
-    oc.reconfig.mode = reconfig::NetworkMode::np_b();
-    const auto c_reconf = sim::Simulation(oc).run();
-    pt.complement_gain =
-        c_base.accepted_fraction > 0 ? c_reconf.accepted_fraction / c_base.accepted_fraction
-                                     : 0.0;
+  // Complement: static vs bandwidth-reconfigured.
+  auto oc = opts(boards, nodes);
+  oc.pattern = traffic::PatternKind::Complement;
+  oc.reconfig.mode = reconfig::NetworkMode::np_nb();
+  const auto c_base = bench::run(name + "/complement/NP-NB", oc).result;
+  oc.reconfig.mode = reconfig::NetworkMode::np_b();
+  const auto c_reconf = bench::run(name + "/complement/NP-B", oc).result;
+  pt.complement_gain =
+      c_base.accepted_fraction > 0 ? c_reconf.accepted_fraction / c_base.accepted_fraction
+                                   : 0.0;
 
-    // Uniform: static vs P-B.
-    auto ou = opts(boards, nodes);
-    ou.reconfig.mode = reconfig::NetworkMode::np_nb();
-    const auto u_base = sim::Simulation(ou).run();
-    ou.reconfig.mode = reconfig::NetworkMode::p_b();
-    const auto u_pb = sim::Simulation(ou).run();
-    pt.uniform_power_saved = 1.0 - u_pb.power_avg_mw / u_base.power_avg_mw;
-    pt.uniform_thru_keep = u_pb.accepted_fraction / u_base.accepted_fraction;
-    benchmark::DoNotOptimize(&pt);
-  }
-  const std::string name = "R(1," + std::to_string(boards) + "," + std::to_string(nodes) +
-                           ")=" + std::to_string(boards * nodes);
-  results()[name] = pt;
-  state.counters["compl_gain"] = pt.complement_gain;
-  state.counters["uni_power_saved"] = pt.uniform_power_saved;
+  // Uniform: static vs P-B.
+  auto ou = opts(boards, nodes);
+  ou.reconfig.mode = reconfig::NetworkMode::np_nb();
+  const auto u_base = bench::run(name + "/uniform/NP-NB", ou).result;
+  ou.reconfig.mode = reconfig::NetworkMode::p_b();
+  const auto u_pb = bench::run(name + "/uniform/P-B", ou).result;
+  pt.uniform_power_saved = 1.0 - u_pb.power_avg_mw / u_base.power_avg_mw;
+  pt.uniform_thru_keep = u_pb.accepted_fraction / u_base.accepted_fraction;
+  return pt;
 }
 
-void print_scale() {
-  if (results().empty()) return;
+void print_scale(const std::map<std::string, ScalePoint>& results) {
   std::cout << "\n== Ablation: system size R(1,B,D) @ 0.5 N_c ==\n";
   util::TablePrinter t({"system", "complement NP-B gain", "uniform P-B power saved",
                         "uniform P-B thru kept"});
-  for (const auto& [name, pt] : results()) {
+  for (const auto& [name, pt] : results) {
     t.row_values(name, util::TablePrinter::fixed(pt.complement_gain, 2) + "x",
                  util::TablePrinter::fixed(100 * pt.uniform_power_saved, 1) + "%",
                  util::TablePrinter::fixed(100 * pt.uniform_thru_keep, 1) + "%");
@@ -82,19 +70,15 @@ void print_scale() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+int main() {
   const std::pair<std::uint32_t, std::uint32_t> sizes[] = {
       {4, 4}, {4, 8}, {8, 4}, {8, 8}, {16, 4}};
+  std::map<std::string, ScalePoint> results;
   for (auto [b, d] : sizes) {
-    benchmark::RegisterBenchmark(
-        ("scale/B=" + std::to_string(b) + "/D=" + std::to_string(d)).c_str(),
-        [b, d](benchmark::State& st) { run_scale(st, b, d); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    const std::string name = "R(1," + std::to_string(b) + "," + std::to_string(d) +
+                             ")=" + std::to_string(b * d);
+    results[name] = run_scale("scale/B=" + std::to_string(b) + "/D=" + std::to_string(d), b, d);
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_scale();
+  print_scale(results);
   return 0;
 }

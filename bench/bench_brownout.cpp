@@ -11,16 +11,13 @@
 // Setting ERAPID_BENCH_JSON=<dir> writes BENCH_brownout.json there
 // (schema erapid-bench-1, see write_artifact); points are keyed (mode,
 // cap_mw, load) and carry the resilience block compare_runs.py gates.
-#include <benchmark/benchmark.h>
-
-#include <chrono>
 #include <iostream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "figure_common.hpp"  // Point, write_artifact()
-#include "sim/simulation.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -68,45 +65,14 @@ sim::SimOptions capped_options(double cap, double load) {
   return o;
 }
 
-sim::SimOptions& last_options() {
-  static sim::SimOptions o;
-  return o;
-}
-
-std::map<std::pair<double, double>, bench::Point>& store() {
-  static std::map<std::pair<double, double>, bench::Point> s;
-  return s;
-}
-
-void run_point(benchmark::State& state, double cap, double load) {
-  sim::SimResult result;
-  double wall_ms = 0.0;
-  const sim::SimOptions o = capped_options(cap, load);
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    sim::Simulation s(o);
-    result = s.run();
-    wall_ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-    benchmark::DoNotOptimize(&result);
-  }
-  state.counters["thru_xNc"] = result.accepted_fraction;
-  state.counters["power_mW"] = result.power_avg_mw;
-  state.counters["steps_down"] = static_cast<double>(result.resilience.steps_down);
-  state.counters["lanes_shed"] = static_cast<double>(result.resilience.lanes_shed);
-  store()[{cap, load}] = bench::Point{result, wall_ms};
-  last_options() = o;
-}
-
 std::string cap_label(double cap) {
   return cap <= 0.0 ? std::string("uncapped")
                     : util::TablePrinter::fixed(cap, 0) + "mW";
 }
 
-void print_summary() {
-  if (store().empty()) return;
+using Results = std::map<std::pair<double, double>, bench::Point>;  // (cap, load)
 
+void print_summary(const Results& results) {
   std::cout << "\n== Brownout (uniform, P-B): throughput under a power cap ==\n";
   {
     std::vector<std::string> header = {"load(xN_c)"};
@@ -117,12 +83,7 @@ void print_summary() {
       std::vector<std::string> row = {util::TablePrinter::fixed(load, 1)};
       double base_thru = 0.0, worst = 0.0;
       for (double c : caps()) {
-        const auto it = store().find({c, load});
-        if (it == store().end()) {
-          row.push_back("-");
-          continue;
-        }
-        const double thru = it->second.result.accepted_fraction;
+        const double thru = results.at({c, load}).result.accepted_fraction;
         row.push_back(util::TablePrinter::fixed(thru, 3));
         if (c <= 0.0) base_thru = thru;
         worst = thru;
@@ -140,9 +101,7 @@ void print_summary() {
   for (double load : loads()) {
     for (double c : caps()) {
       if (c <= 0.0) continue;
-      const auto it = store().find({c, load});
-      if (it == store().end()) continue;
-      const auto& r = it->second.result;
+      const auto& r = results.at({c, load}).result;
       d.row_values(util::TablePrinter::fixed(load, 1), cap_label(c),
                    r.resilience.peak_stage, r.resilience.steps_down,
                    r.resilience.lanes_slept, r.resilience.lanes_shed,
@@ -153,32 +112,24 @@ void print_summary() {
   d.print(std::cout);
 }
 
-void write_json() {
+}  // namespace
+
+int main() {
+  Results results;
+  sim::SimOptions o;
+  for (double c : caps()) {
+    for (double load : loads()) {
+      o = capped_options(c, load);
+      results[{c, load}] = bench::run(
+          "brownout/cap=" + cap_label(c) + "/load=" + util::TablePrinter::fixed(load, 1), o);
+    }
+  }
+  print_summary(results);
   std::vector<sim::BenchPoint> points;
-  for (const auto& [key, p] : store()) {
+  for (const auto& [key, p] : results) {
     points.push_back(
         {{{"mode", "P-B"}, {"cap_mw", key.first}, {"load", key.second}}, &p.result, p.wall_ms});
   }
-  bench::write_artifact("brownout", "Brownout ladder", "uniform", last_options(), points);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  for (double c : caps()) {
-    for (double load : loads()) {
-      const std::string name = "brownout/cap=" + cap_label(c) +
-                               "/load=" + util::TablePrinter::fixed(load, 1);
-      benchmark::RegisterBenchmark(
-          name.c_str(), [c, load](benchmark::State& st) { run_point(st, c, load); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_summary();
-  write_json();
+  bench::write_artifact("brownout", "Brownout ladder", "uniform", o, points);
   return 0;
 }

@@ -16,12 +16,11 @@
 // Shape to check: optics win on both bandwidth (5 Gb/s/λ with lane
 // aggregation) and power (43 mW vs 128 mW per link), and the gap widens
 // with reconfiguration on adversarial traffic — the motivation in §1.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
+#include <string>
 
-#include "sim/simulation.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -46,11 +45,6 @@ struct Row {
   sim::SimResult optical_pb;
 };
 
-std::map<std::string, Row>& results() {
-  static std::map<std::string, Row> r;
-  return r;
-}
-
 sim::SimOptions base(traffic::PatternKind pattern) {
   sim::SimOptions o;  // R(1,8,8)
   o.pattern = pattern;
@@ -61,35 +55,30 @@ sim::SimOptions base(traffic::PatternKind pattern) {
   return o;
 }
 
-void run_pattern(benchmark::State& state, traffic::PatternKind pattern) {
+Row run_pattern(traffic::PatternKind pattern) {
+  const std::string name = "electrical/" + std::string(traffic::pattern_name(pattern));
   Row row;
-  for (auto _ : state) {
-    // Electrical: fixed 6.4 Gb/s per board-to-board link, no reconfig.
-    auto oe = base(pattern);
-    oe.reconfig.mode = reconfig::NetworkMode::np_nb();
-    oe.power_model = electrical_model();
-    row.electrical = sim::Simulation(oe).run();
+  // Electrical: fixed 6.4 Gb/s per board-to-board link, no reconfig.
+  auto oe = base(pattern);
+  oe.reconfig.mode = reconfig::NetworkMode::np_nb();
+  oe.power_model = electrical_model();
+  row.electrical = bench::run(name + "/electrical", oe).result;
 
-    auto os = base(pattern);
-    os.reconfig.mode = reconfig::NetworkMode::np_nb();
-    row.optical_static = sim::Simulation(os).run();
+  auto os = base(pattern);
+  os.reconfig.mode = reconfig::NetworkMode::np_nb();
+  row.optical_static = bench::run(name + "/NP-NB", os).result;
 
-    auto op = base(pattern);
-    op.reconfig.mode = reconfig::NetworkMode::p_b();
-    row.optical_pb = sim::Simulation(op).run();
-    benchmark::DoNotOptimize(&row);
-  }
-  results()[std::string(traffic::pattern_name(pattern))] = row;
-  state.counters["elec_mW"] = row.electrical.power_avg_mw;
-  state.counters["pb_mW"] = row.optical_pb.power_avg_mw;
+  auto op = base(pattern);
+  op.reconfig.mode = reconfig::NetworkMode::p_b();
+  row.optical_pb = bench::run(name + "/P-B", op).result;
+  return row;
 }
 
-void print_comparison() {
-  if (results().empty()) return;
+void print_comparison(const std::map<std::string, Row>& results) {
   std::cout << "\n== Baseline: electrical links (6.4 Gb/s, 128 mW) vs E-RAPID @ 0.5 N_c ==\n";
   util::TablePrinter t({"pattern", "elec thru", "elec mW", "optical NP-NB thru",
                         "NP-NB mW", "optical P-B thru", "P-B mW"});
-  for (const auto& [name, r] : results()) {
+  for (const auto& [name, r] : results) {
     t.row_values(name, util::TablePrinter::fixed(r.electrical.accepted_fraction, 3),
                  util::TablePrinter::fixed(r.electrical.power_avg_mw, 0),
                  util::TablePrinter::fixed(r.optical_static.accepted_fraction, 3),
@@ -103,17 +92,11 @@ void print_comparison() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+int main() {
+  std::map<std::string, Row> results;
   for (auto pattern : {traffic::PatternKind::Uniform, traffic::PatternKind::Complement}) {
-    benchmark::RegisterBenchmark(
-        ("electrical/" + std::string(traffic::pattern_name(pattern))).c_str(),
-        [pattern](benchmark::State& st) { run_pattern(st, pattern); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    results[std::string(traffic::pattern_name(pattern))] = run_pattern(pattern);
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_comparison();
+  print_comparison(results);
   return 0;
 }

@@ -8,14 +8,13 @@
 // across destination boards early in the measurement interval, and report
 // throughput retention vs the fault-free run plus the worst observed
 // time-to-reroute (cycles from lane death to the replacement grant).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/simulation.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -61,49 +60,18 @@ fault::FaultPlan storm(std::uint32_t count, const sim::SimOptions& o) {
   return plan;
 }
 
-struct Point {
-  sim::SimResult result;
-};
+using Results = std::map<std::pair<std::uint32_t, double>, sim::SimResult>;
 
-std::map<std::pair<std::uint32_t, double>, Point>& store() {
-  static std::map<std::pair<std::uint32_t, double>, Point> s;
-  return s;
-}
-
-void run_point(benchmark::State& state, std::uint32_t fails, double load) {
-  sim::SimResult result;
-  for (auto _ : state) {
-    sim::SimOptions o = base_options(load);
-    o.fault = storm(fails, o);
-    sim::Simulation s(o);
-    result = s.run();
-    benchmark::DoNotOptimize(&result);
-  }
-  state.counters["thru_xNc"] = result.accepted_fraction;
-  state.counters["rehomed"] = static_cast<double>(result.fault.packets_rehomed);
-  state.counters["worst_ttr"] = static_cast<double>(result.fault.worst_time_to_reroute);
-  store()[{fails, load}] = Point{result};
-}
-
-void print_summary() {
-  if (store().empty()) return;
-
+void print_summary(const Results& results) {
   std::cout << "\n== Fault resilience (uniform, P-B): throughput retention ==\n";
   util::TablePrinter t({"load(xN_c)", "0 fails", "1 fail", "2 fails", "4 fails",
                         "retention@4"});
   for (double load : loads()) {
     std::vector<std::string> row = {util::TablePrinter::fixed(load, 1)};
-    const auto base = store().find({0, load});
-    double base_thru = 0.0;
-    if (base != store().end()) base_thru = base->second.result.accepted_fraction;
+    const double base_thru = results.at({0, load}).accepted_fraction;
     double worst = 0.0;
     for (std::uint32_t f : failure_counts()) {
-      const auto it = store().find({f, load});
-      if (it == store().end()) {
-        row.push_back("-");
-        continue;
-      }
-      const double thru = it->second.result.accepted_fraction;
+      const double thru = results.at({f, load}).accepted_fraction;
       row.push_back(util::TablePrinter::fixed(thru, 3));
       worst = thru;
     }
@@ -118,9 +86,7 @@ void print_summary() {
   for (double load : loads()) {
     for (std::uint32_t f : failure_counts()) {
       if (f == 0) continue;
-      const auto it = store().find({f, load});
-      if (it == store().end()) continue;
-      const auto& fr = it->second.result.fault;
+      const auto& fr = results.at({f, load}).fault;
       r.row_values(util::TablePrinter::fixed(load, 1), f, fr.packets_rehomed,
                    fr.reroutes_completed, fr.worst_time_to_reroute, fr.degraded_windows);
     }
@@ -130,21 +96,17 @@ void print_summary() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+int main() {
+  Results results;
   for (std::uint32_t f : failure_counts()) {
     for (double load : loads()) {
+      sim::SimOptions o = base_options(load);
+      o.fault = storm(f, o);
       const std::string name = "fault_resilience/fails=" + std::to_string(f) +
                                "/load=" + util::TablePrinter::fixed(load, 1);
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [f, load](benchmark::State& st) { run_point(st, f, load); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      results[{f, load}] = bench::run(name, o).result;
     }
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_summary();
+  print_summary(results);
   return 0;
 }

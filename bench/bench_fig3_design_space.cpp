@@ -7,15 +7,15 @@
 // Shape to check: NP-NB flat at max power; P-NB tracks load at reduced
 // power but cannot add bandwidth; NP-B adds bandwidth at high load and
 // burns more power; P-B adds bandwidth *and* tracks load in power.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "des/engine.hpp"
 #include "sim/network.hpp"
+#include "sweep.hpp"
 #include "traffic/generator.hpp"
 #include "traffic/patterns.hpp"
 #include "util/table.hpp"
@@ -68,33 +68,13 @@ TimelineResult run_timeline(const reconfig::NetworkMode& mode) {
   return out;
 }
 
-std::map<std::string, TimelineResult>& results() {
-  static std::map<std::string, TimelineResult> r;
-  return r;
-}
-
-void run_mode(benchmark::State& state, const reconfig::NetworkMode& mode) {
-  TimelineResult r;
-  for (auto _ : state) {
-    r = run_timeline(mode);
-    benchmark::DoNotOptimize(r.phases.size());
-  }
-  results()[std::string(mode.name)] = r;
-  state.counters["low_mW"] = r.phases[0].avg_power_mw;
-  state.counters["burst_mW"] = r.phases[1].avg_power_mw;
-  state.counters["low2_mW"] = r.phases[2].avg_power_mw;
-}
-
-void print_figure3() {
-  if (results().empty()) return;
+void print_figure3(const std::map<std::string, TimelineResult>& results) {
   std::cout << "\n== Figure 3: power tracking across a low/burst/low load profile "
                "(shuffle) ==\n";
   util::TablePrinter t({"mode", "P(low) mW", "P(burst) mW", "P(low again) mW",
                         "delivered@burst"});
   for (const auto& name : {"NP-NB", "P-NB", "NP-B", "P-B"}) {
-    const auto it = results().find(name);
-    if (it == results().end()) continue;
-    const auto& r = it->second;
+    const auto& r = results.at(name);
     t.row_values(name, util::TablePrinter::fixed(r.phases[0].avg_power_mw, 1),
                  util::TablePrinter::fixed(r.phases[1].avg_power_mw, 1),
                  util::TablePrinter::fixed(r.phases[2].avg_power_mw, 1),
@@ -107,19 +87,14 @@ void print_figure3() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+int main() {
+  std::map<std::string, TimelineResult> results;
   for (const auto& mode :
        {reconfig::NetworkMode::np_nb(), reconfig::NetworkMode::p_nb(),
         reconfig::NetworkMode::np_b(), reconfig::NetworkMode::p_b()}) {
-    benchmark::RegisterBenchmark(
-        ("fig3/" + std::string(mode.name)).c_str(),
-        [mode](benchmark::State& st) { run_mode(st, mode); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    const std::string name(mode.name);
+    bench::timed("fig3/" + name, [&] { results[name] = run_timeline(mode); });
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_figure3();
+  print_figure3(results);
   return 0;
 }

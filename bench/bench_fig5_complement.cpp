@@ -8,7 +8,7 @@
 //  * NP-B burns ≈ 3x the static power; P-B ≈ 25% less than NP-B.
 #include "figure_common.hpp"
 
-int main(int argc, char** argv) {
-  return erapid::bench::figure_main(argc, argv, erapid::traffic::PatternKind::Complement,
+int main() {
+  return erapid::bench::figure_main(erapid::traffic::PatternKind::Complement,
                                     "Figure 5 / complement");
 }

@@ -7,7 +7,7 @@
 //  * P-NB saves ≈ 16% power, P-B ≈ 50%.
 #include "figure_common.hpp"
 
-int main(int argc, char** argv) {
-  return erapid::bench::figure_main(argc, argv, erapid::traffic::PatternKind::Uniform,
+int main() {
+  return erapid::bench::figure_main(erapid::traffic::PatternKind::Uniform,
                                     "Figure 5 / uniform");
 }

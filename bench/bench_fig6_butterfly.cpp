@@ -6,7 +6,7 @@
 //  * NP-B ≈ 2x the static power; P-B ≈ 1.5x.
 #include "figure_common.hpp"
 
-int main(int argc, char** argv) {
-  return erapid::bench::figure_main(argc, argv, erapid::traffic::PatternKind::Butterfly,
+int main() {
+  return erapid::bench::figure_main(erapid::traffic::PatternKind::Butterfly,
                                     "Figure 6 / butterfly");
 }

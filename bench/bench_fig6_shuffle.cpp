@@ -6,8 +6,7 @@
 //  * power rises ≈ 70% (NP-B) vs ≈ 25% (P-B).
 #include "figure_common.hpp"
 
-int main(int argc, char** argv) {
-  return erapid::bench::figure_main(argc, argv,
-                                    erapid::traffic::PatternKind::PerfectShuffle,
+int main() {
+  return erapid::bench::figure_main(erapid::traffic::PatternKind::PerfectShuffle,
                                     "Figure 6 / perfect shuffle");
 }

@@ -4,12 +4,11 @@
 // throughput by less than 5%" — P-B compared against the non-power-aware
 // reference with the same bandwidth policy, across all four evaluated
 // traffic patterns at a moderate 0.5 x N_c load.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
+#include <string>
 
-#include "sim/simulation.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -21,11 +20,6 @@ struct ClaimPoint {
   sim::SimResult p_b;
 };
 
-std::map<std::string, ClaimPoint>& results() {
-  static std::map<std::string, ClaimPoint> r;
-  return r;
-}
-
 sim::SimOptions base_opts(traffic::PatternKind pattern) {
   sim::SimOptions o;  // R(1,8,8)
   o.pattern = pattern;
@@ -36,29 +30,11 @@ sim::SimOptions base_opts(traffic::PatternKind pattern) {
   return o;
 }
 
-void run_pattern(benchmark::State& state, traffic::PatternKind pattern) {
-  ClaimPoint pt;
-  for (auto _ : state) {
-    auto o = base_opts(pattern);
-    o.reconfig.mode = reconfig::NetworkMode::np_b();
-    pt.np_b = sim::Simulation(o).run();
-    o.reconfig.mode = reconfig::NetworkMode::p_b();
-    pt.p_b = sim::Simulation(o).run();
-    benchmark::DoNotOptimize(&pt);
-  }
-  results()[std::string(traffic::pattern_name(pattern))] = pt;
-  state.counters["power_saved_pct"] =
-      100.0 * (1.0 - pt.p_b.power_avg_mw / pt.np_b.power_avg_mw);
-  state.counters["thru_delta_pct"] =
-      100.0 * (pt.p_b.accepted_fraction / pt.np_b.accepted_fraction - 1.0);
-}
-
-void print_claim() {
-  if (results().empty()) return;
+void print_claim(const std::map<std::string, ClaimPoint>& results) {
   std::cout << "\n== Headline claim (abstract): P-B vs NP-B at 0.5 x N_c ==\n";
   util::TablePrinter t({"pattern", "NP-B thru", "P-B thru", "thru delta", "NP-B mW",
                         "P-B mW", "power saved"});
-  for (const auto& [name, pt] : results()) {
+  for (const auto& [name, pt] : results) {
     const double dthru =
         100.0 * (pt.p_b.accepted_fraction / pt.np_b.accepted_fraction - 1.0);
     const double saved = 100.0 * (1.0 - pt.p_b.power_avg_mw / pt.np_b.power_avg_mw);
@@ -75,19 +51,19 @@ void print_claim() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+int main() {
+  std::map<std::string, ClaimPoint> results;
   for (auto pattern :
        {traffic::PatternKind::Uniform, traffic::PatternKind::Complement,
         traffic::PatternKind::Butterfly, traffic::PatternKind::PerfectShuffle}) {
-    benchmark::RegisterBenchmark(
-        ("headline/" + std::string(traffic::pattern_name(pattern))).c_str(),
-        [pattern](benchmark::State& st) { run_pattern(st, pattern); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    const std::string name(traffic::pattern_name(pattern));
+    auto o = base_opts(pattern);
+    ClaimPoint& pt = results[name];
+    o.reconfig.mode = reconfig::NetworkMode::np_b();
+    pt.np_b = bench::run("headline/" + name + "/NP-B", o).result;
+    o.reconfig.mode = reconfig::NetworkMode::p_b();
+    pt.p_b = bench::run("headline/" + name + "/P-B", o).result;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_claim();
+  print_claim(results);
   return 0;
 }

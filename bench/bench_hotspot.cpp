@@ -5,53 +5,28 @@
 // DBR allocator must move many boards' lanes toward one coupler.
 //
 // Series: hotspot fraction sweep at fixed 0.4 x N_c offered, four modes.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
+#include <string>
+#include <utility>
 
-#include "sim/simulation.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace erapid;
 
-std::map<std::pair<std::string, double>, sim::SimResult>& results() {
-  static std::map<std::pair<std::string, double>, sim::SimResult> r;
-  return r;
-}
+using Results = std::map<std::pair<std::string, double>, sim::SimResult>;  // (mode, fraction)
 
-void run_point(benchmark::State& state, const reconfig::NetworkMode& mode,
-               double fraction) {
-  sim::SimResult r;
-  for (auto _ : state) {
-    sim::SimOptions o;  // R(1,8,8)
-    o.pattern = traffic::PatternKind::Hotspot;
-    o.load_fraction = 0.4;
-    o.warmup_cycles = 10000;
-    o.measure_cycles = 15000;
-    o.drain_limit = 50000;
-    o.reconfig.mode = mode;
-    o.hotspot_fraction = fraction;
-    r = sim::Simulation(o).run();
-    benchmark::DoNotOptimize(&r);
-  }
-  results()[{std::string(mode.name), fraction}] = r;
-  state.counters["thru_xNc"] = r.accepted_fraction;
-  state.counters["power_mW"] = r.power_avg_mw;
-}
-
-void print_tables() {
-  if (results().empty()) return;
+void print_tables(const Results& results) {
   std::cout << "\n== Extension: hotspot traffic @ 0.4 N_c (accepted xN_c | active mW) ==\n";
   util::TablePrinter t({"hotspot fraction", "NP-NB", "NP-B", "P-B"});
   for (double f : {0.05, 0.1, 0.2, 0.4}) {
     auto cell = [&](const char* m) {
-      const auto it = results().find({m, f});
-      if (it == results().end()) return std::string("-");
-      return util::TablePrinter::fixed(it->second.accepted_fraction, 3) + " | " +
-             util::TablePrinter::fixed(it->second.active_power_avg_mw, 0);
+      const auto& r = results.at({m, f});
+      return util::TablePrinter::fixed(r.accepted_fraction, 3) + " | " +
+             util::TablePrinter::fixed(r.active_power_avg_mw, 0);
     };
     t.row_values(util::TablePrinter::fixed(f, 2), cell("NP-NB"), cell("NP-B"),
                  cell("P-B"));
@@ -63,21 +38,24 @@ void print_tables() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+int main() {
+  Results results;
   for (const auto& mode : {reconfig::NetworkMode::np_nb(), reconfig::NetworkMode::np_b(),
                            reconfig::NetworkMode::p_b()}) {
     for (double f : {0.05, 0.1, 0.2, 0.4}) {
-      benchmark::RegisterBenchmark(
-          ("hotspot/" + std::string(mode.name) + "/f=" + util::TablePrinter::fixed(f, 2))
-              .c_str(),
-          [mode, f](benchmark::State& st) { run_point(st, mode, f); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      sim::SimOptions o;  // R(1,8,8)
+      o.pattern = traffic::PatternKind::Hotspot;
+      o.load_fraction = 0.4;
+      o.warmup_cycles = 10000;
+      o.measure_cycles = 15000;
+      o.drain_limit = 50000;
+      o.reconfig.mode = mode;
+      o.hotspot_fraction = f;
+      const std::string name =
+          "hotspot/" + std::string(mode.name) + "/f=" + util::TablePrinter::fixed(f, 2);
+      results[{std::string(mode.name), f}] = bench::run(name, o).result;
     }
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_tables();
+  print_tables(results);
   return 0;
 }

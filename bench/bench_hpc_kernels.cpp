@@ -12,9 +12,8 @@
 //                   how per-packet overheads eat effective bandwidth.
 #include "workload_common.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   return erapid::bench::workload_main(
-      argc, argv,
       {erapid::workload::WorkloadKind::Ptrans, erapid::workload::WorkloadKind::Fft,
        erapid::workload::WorkloadKind::RandomAccess,
        erapid::workload::WorkloadKind::Beff},

@@ -13,9 +13,8 @@
 // lowest active power for the same delivered bytes.
 #include "workload_common.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   return erapid::bench::workload_main(
-      argc, argv,
       {erapid::workload::WorkloadKind::AllReduce,
        erapid::workload::WorkloadKind::AllToAll},
       "ML collectives");

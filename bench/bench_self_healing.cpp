@@ -8,14 +8,13 @@
 // For each (mttr, load) point we report throughput retention vs the
 // fault-free run, the full recovery arc (downtime + re-admission wait),
 // and the ARQ overhead absorbed along the way.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/simulation.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -55,50 +54,18 @@ fault::FaultPlan storm(Cycle mttr, const sim::SimOptions& o) {
   return fault::FaultPlan::parse_events(spec);
 }
 
-struct Point {
-  sim::SimResult result;
-};
+using Results = std::map<std::pair<Cycle, double>, sim::SimResult>;
 
-std::map<std::pair<Cycle, double>, Point>& store() {
-  static std::map<std::pair<Cycle, double>, Point> s;
-  return s;
-}
-
-void run_point(benchmark::State& state, Cycle mttr, double load) {
-  sim::SimResult result;
-  for (auto _ : state) {
-    sim::SimOptions o = base_options(load);
-    if (mttr > 0) o.fault = storm(mttr, o);
-    sim::Simulation s(o);
-    result = s.run();
-    benchmark::DoNotOptimize(&result);
-  }
-  state.counters["thru_xNc"] = result.accepted_fraction;
-  state.counters["downtime"] = static_cast<double>(result.fault.worst_downtime);
-  state.counters["readmit_wait"] =
-      static_cast<double>(result.fault.worst_readmission_wait);
-  store()[{mttr, load}] = Point{result};
-}
-
-void print_summary() {
-  if (store().empty()) return;
-
+void print_summary(const Results& results) {
   std::cout << "\n== Self-healing (uniform, P-B): throughput retention vs MTTR ==\n";
   util::TablePrinter t({"load(xN_c)", "fault-free", "mttr=2k", "mttr=6k",
                         "mttr=12k", "retention@12k"});
   for (double load : loads()) {
     std::vector<std::string> row = {util::TablePrinter::fixed(load, 1)};
-    const auto base = store().find({0, load});
-    double base_thru = 0.0;
-    if (base != store().end()) base_thru = base->second.result.accepted_fraction;
+    const double base_thru = results.at({0, load}).accepted_fraction;
     double worst = 0.0;
     for (Cycle m : mttrs()) {
-      const auto it = store().find({m, load});
-      if (it == store().end()) {
-        row.push_back("-");
-        continue;
-      }
-      const double thru = it->second.result.accepted_fraction;
+      const double thru = results.at({m, load}).accepted_fraction;
       row.push_back(util::TablePrinter::fixed(thru, 3));
       worst = thru;
     }
@@ -113,9 +80,7 @@ void print_summary() {
   for (double load : loads()) {
     for (Cycle m : mttrs()) {
       if (m == 0) continue;
-      const auto it = store().find({m, load});
-      if (it == store().end()) continue;
-      const auto& fr = it->second.result.fault;
+      const auto& fr = results.at({m, load}).fault;
       r.row_values(util::TablePrinter::fixed(load, 1), m, fr.worst_downtime,
                    fr.worst_readmission_wait, fr.crc_dropped, fr.arq_retransmits,
                    fr.arq_dead_letters);
@@ -126,20 +91,17 @@ void print_summary() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
+int main() {
+  Results results;
   for (Cycle m : mttrs()) {
     for (double load : loads()) {
+      sim::SimOptions o = base_options(load);
+      if (m > 0) o.fault = storm(m, o);
       const std::string name = "self_healing/mttr=" + std::to_string(m) +
                                "/load=" + util::TablePrinter::fixed(load, 1);
-      benchmark::RegisterBenchmark(
-          name.c_str(), [m, load](benchmark::State& st) { run_point(st, m, load); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      results[{m, load}] = bench::run(name, o).result;
     }
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_summary();
+  print_summary(results);
   return 0;
 }

@@ -75,16 +75,12 @@ class Engine {
                                  std::uint64_t executed) = 0;
   };
 
-  explicit Engine(QueueKind kind = QueueKind::Heap)
-      : queue_(make_event_queue(kind)), kind_(kind) {}
+  explicit Engine(QueueKind kind = QueueKind::Heap) : queue_(make_event_queue(kind)) {}
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   /// Current simulation time in cycles.
   [[nodiscard]] Cycle now() const { return now_; }
-
-  /// Which calendar implementation this engine runs on.
-  [[nodiscard]] QueueKind queue_kind() const { return kind_; }
 
   /// Schedules `fn` to run `delay` cycles from now. delay == 0 runs later
   /// in the current cycle (after all earlier-scheduled same-time events).
@@ -130,7 +126,6 @@ class Engine {
   void release_slot(AliveSlot* slot);
 
   std::unique_ptr<EventQueue> queue_;
-  QueueKind kind_;
   util::Arena arena_{16 * 1024};  ///< backs the cancellation-slot pool
   AliveSlot* free_slots_ = nullptr;
   Cycle now_ = 0;

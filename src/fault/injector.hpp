@@ -101,9 +101,6 @@ class FaultInjector {
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
-  /// Failed flows still awaiting a replacement grant.
-  [[nodiscard]] std::size_t pending_reroutes() const { return pending_.size(); }
-
  private:
   struct PendingReroute {
     BoardId src;

@@ -137,7 +137,6 @@ class Hub final : public des::Engine::DispatchHook {
   [[nodiscard]] TrackId track_power() const { return t_power_; }
   [[nodiscard]] TrackId track_fault() const { return t_fault_; }
   [[nodiscard]] TrackId track_counters() const { return t_counters_; }
-  [[nodiscard]] TrackId track_monitors() const { return t_monitors_; }
   [[nodiscard]] TrackId track_telemetry() const { return t_telemetry_; }
 
   /// Finalizes the trace file. Idempotent.

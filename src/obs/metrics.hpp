@@ -10,7 +10,7 @@
 //   series    per-sample scalar distribution (stats::Streaming): per-lane
 //             utilization at harvest, per-window lanes moved.
 //   timeline  periodically sampled (cycle, value) points kept in full —
-//             what sim::Recorder exports as CSV; also summarised as a
+//             what sim::Recorder samples; also summarised as a
 //             Streaming distribution.
 //   histogram per-sample distribution with percentile queries over fixed
 //             log2 buckets (bucket 0 = [0,1), bucket i = [2^(i-1), 2^i)):

@@ -56,7 +56,6 @@ class Lane {
   [[nodiscard]] power::PowerLevel level() const { return level_; }
   [[nodiscard]] topology::LaneRef ref() const { return ref_; }
   [[nodiscard]] bool failed() const { return failed_; }
-  [[nodiscard]] power::PowerLevel level_cap() const { return level_cap_; }
 
   /// Ready to start a packet right now.
   [[nodiscard]] bool available(Cycle now) const {
@@ -102,8 +101,6 @@ class Lane {
   /// Hysteresis recovery lifted the ladder. The lane does not spontaneously
   /// re-raise its level; the next DPM/DBR decision may.
   void clear_brownout_cap();
-
-  [[nodiscard]] power::PowerLevel brownout_cap() const { return brownout_cap_; }
 
   /// True while a release (disable) is deferred behind an in-flight packet.
   /// The controller must not shed such a lane: its on_dark chain carries a

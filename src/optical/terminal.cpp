@@ -168,8 +168,6 @@ void OpticalTerminal::enqueue_packet(BoardId d, const router::Packet& p, Cycle n
   auto& flow = flows_[d.value()];
   ERAPID_EXPECT(flow.q.size() < cfg_.tx_queue_packets, "transmit queue overflow");
   flow.q.push_back(p);
-  ++flow.enqueued;
-  ++enqueued_;
   flow.occ.set_occupancy(now, static_cast<std::uint32_t>(flow.q.size()));
   pump_flow(d, now);
 }
@@ -192,10 +190,11 @@ void OpticalTerminal::pump_flow(BoardId d, Cycle now) {
     }
     if (usable.empty()) {
       // DLS wake-on-demand: queued packets but every owned lane is dark.
-      // (If some lane is merely busy/paused, its ready callback re-pumps.)
+      // The lane wakes at P_low and DPM then scales it. (If some lane is
+      // merely busy/paused, its ready callback re-pumps.)
       for (std::uint32_t w = 0; w < W; ++w) {
         if (lane_at(w) && lane_at(w)->can_wake()) {
-          lane_at(w)->request_level(wake_level_, now);
+          lane_at(w)->request_level(power::PowerLevel::Low, now);
           break;
         }
       }
@@ -215,7 +214,6 @@ void OpticalTerminal::pump_flow(BoardId d, Cycle now) {
     if (!launched) return;  // all RX queues full; retried on slot-freed
 
     flow.q.pop_front();
-    ++flow.launched;
     ERAPID_COUNTER(hub_, m_tx_packets_, 1);
     flow.occ.set_occupancy(now, static_cast<std::uint32_t>(flow.q.size()));
     if (flow.sink) flow.sink->retry_blocked(now);

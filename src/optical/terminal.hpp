@@ -125,14 +125,9 @@ class OpticalTerminal {
     return *lanes_[lane_index(d, w)];
   }
   [[nodiscard]] std::uint32_t remote_out_port(BoardId d) const;
-  [[nodiscard]] std::uint64_t packets_queued_total() const { return enqueued_; }
 
   /// Sum of active energy (mW·cycles) over all of this board's lanes.
   [[nodiscard]] units::MilliwattCycles active_energy_mw_cycles() const;
-
-  /// DLS wake policy: level a dark lane is woken to when the flow has
-  /// queued demand but no lit lane (default P_low; DPM then scales it).
-  void set_wake_level(power::PowerLevel l) { wake_level_ = l; }
 
  private:
   /// Reassembles router flits back into packets for one destination. The
@@ -165,8 +160,6 @@ class OpticalTerminal {
     stats::OccupancyTracker occ;
     router::RoundRobinArbiter lane_rr;
     std::unique_ptr<TxSink> sink;
-    std::uint64_t enqueued = 0;
-    std::uint64_t launched = 0;
     explicit Flow(std::uint32_t cap, std::uint32_t wavelengths)
         : occ(cap), lane_rr(wavelengths) {}
   };
@@ -186,14 +179,12 @@ class OpticalTerminal {
   router::Router& router_;
   std::vector<Flow> flows_;                   ///< indexed by dest board (self unused)
   std::vector<std::unique_ptr<Lane>> lanes_;  ///< dest-major, W per dest, self row null
-  power::PowerLevel wake_level_ = power::PowerLevel::Low;
   /// Scratch for pump_flow's per-iteration list of available lanes
   /// (ascending), hoisted out of the hot loop. Refilled at the top of every
   /// iteration, so the reentrant pump path (launch → retry_blocked →
   /// try_commit → enqueue_packet → pump_flow) sees exactly the decisions
   /// the local vector produced; only the allocation is shared.
   std::vector<std::uint32_t> lane_scan_;
-  std::uint64_t enqueued_ = 0;
   std::function<void(const router::Packet&, Cycle)> on_dead_letter_;
   std::uint64_t crc_naks_ = 0;
   std::uint64_t arq_retransmits_ = 0;

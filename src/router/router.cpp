@@ -37,10 +37,6 @@ void Router::set_credit_return(std::uint32_t in_port, CreditFn fn) {
   inputs_[in_port].credit_return = std::move(fn);
 }
 
-bool Router::can_accept(std::uint32_t in_port, std::uint32_t vc) const {
-  return inputs_[in_port].vcs[vc].buf.size() < vc_depth_;
-}
-
 void Router::accept_flit(std::uint32_t in_port, std::uint32_t vc, const Flit& f, Cycle now) {
   auto& ch = inputs_[in_port].vcs[vc];
   ERAPID_EXPECT(ch.buf.size() < vc_depth_,

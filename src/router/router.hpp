@@ -93,7 +93,6 @@ class Router : public des::Clocked {
   void set_credit_return(std::uint32_t in_port, CreditFn fn);
 
   // --- upstream-facing flit interface (upstream tracks its own credits) ---
-  [[nodiscard]] bool can_accept(std::uint32_t in_port, std::uint32_t vc) const;
   void accept_flit(std::uint32_t in_port, std::uint32_t vc, const Flit& f, Cycle now);
 
   /// Downstream calls this when it frees one flit slot on (out_port, vc).
@@ -106,7 +105,6 @@ class Router : public des::Clocked {
   [[nodiscard]] const RouterCounters& counters() const { return counters_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint32_t num_inputs() const { return static_cast<std::uint32_t>(inputs_.size()); }
-  [[nodiscard]] std::uint32_t num_outputs() const { return static_cast<std::uint32_t>(outputs_.size()); }
 
   /// Buffered flits on one input VC (tests/inspection).
   [[nodiscard]] std::size_t vc_occupancy(std::uint32_t in_port, std::uint32_t vc) const {

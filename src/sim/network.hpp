@@ -80,12 +80,10 @@ class Network {
   [[nodiscard]] const topology::Rwa& rwa() const { return rwa_; }
   [[nodiscard]] topology::LaneMap& lane_map() { return lane_map_; }
   [[nodiscard]] reconfig::ReconfigManager& reconfig_manager() { return *manager_; }
-  [[nodiscard]] router::Router& board_router(BoardId b) { return *routers_[b.value()]; }
   [[nodiscard]] optical::OpticalTerminal& terminal(BoardId b) { return *terminals_[b.value()]; }
   [[nodiscard]] optical::Receiver& receiver(BoardId b, WavelengthId w) {
     return *receivers_[static_cast<std::size_t>(b.value()) * cfg_.num_wavelengths() + w.value()];
   }
-  [[nodiscard]] NodeInterface& node_interface(NodeId n) { return *nis_[n.value()]; }
   /// Null unless the Simulation built a degradation controller.
   [[nodiscard]] resilience::DegradeController* degrade_controller() {
     return degrade_ctrl_;

@@ -10,7 +10,6 @@ NodeInterface::NodeInterface(des::Engine& engine, router::Router& router,
 }
 
 void NodeInterface::submit(const router::Packet& p, Cycle now) {
-  ++submitted_;
   queue_.push_back(p);
   pump(now);
 }

@@ -224,7 +224,7 @@ const Key kKeys[] = {
     choice<traffic::parse_pattern, traffic::pattern_name>("workload.pattern", FIELD(pattern)),
     real("workload.hotspot_fraction", FIELD(hotspot_fraction)),
     integer("workload.hotspot_node", FIELD(hotspot_node)),
-    real("workload.load", FIELD(load_fraction)),
+    real<0.0>("workload.load", FIELD(load_fraction)),
     integer("workload.seed", FIELD(seed)),
     integer("workload.warmup_cycles", FIELD(warmup_cycles)),
     integer<1>("workload.measure_cycles", FIELD(measure_cycles)),
@@ -295,10 +295,9 @@ SimOptions options_from_ini(const util::Ini& ini) {
     }
   }
   // Cross-field validation (workload kind vs phases/trace_file, degrade
-  // policies vs armed monitors) rejects a bad sweep config at parse time,
-  // before any simulation runs.
-  o.workload.validate();
-  o.degrade.validate(o.obs, o.reconfig.mode.bandwidth_reconfig);
+  // policies vs armed monitors, the run window) rejects a bad sweep config
+  // at parse time, before any simulation runs.
+  o.validate();
   return o;
 }
 

@@ -3,21 +3,11 @@
 // The figures in the paper are steady-state summaries; understanding *why*
 // a configuration behaves as it does needs the time dimension: when lanes
 // moved, how power tracked load, where queues built up. The Recorder
-// samples the network at a fixed cadence and exports the series as CSV
-// (one row per sample) — this is what produced the Figure 3 timelines and
-// is the intended debugging tool for new policies.
-//
-// Storage lives in an obs::MetricsRegistry (one timeline metric per
-// column) rather than an ad-hoc sample vector: attached to a Hub the
-// series land in the run's metrics snapshot and are mirrored onto trace
-// counter tracks; standalone the Recorder owns a private registry and
-// behaves exactly as before.
+// samples the network at a fixed cadence into the hub's MetricsRegistry
+// (one "recorder.*" timeline per column), so the series land in the run's
+// metrics snapshot, and mirrors them onto trace counter tracks. Each
+// sample also drives the power-cap monitor and the degradation controller.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 #include "des/engine.hpp"
 #include "obs/hub.hpp"
@@ -26,27 +16,13 @@
 
 namespace erapid::sim {
 
-/// One sample of network-wide state.
-struct Sample {
-  Cycle cycle = 0;
-  double power_mw = 0.0;          ///< instantaneous optical power
-  std::uint32_t lanes_lit = 0;    ///< owned lanes network-wide
-  std::uint64_t delivered = 0;    ///< cumulative deliveries
-  std::size_t source_backlog = 0; ///< total NI queue depth
-  std::uint64_t lane_grants = 0;  ///< cumulative DBR grants
-  std::uint64_t level_changes = 0;///< cumulative DVS transitions
-  std::uint32_t lanes_failed = 0; ///< permanently failed lanes (fault injection)
-};
-
 /// Periodic sampler over a Network.
 class Recorder {
  public:
-  /// Samples every `interval` cycles once started. With a live `hub` the
-  /// timelines are registered in the hub's MetricsRegistry (prefix
-  /// "recorder.") and every sample is also emitted on the trace's counter
-  /// tracks; without one a private registry keeps the data local.
-  Recorder(des::Engine& engine, Network& network, CycleDelta interval,
-           obs::Hub* hub = nullptr);
+  /// Samples every `interval` cycles once started, into `hub`'s timelines
+  /// recorder.{power_mw, lanes_lit, delivered, backlog, lane_grants,
+  /// level_changes, lanes_failed}.
+  Recorder(des::Engine& engine, Network& network, CycleDelta interval, obs::Hub& hub);
 
   /// Begins sampling (first sample at now + interval).
   void start();
@@ -54,31 +30,13 @@ class Recorder {
   /// Stops sampling (kept samples remain).
   void stop();
 
-  /// Rebuilds the row view from the per-column timelines.
-  [[nodiscard]] std::vector<Sample> samples() const;
-
-  [[nodiscard]] std::size_t sample_count() const;
-
-  /// Writes "cycle,power_mw,lanes_lit,delivered,backlog,grants,dvs" rows.
-  void write_csv(const std::string& path) const;
-
-  /// Average power over the sampled period (trapezoidal on samples).
-  [[nodiscard]] double sampled_avg_power() const;
-
-  /// Peak instantaneous power seen at a sample point.
-  [[nodiscard]] double peak_power() const;
-
  private:
   void take_sample();
-  [[nodiscard]] obs::MetricsRegistry& registry();
-  [[nodiscard]] const obs::MetricsRegistry& registry() const;
 
   des::Engine& engine_;
   Network& network_;
   CycleDelta interval_;
-  obs::Hub* hub_;
-  /// Backing store when no hub is attached (or obs is off).
-  obs::MetricsRegistry own_;
+  obs::Hub& hub_;
   bool running_ = false;
   des::EventHandle next_;
 

@@ -1,6 +1,7 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/probe.hpp"
 #include "workload/collectives.hpp"
@@ -92,6 +93,17 @@ std::vector<obs::BoardEnergy> board_energy(const power::EnergyMeter& meter, Cycl
 
 }  // namespace
 
+void SimOptions::validate() const {
+  workload.validate();
+  degrade.validate(obs, reconfig.mode.bandwidth_reconfig);
+  constexpr Cycle kMax = std::numeric_limits<Cycle>::max();
+  ERAPID_EXPECT(measure_cycles <= kMax - warmup_cycles &&
+                    drain_limit <= kMax - warmup_cycles - measure_cycles,
+                "workload.warmup_cycles + measure_cycles + drain_limit = "
+                    << warmup_cycles << " + " << measure_cycles << " + " << drain_limit
+                    << " overflows the cycle counter");
+}
+
 Simulation::Simulation(const SimOptions& opts)
     : opts_(opts),
       engine_(opts.des_queue),
@@ -99,8 +111,7 @@ Simulation::Simulation(const SimOptions& opts)
       completion_bounded_(opts.workload.completion_bounded()) {
   // Programmatically built SimOptions get the same cross-field validation
   // as INI-loaded ones.
-  opts_.workload.validate();
-  opts_.degrade.validate(opts_.obs, opts_.reconfig.mode.bandwidth_reconfig);
+  opts_.validate();
   // With obs off the hub stays null and every probe site reduces to one
   // branch: the event stream (and golden fixture) is untouched.
   if (opts_.obs.enabled) {
@@ -128,7 +139,7 @@ Simulation::Simulation(const SimOptions& opts)
                                        degrade_ctrl_.get());
   if (hub_ != nullptr) {
     recorder_ = std::make_unique<Recorder>(engine_, *network_, opts_.obs.counter_interval,
-                                           hub_.get());
+                                           *hub_);
   }
 
   std::vector<optical::OpticalTerminal*> terminals;

@@ -65,6 +65,11 @@ struct SimOptions {
   /// configured (any() == false) no controller is built and the run is
   /// byte-identical to a build without the resilience subsystem.
   resilience::DegradeConfig degrade;
+
+  /// Cross-field checks (throws ModelInvariantError): the workload spec,
+  /// degrade policies against the armed monitors, and a run window
+  /// warmup + measure + drain_limit that fits in a Cycle.
+  void validate() const;
 };
 
 /// Results of one run.

@@ -79,14 +79,6 @@ void LaneMap::unshed(BoardId d, WavelengthId w) {
   shed_[i] = 0;
 }
 
-std::uint32_t LaneMap::shed_count() const {
-  std::uint32_t n = 0;
-  for (const auto s : shed_) {
-    if (s) ++n;
-  }
-  return n;
-}
-
 std::vector<WavelengthId> LaneMap::lanes_of(BoardId s, BoardId d) const {
   std::vector<WavelengthId> out;
   for (std::uint32_t w = 0; w < wavelengths_; ++w) {

@@ -123,9 +123,6 @@ class LaneMap {
     return shed_[index(d, w)] != 0;
   }
 
-  /// Number of lanes currently shed network-wide.
-  [[nodiscard]] std::uint32_t shed_count() const;
-
   /// All wavelengths board `s` currently drives toward destination `d`.
   [[nodiscard]] std::vector<WavelengthId> lanes_of(BoardId s, BoardId d) const;
 

@@ -70,12 +70,6 @@ class Arena {
     return c->data.get() + at;
   }
 
-  /// Typed convenience: uninitialized storage for `n` objects of T.
-  template <typename T>
-  [[nodiscard]] T* allocate_array(std::size_t n) {
-    return static_cast<T*>(allocate(sizeof(T) * n, alignof(T)));
-  }
-
   /// Rewinds every chunk for reuse. All objects previously allocated from
   /// this arena are invalidated at once; capacity is retained.
   void reset() {

@@ -1,8 +1,7 @@
-// Tiny command-line flag parser for examples and bench binaries.
+// Tiny command-line flag parser for the examples and the campaign CLI.
 //
 // Supports `--key=value`, `--key value` and boolean `--flag` forms; anything
-// it does not recognize is left in `positional()` (google-benchmark flags
-// pass through untouched because benches call parse() on a filtered copy).
+// it does not recognize is left in `positional()`.
 // Numeric getters parse the whole value and throw std::invalid_argument
 // naming the flag on malformed text, so `--seed abc` never runs seed 0.
 #pragma once

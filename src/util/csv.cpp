@@ -16,7 +16,6 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
     out_ << escape(cells[i]);
   }
   out_ << '\n';
-  ++rows_;
 }
 
 std::string CsvWriter::escape(const std::string& cell) {

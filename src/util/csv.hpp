@@ -1,5 +1,5 @@
-// Minimal CSV writer used by benches and the experiment driver to dump the
-// series behind each reproduced figure (one row per (config, load) point).
+// Minimal CSV writer used by examples/power_sweep to dump the series behind
+// a figure (one row per (config, load) point).
 #pragma once
 
 #include <cstddef>
@@ -32,8 +32,6 @@ class CsvWriter {
     row(cells);
   }
 
-  [[nodiscard]] std::size_t rows_written() const { return rows_; }
-
  private:
   template <typename T>
   static std::string format(const T& v) {
@@ -51,7 +49,6 @@ class CsvWriter {
 
   std::ofstream out_;
   std::size_t width_;
-  std::size_t rows_ = 0;
 };
 
 }  // namespace erapid::util

@@ -21,13 +21,9 @@
 //
 //   ERAPID_REQUIRE(when >= now_, "when=" << when << " now=" << now_);
 //
-// Contract checks default ON in every build type. Defining
-// ERAPID_NO_CONTRACTS (cmake -DERAPID_NO_CONTRACTS=ON) compiles
-// ERAPID_REQUIRE / ERAPID_INVARIANT out for maximum-speed Release batch
-// sweeps; their conditions are then *not evaluated*, so conditions must be
-// side-effect free. ERAPID_UNREACHABLE and the legacy ERAPID_EXPECT stay
-// active in all configurations (ERAPID_EXPECT also guards input validation
-// — config parsing, file I/O — which is error handling, not a contract).
+// Every check is active in every build type. ERAPID_EXPECT also guards
+// input validation — config parsing, file I/O — which is error handling,
+// not a contract.
 #pragma once
 
 #include <functional>
@@ -106,13 +102,6 @@ inline void set_contract_observer(ContractObserver obs) {
     }                                                                               \
   } while (false)
 
-/// Swallows a contract without evaluating it (keeps variables "used").
-#define ERAPID_DETAIL_NOP(cond, msg)                    \
-  do {                                                  \
-    (void)sizeof((cond) ? 1 : 0);                       \
-    (void)sizeof(ERAPID_DETAIL_MSG(msg));               \
-  } while (false)
-
 /// Legacy check macro: input validation and model invariants that must hold
 /// regardless of build type. Active in every configuration.
 #define ERAPID_EXPECT(cond, msg) ERAPID_DETAIL_CHECK("model invariant violated", cond, msg)
@@ -123,12 +112,7 @@ inline void set_contract_observer(ContractObserver obs) {
                                    __LINE__, static_cast<const char*>(__func__),      \
                                    ERAPID_DETAIL_MSG(msg))
 
-#if defined(ERAPID_NO_CONTRACTS)
-#define ERAPID_REQUIRE(cond, msg) ERAPID_DETAIL_NOP(cond, msg)
-#define ERAPID_INVARIANT(cond, msg) ERAPID_DETAIL_NOP(cond, msg)
-#else
 /// Precondition on a public API entry point.
 #define ERAPID_REQUIRE(cond, msg) ERAPID_DETAIL_CHECK("precondition violated", cond, msg)
 /// Internal model invariant (conservation, monotonicity, bijection).
 #define ERAPID_INVARIANT(cond, msg) ERAPID_DETAIL_CHECK("invariant violated", cond, msg)
-#endif

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -870,7 +871,7 @@ TEST(OptionsIo, RealKeysRejectMalformedValues) {
       {"reconfig.ring_hop_cycles", "0"},     {"reconfig.lc_hop_cycles", "0"},
       {"reconfig.rc_watchdog_cycles", "0"},  {"system.rx_queue_packets", "0"},
       {"reconfig.hysteresis_windows", "0"},  {"reconfig.ewma_alpha", "0"},
-      {"reconfig.ewma_alpha", "1.5"},
+      {"reconfig.ewma_alpha", "1.5"},      {"workload.load", "-0.5"},
   };
   for (const auto& [key, value] : kOutOfRange) {
     Ini ini;
@@ -924,6 +925,9 @@ TEST(OptionsIo, FormerlyWrappedInputsAreRejected) {
       {"workload.seed", "-1"},            {"workload.load", "0.5x"},
       {"workload.load", "abc"},           {"workload.episodes", "2.5"},
       {"obs.enabled", "ture"},
+      // The run window warmup + measure + drain_limit must fit in a Cycle.
+      {"workload.drain_limit", "18446744073709551615"},
+      {"workload.warmup_cycles", "18446744073709551000"},
   };
   for (const auto& [key, value] : kProbes) {
     Ini ini;
@@ -990,79 +994,69 @@ TEST(OptionsIo, FileRoundTrip) {
 
 // ---- Recorder ----------------------------------------------------------------
 
-TEST(Recorder, SamplesAtFixedCadence) {
+namespace {
+
+/// A 2-board, 1-node-per-board network with an obs hub for the Recorder.
+struct RecorderRig {
   erapid::topology::SystemConfig cfg;
-  cfg.boards = 2;
-  cfg.nodes_per_board = 1;
   erapid::reconfig::ReconfigConfig rc;
   erapid::des::Engine engine;
-  erapid::sim::Network net(engine, cfg, rc);
-  net.start();
+  erapid::obs::Hub hub{[] {
+    erapid::obs::ObsConfig o;
+    o.enabled = true;
+    return o;
+  }()};
+  std::unique_ptr<erapid::sim::Network> net;
 
-  erapid::sim::Recorder rec(engine, net, 100);
+  RecorderRig() {
+    cfg.boards = 2;
+    cfg.nodes_per_board = 1;
+    net = std::make_unique<erapid::sim::Network>(engine, cfg, rc);
+    net->start();
+  }
+
+  /// The points of one recorder.* timeline.
+  const std::vector<erapid::obs::TimelinePoint>& points(const std::string& column) {
+    return hub.metrics().timeline_points(hub.metrics().timeline("recorder." + column));
+  }
+};
+
+}  // namespace
+
+TEST(Recorder, SamplesAtFixedCadence) {
+  RecorderRig rig;
+  erapid::sim::Recorder rec(rig.engine, *rig.net, 100, rig.hub);
   rec.start();
-  engine.run_until(1050);
-  EXPECT_EQ(rec.samples().size(), 10u);
-  EXPECT_EQ(rec.samples()[0].cycle, 100u);
-  EXPECT_EQ(rec.samples()[9].cycle, 1000u);
+  rig.engine.run_until(1050);
+  const auto& power = rig.points("power_mw");
+  ASSERT_EQ(power.size(), 10u);
+  EXPECT_EQ(power[0].cycle, 100u);
+  EXPECT_EQ(power[9].cycle, 1000u);
   // Two static lanes at P_high.
-  EXPECT_NEAR(rec.samples()[5].power_mw, 2 * 43.03, 1e-9);
-  EXPECT_EQ(rec.samples()[5].lanes_lit, 2u);
+  EXPECT_NEAR(power[5].value, 2 * 43.03, 1e-9);
+  EXPECT_EQ(rig.points("lanes_lit")[5].value, 2.0);
 }
 
 TEST(Recorder, StopHaltsSampling) {
-  erapid::topology::SystemConfig cfg;
-  cfg.boards = 2;
-  cfg.nodes_per_board = 1;
-  erapid::reconfig::ReconfigConfig rc;
-  erapid::des::Engine engine;
-  erapid::sim::Network net(engine, cfg, rc);
-  net.start();
-  erapid::sim::Recorder rec(engine, net, 50);
+  RecorderRig rig;
+  erapid::sim::Recorder rec(rig.engine, *rig.net, 50, rig.hub);
   rec.start();
-  engine.run_until(200);
+  rig.engine.run_until(200);
   rec.stop();
-  engine.run_until(1000);
-  EXPECT_EQ(rec.samples().size(), 4u);
-}
-
-TEST(Recorder, CsvExport) {
-  erapid::topology::SystemConfig cfg;
-  cfg.boards = 2;
-  cfg.nodes_per_board = 1;
-  erapid::reconfig::ReconfigConfig rc;
-  erapid::des::Engine engine;
-  erapid::sim::Network net(engine, cfg, rc);
-  net.start();
-  erapid::sim::Recorder rec(engine, net, 100);
-  rec.start();
-  engine.run_until(500);
-  const std::string path = testing::TempDir() + "erapid_rec.csv";
-  rec.write_csv(path);
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "cycle,power_mw,lanes_lit,delivered,backlog,grants,dvs_changes");
-  int rows = 0;
-  std::string line;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, 5);
-  std::remove(path.c_str());
+  rig.engine.run_until(1000);
+  EXPECT_EQ(rig.points("power_mw").size(), 4u);
 }
 
 TEST(Recorder, AggregatesPower) {
-  erapid::topology::SystemConfig cfg;
-  cfg.boards = 2;
-  cfg.nodes_per_board = 1;
-  erapid::reconfig::ReconfigConfig rc;
-  erapid::des::Engine engine;
-  erapid::sim::Network net(engine, cfg, rc);
-  net.start();
-  erapid::sim::Recorder rec(engine, net, 100);
+  RecorderRig rig;
+  erapid::sim::Recorder rec(rig.engine, *rig.net, 100, rig.hub);
   rec.start();
-  engine.run_until(500);
-  EXPECT_NEAR(rec.sampled_avg_power(), 2 * 43.03, 1e-9);
-  EXPECT_NEAR(rec.peak_power(), 2 * 43.03, 1e-9);
+  rig.engine.run_until(500);
+  const auto& stats =
+      rig.hub.metrics().timeline_stats(rig.hub.metrics().timeline("recorder.power_mw"));
+  EXPECT_EQ(stats.count(), 5u);
+  EXPECT_NEAR(stats.mean(), 2 * 43.03, 1e-9);
+  EXPECT_NEAR(stats.max(), 2 * 43.03, 1e-9);
 }
 
 // ---- JSON report ---------------------------------------------------------------

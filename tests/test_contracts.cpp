@@ -1,9 +1,7 @@
 // Contract tests: every ERAPID_REQUIRE / ERAPID_INVARIANT placed by the
 // determinism-contract layer (DESIGN.md §7) is deliberately violated here
 // and must throw ModelInvariantError with a useful diagnostic. If one of
-// these stops throwing, either a contract was deleted or the build was
-// configured with ERAPID_NO_CONTRACTS — both are regressions for the test
-// configuration.
+// these stops throwing, a contract was deleted.
 //
 // Layout mirrors the instrumented subsystems: des, reconfig, optical,
 // power. Each TEST names the contract it violates.
