@@ -2,9 +2,8 @@
 // optical link power budget (§4.1) — both the quoted per-state totals the
 // simulator consumes and the analytic component breakdown with its scaling
 // laws, side by side.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
+#include <string>
 
 #include "power/components.hpp"
 #include "power/link_power.hpp"
@@ -22,28 +21,6 @@ using erapid::topology::SystemConfig;
 using erapid::units::GbitsPerSec;
 using erapid::units::Volts;
 using erapid::util::TablePrinter;
-
-void BM_component_breakdown(benchmark::State& state) {
-  ComponentModel m;
-  double acc = 0;
-  for (auto _ : state) {
-    acc += m.total_mw(Volts{0.9}, GbitsPerSec{5.0}).value();
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_component_breakdown);
-
-void BM_serialization_cycles(benchmark::State& state) {
-  SystemConfig cfg;
-  std::uint64_t acc = 0;
-  for (auto _ : state) {
-    acc += cfg.serialization_cycles(GbitsPerSec{5.0}) +
-           cfg.serialization_cycles(GbitsPerSec{3.3}) +
-           cfg.serialization_cycles(GbitsPerSec{2.5});
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_serialization_cycles);
 
 void print_table1() {
   SystemConfig cfg;
@@ -108,10 +85,7 @@ void print_table1() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   print_table1();
   return 0;
 }

@@ -112,7 +112,7 @@ std::uint32_t OpticalTerminal::fail_lane(BoardId d, WavelengthId w, Cycle now) {
   // Re-home the aborted packet at the head of its flow queue: it was
   // already committed to the optical domain, so it goes out first on the
   // next surviving lane. The deque may transiently exceed tx_queue_packets
-  // by this one packet (Buffer_util can momentarily read above 1).
+  // by this one packet; harvest() saturates Buffer_util at 1 for it.
   auto& flow = flows_[d.value()];
   flow.q.push_front(*aborted);
   ERAPID_INVARIANT(flow.q.size() <= cfg_.tx_queue_packets + 1,
@@ -247,7 +247,9 @@ void OpticalTerminal::harvest(Cycle window_start, Cycle now, std::vector<LaneSna
     }
     FlowSnapshot fs;
     fs.dest = dest;
-    fs.buffer_util = flows_[d].occ.utilization(window_start, now);
+    // The LC counter saturates at a full queue: a re-homed or retransmitted
+    // packet can hold the queue one over capacity, which still reads as 1.
+    fs.buffer_util = std::min(1.0, flows_[d].occ.utilization(window_start, now));
     ERAPID_OBSERVE(hub_, m_buffer_util_, fs.buffer_util);
     fs.queued = static_cast<std::uint32_t>(flows_[d].q.size());
     fs.lanes_enabled = lit;

@@ -47,7 +47,7 @@ struct LaneSnapshot {
 /// LC-visible per-flow (this board → dest) measurement.
 struct FlowSnapshot {
   BoardId dest;
-  double buffer_util = 0.0;
+  double buffer_util = 0.0;  ///< time-averaged queue occupancy / capacity, in [0, 1].
   std::uint32_t queued = 0;
   std::uint32_t lanes_enabled = 0;
 };

@@ -317,4 +317,34 @@ TEST(Terminal, HarvestReportsUtilization) {
   EXPECT_TRUE(some_util);
 }
 
+TEST(Terminal, RehomeIntoFullQueueKeepsBufferUtilARatio) {
+  // fail_lane re-homes the aborted packet at the head of its flow queue even
+  // when that queue is full, so it holds one packet over capacity. The DPM
+  // policy requires Buffer_util in [0, 1]: the harvested window saturates.
+  NetRig rig;
+  auto& term = rig.net->terminal(BoardId{0});
+  const BoardId dest{1};
+  const WavelengthId w{1};  // static RWA for B=2: board 0 -> board 1 on λ1
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    rig.net->inject(rig.packet(i + 1, static_cast<std::uint32_t>(i % 2), 2), 0);
+  }
+  Cycle t = 0;
+  while (term.flow_queue_size(dest) < rig.cfg.tx_queue_packets ||
+         !term.lane(dest, w).transmitting(t)) {
+    ASSERT_LT(t, 100000u) << "flow queue never filled behind a busy lane";
+    rig.engine.run_until(++t);
+  }
+  std::vector<erapid::optical::LaneSnapshot> lanes;
+  std::vector<erapid::optical::FlowSnapshot> flows;
+  term.harvest(0, t, lanes, flows);  // open a fresh window at t
+  ASSERT_EQ(term.fail_lane(dest, w, t), 1u);
+  EXPECT_EQ(term.flow_queue_size(dest), rig.cfg.tx_queue_packets + 1);
+  // λ1 was the flow's only lane, so the queue stays one over capacity.
+  rig.engine.run_until(t + 1000);
+  term.harvest(t, t + 1000, lanes, flows);
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_LE(flows[0].buffer_util, 1.0);
+  EXPECT_EQ(flows[0].queued, rig.cfg.tx_queue_packets + 1);
+}
+
 }  // namespace

@@ -26,6 +26,7 @@
 #include <iostream>
 #include <string>
 
+#include "obs/trace.hpp"
 #include "sim/options_io.hpp"
 #include "sim/report.hpp"
 #include "sim/simulation.hpp"
@@ -36,22 +37,6 @@ namespace {
 
 using erapid::sim::SimOptions;
 using erapid::sim::SimResult;
-
-/// JSON string escaping for error messages and names (the subset we emit).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -101,7 +86,7 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     // One line of structured stderr: the driver embeds it in the failed
     // point's record.
-    std::cerr << "{\"error\": \"" << json_escape(e.what()) << "\"}\n";
+    std::cerr << "{\"error\": \"" << erapid::obs::json_escape(e.what()) << "\"}\n";
     return 1;
   }
 }
