@@ -2,21 +2,22 @@
 
 namespace erapid::des {
 
-AliveSlot* Engine::acquire_slot() {
-  AliveSlot* s = free_slots_;
+EventSlot* Engine::acquire_slot() {
+  EventSlot* s = free_slots_;
   if (s != nullptr) {
     free_slots_ = s->next_free;
   } else {
-    s = ::new (arena_.allocate(sizeof(AliveSlot), alignof(AliveSlot))) AliveSlot{};
+    s = &slots_.emplace_back();
   }
   s->alive = true;
   return s;
 }
 
-void Engine::release_slot(AliveSlot* slot) {
-  // Bumping the generation is what retires outstanding handles: they keep
-  // the old generation and read as not-pending from here on, even after
-  // the slot is reissued to a new event.
+void Engine::release_slot(EventSlot* slot) {
+  // The closure has already left the slot (moved out to run, or destroyed
+  // by skim). Bumping the generation is what retires outstanding handles:
+  // they keep the old generation and read as not-pending from here on,
+  // even after the slot is reissued to a new event.
   slot->alive = false;
   ++slot->gen;
   slot->next_free = free_slots_;
@@ -26,16 +27,19 @@ void Engine::release_slot(AliveSlot* slot) {
 EventHandle Engine::schedule_at(Cycle when, EventFn fn, const char* tag) {
   ERAPID_REQUIRE(when >= now_,
                  "cannot schedule an event in the past: when=" << when << " now=" << now_);
-  AliveSlot* slot = acquire_slot();
+  EventSlot* slot = acquire_slot();
+  slot->fn = std::move(fn);
   const std::uint64_t gen = slot->gen;
-  queue_->push(Event{when, seq_++, std::move(fn), slot, tag});
+  queue_->push(Event{when, seq_++, slot, tag});
   return EventHandle(slot, gen);
 }
 
 void Engine::skim() {
   const Event* top = nullptr;
   while ((top = queue_->peek()) != nullptr && !top->slot->alive) {
-    release_slot(queue_->pop().slot);
+    EventSlot* slot = queue_->pop().slot;
+    slot->fn = nullptr;  // a cancelled event's captures go with its entry
+    release_slot(slot);
   }
 }
 
@@ -56,20 +60,24 @@ bool Engine::step(Cycle limit) {
     if (limit != kNeverCycle && limit > now_) now_ = limit;
     return false;
   }
-  Event e = queue_->pop();
+  const Event e = queue_->pop();
   // Monotone event time: the calendar never hands back an event before the
   // current cycle (schedule_at guards the insert side; this pins the pop
   // side against calendar-ordering regressions).
   ERAPID_INVARIANT(e.when >= now_,
                    "event calendar time ran backwards: when=" << e.when << " now=" << now_);
   now_ = e.when;
+  // Move the closure out before releasing the slot: the callback may
+  // schedule, and that schedule may reissue this very slot. Its handle
+  // already reads not-pending inside the callback.
+  EventFn fn = std::move(e.slot->fn);
   release_slot(e.slot);
   ++executed_;
   if (hook_ == nullptr) {
-    e.fn();
+    fn();
   } else {
     hook_->on_dispatch_begin(e.tag, now_);
-    e.fn();
+    fn();
     hook_->on_dispatch_end(e.tag, now_, queue_->size(), executed_);
   }
   return true;

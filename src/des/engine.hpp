@@ -9,9 +9,12 @@
 //    implementation (see event_queue.hpp; selected via `des.queue`).
 //  * Cancellation. schedule() returns an EventHandle that can cancel the
 //    event in O(1) (lazy deletion: the calendar entry stays but is
-//    skipped). Cancellation slots are pool-allocated from an engine-owned
-//    arena and recycled under generation tags, so scheduling performs no
-//    per-event heap allocation. Handles must not outlive their Engine.
+//    skipped). Each pending event owns an EventSlot that holds its closure
+//    and its cancellation state; the calendar entry carries only the key
+//    and the slot pointer. Slots live in an engine-owned std::deque and are
+//    recycled through a free list under generation tags, so scheduling
+//    performs no per-event heap allocation once the pool has grown to the
+//    peak pending count. Handles must not outlive their Engine.
 //  * Cycle-driven components. Routers are clocked pipelines; ClockDomain
 //    (clock.hpp) multiplexes all per-cycle work onto a single recurring
 //    event so the calendar holds O(#messages) entries, not O(#routers) per
@@ -21,15 +24,34 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <utility>
 
 #include "des/event_queue.hpp"
-#include "util/arena.hpp"
 #include "util/expect.hpp"
+#include "util/inplace_fn.hpp"
 #include "util/types.hpp"
 
 namespace erapid::des {
+
+/// Callback type executed when an event fires, and the element type of the
+/// hand-off batches ClockDomain::post fills. Inline storage is sized for
+/// the largest hot-path capture (the router's flit delivery: sink + flit +
+/// vc + cycle), so neither scheduling nor posting heap-allocates for it.
+using EventFn = util::InplaceFn<96>;
+
+/// A pending event's closure and cancellation state, owned by the engine
+/// and recycled under a generation tag: a slot is released (closure moved
+/// out or destroyed, generation bumped, pushed on the free list) when its
+/// event leaves the calendar, so a stale EventHandle sees the generation
+/// mismatch instead of a dangling flag.
+struct EventSlot {
+  EventFn fn;
+  std::uint64_t gen = 0;
+  bool alive = false;
+  EventSlot* next_free = nullptr;
+};
 
 /// Cancellation token for a scheduled event. Points at a generation-tagged
 /// slot owned by the engine: once the event fires (or its cancelled entry
@@ -53,8 +75,8 @@ class EventHandle {
 
  private:
   friend class Engine;
-  EventHandle(AliveSlot* slot, std::uint64_t gen) : slot_(slot), gen_(gen) {}
-  AliveSlot* slot_ = nullptr;
+  EventHandle(EventSlot* slot, std::uint64_t gen) : slot_(slot), gen_(gen) {}
+  EventSlot* slot_ = nullptr;
   std::uint64_t gen_ = 0;
 };
 
@@ -122,12 +144,12 @@ class Engine {
   /// Pops cancelled entries off the head of the calendar.
   void skim();
 
-  AliveSlot* acquire_slot();
-  void release_slot(AliveSlot* slot);
+  EventSlot* acquire_slot();
+  void release_slot(EventSlot* slot);
 
   std::unique_ptr<EventQueue> queue_;
-  util::Arena arena_{16 * 1024};  ///< backs the cancellation-slot pool
-  AliveSlot* free_slots_ = nullptr;
+  std::deque<EventSlot> slots_;  ///< stable addresses; destroys pending closures
+  EventSlot* free_slots_ = nullptr;
   Cycle now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -30,18 +30,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "util/inplace_fn.hpp"
 #include "util/types.hpp"
 
 namespace erapid::des {
-
-/// Callback type executed when an event fires, and the element type of the
-/// hand-off batches ClockDomain::post fills. Inline storage is sized for
-/// the largest hot-path capture (the router's flit delivery: sink + flit +
-/// vc + cycle), so neither scheduling nor posting heap-allocates for it.
-using EventFn = util::InplaceFn<96>;
 
 /// Which event calendar the engine runs on (`des.queue` in configs).
 enum class QueueKind { Heap, Calendar };
@@ -52,25 +46,20 @@ enum class QueueKind { Heap, Calendar };
 /// Parses a `des.queue` value; throws on anything else.
 [[nodiscard]] QueueKind parse_queue_kind(const std::string& text);
 
-/// Cancellation slot for a scheduled event, pool-allocated by the engine
-/// and recycled under a generation tag: a slot is released (generation
-/// bumped, pushed on the free list) when its event leaves the calendar, so
-/// a stale EventHandle sees the generation mismatch instead of a dangling
-/// flag. Replaces the per-event shared_ptr<bool> allocation.
-struct AliveSlot {
-  std::uint64_t gen = 0;
-  bool alive = false;
-  AliveSlot* next_free = nullptr;
-};
+/// The engine-owned slot that holds a pending event's closure and its
+/// cancellation state (defined in engine.hpp; the queues never touch it).
+struct EventSlot;
 
-/// One calendar entry.
+/// One calendar entry: the ordering key plus a pointer to the slot that
+/// holds the closure. 32 bytes and trivially copyable, so a heap sift or a
+/// bucket append moves four words and calls nothing.
 struct Event {
   Cycle when = 0;
   std::uint64_t seq = 0;
-  EventFn fn;
-  AliveSlot* slot = nullptr;
+  EventSlot* slot = nullptr;
   const char* tag = nullptr;  ///< static schedule-site label (observability)
 };
+static_assert(sizeof(Event) == 32 && std::is_trivially_copyable_v<Event>);
 
 /// Orders a after b by (when, seq) — the heap comparator and the
 /// wheel-vs-ladder merge rule. Same-time events keep FIFO order.

@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -172,12 +173,13 @@ class Hub final : public des::Engine::DispatchHook {
   /// Per-tag dispatch metrics, created on first sight of each tag:
   /// a monotone dispatch counter plus a calendar-cost histogram (queue
   /// depth at dispatch — the deterministic proxy for per-event dispatch
-  /// cost; wall clocks are banned in model code).
+  /// cost; wall clocks are banned in model code). The transparent
+  /// comparator lets a dispatch look its tag up without building a string.
   struct TagMetrics {
     MetricId count = 0;
     MetricId cost = 0;
   };
-  std::map<std::string, TagMetrics> tag_metrics_;
+  std::map<std::string, TagMetrics, std::less<>> tag_metrics_;
   Cycle profile_cycle_ = 0;
   std::uint64_t events_this_cycle_ = 0;
   bool closed_ = false;

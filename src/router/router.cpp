@@ -17,6 +17,7 @@ Router::Router(des::Engine& /*engine*/, des::ClockDomain& domain, std::string na
                 "router needs inputs, VCs and buffers");
   inputs_.resize(num_inputs);
   for (auto& in : inputs_) in.vcs.resize(vcs_per_input_);
+  ring_.resize(std::size_t{num_inputs} * vcs_per_input_ * vc_depth_);
   input_sa_arb_.reserve(num_inputs);
   for (std::uint32_t i = 0; i < num_inputs; ++i) input_sa_arb_.emplace_back(vcs_per_input_);
   domain_.add(*this);
@@ -39,7 +40,7 @@ void Router::set_credit_return(std::uint32_t in_port, CreditFn fn) {
 
 void Router::accept_flit(std::uint32_t in_port, std::uint32_t vc, const Flit& f, Cycle now) {
   auto& ch = inputs_[in_port].vcs[vc];
-  ERAPID_EXPECT(ch.buf.size() < vc_depth_,
+  ERAPID_EXPECT(ch.count < vc_depth_,
                 "upstream overran input buffer credits on " + name_);
   if (ch.state == VcState::Idle) {  // Idle implies an empty buffer
     ERAPID_EXPECT(f.head, "a body flit reached an idle VC (wormhole order broken)");
@@ -47,7 +48,10 @@ void Router::accept_flit(std::uint32_t in_port, std::uint32_t vc, const Flit& f,
     ch.state_since = now;
     ++active_vcs_;
   }
-  ch.buf.push_back(f);
+  std::uint32_t at = ch.head + ch.count;
+  if (at >= vc_depth_) at -= vc_depth_;
+  ring_[std::size_t{flat(in_port, vc)} * vc_depth_ + at] = f;
+  ++ch.count;
   ++counters_.flits_in;
   domain_.wake();
 }
@@ -97,7 +101,7 @@ void Router::collect_requests(Cycle now) {
       auto& ch = inputs_[i].vcs[v];
       if (ch.state == VcState::Idle || now <= ch.state_since) continue;
       if (ch.state == VcState::Routing) {
-        const Flit& head = ch.buf.front();
+        const Flit& head = front(i, v);
         ERAPID_EXPECT(head.head, "RC saw a non-head flit at the front of a routing VC");
         ch.out_port = route_(head);
         ERAPID_EXPECT(ch.out_port < outputs_.size(), "route function returned bad port");
@@ -106,7 +110,7 @@ void Router::collect_requests(Cycle now) {
         ++counters_.packets_routed;
       } else if (ch.state == VcState::VcAlloc) {
         s.va[ch.out_port * nflat + s.va_count[ch.out_port]++] = flat(i, v);
-      } else if (!ch.buf.empty()) {  // Active
+      } else if (ch.count > 0) {  // Active
         const auto& out = outputs_[ch.out_port];
         if (out.credits[ch.out_vc] == 0) continue;  // downstream buffer full
         if (out.busy_until > now) continue;         // channel serializing
@@ -157,8 +161,9 @@ void Router::stage_switch(Cycle now) {
     // Switch traversal for the winner.
     const std::uint32_t vc = scratch_.nominee[wi];
     auto& ch = inputs_[wi].vcs[vc];
-    Flit f = ch.buf.front();
-    ch.buf.pop_front();
+    const Flit f = front(wi, vc);
+    if (++ch.head == vc_depth_) ch.head = 0;
+    --ch.count;
     ++counters_.flits_out;
 
     --out.credits[ch.out_vc];
@@ -178,11 +183,11 @@ void Router::stage_switch(Cycle now) {
 
     if (f.tail) {
       out.vc_taken[ch.out_vc] = 0;
-      if (ch.buf.empty()) {
+      if (ch.count == 0) {
         ch.state = VcState::Idle;
         --active_vcs_;
       } else {
-        ERAPID_EXPECT(ch.buf.front().head, "flit after tail must be a head (wormhole order)");
+        ERAPID_EXPECT(front(wi, vc).head, "flit after tail must be a head (wormhole order)");
         ch.state = VcState::Routing;
       }
       ch.state_since = now;

@@ -20,12 +20,14 @@
 // Cost discipline: a tick allocates nothing (request lists live in reused
 // scratch) and a router whose VCs are all Idle returns after one branch.
 // An Idle VC always has an empty buffer, so the count of non-Idle VCs is
-// the whole of the router's pending work.
+// the whole of the router's pending work. Each input VC buffers its flits
+// in a fixed ring of vc_depth slots (credits bound its occupancy), and all
+// of a router's rings share one vector allocated in the ctor, so moving a
+// flit through a VC touches no allocator and no node map.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -108,15 +110,18 @@ class Router : public des::Clocked {
 
   /// Buffered flits on one input VC (tests/inspection).
   [[nodiscard]] std::size_t vc_occupancy(std::uint32_t in_port, std::uint32_t vc) const {
-    return inputs_[in_port].vcs[vc].buf.size();
+    return inputs_[in_port].vcs[vc].count;
   }
 
  private:
   /// Idle VCs hold no flits; Routing VCs hold their head flit at the front.
   enum class VcState : std::uint8_t { Idle, Routing, VcAlloc, Active };
 
+  /// One input VC. Its flits sit in ring_[flat(in, vc) * vc_depth_ ...],
+  /// oldest at `head`, `count` of them in order around the ring.
   struct VirtualChannel {
-    std::deque<Flit> buf;
+    std::uint32_t head = 0;   ///< ring position of the front flit
+    std::uint32_t count = 0;  ///< buffered flits (<= vc_depth_)
     VcState state = VcState::Idle;
     Cycle state_since = 0;
     std::uint32_t out_port = 0;
@@ -162,6 +167,12 @@ class Router : public des::Clocked {
     return in_port * vcs_per_input_ + vc;
   }
 
+  /// Front flit of a non-empty input VC.
+  [[nodiscard]] const Flit& front(std::uint32_t in_port, std::uint32_t vc) const {
+    const VirtualChannel& ch = inputs_[in_port].vcs[vc];
+    return ring_[std::size_t{flat(in_port, vc)} * vc_depth_ + ch.head];
+  }
+
   des::ClockDomain& domain_;
   std::string name_;
   std::uint32_t vcs_per_input_;
@@ -169,6 +180,7 @@ class Router : public des::Clocked {
   std::uint32_t credit_delay_;
   RouteFn route_;
   std::vector<InputPort> inputs_;
+  std::vector<Flit> ring_;  ///< every input VC's ring, vc_depth_ flits each
   std::vector<OutputPort> outputs_;
   std::vector<RoundRobinArbiter> input_sa_arb_;  ///< per input: pick one VC
   RouterCounters counters_;

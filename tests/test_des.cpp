@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -150,6 +151,95 @@ TEST(Engine, StepExecutesExactlyOne) {
   EXPECT_EQ(fired, 2);
   EXPECT_FALSE(e.step(100));
 }
+
+// ---- event lifetimes (both calendars) -----------------------------------
+
+class EventLifetime : public testing::TestWithParam<QueueKind> {};
+
+/// A closure over 96 bytes: EventFn keeps it on the heap, not inline.
+struct BigCapture {
+  std::shared_ptr<int> token;
+  double pad[16] = {};
+  void operator()() const {}
+};
+static_assert(!erapid::des::EventFn::fits_inline<BigCapture>());
+
+TEST_P(EventLifetime, CancelledCaptureIsReleasedWhenSkimmed) {
+  Engine e(GetParam());
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  auto h = e.schedule(10, [token] { (void)token; });
+  e.schedule(20, [] {});
+  token.reset();
+  h.cancel();
+  EXPECT_FALSE(watch.expired());  // cancellation is lazy: the entry remains
+  EXPECT_EQ(e.next_event_time(), 20u);
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST_P(EventLifetime, PendingInlineCapturesDieWithTheEngine) {
+  std::weak_ptr<int> watch;
+  {
+    Engine e(GetParam());
+    auto token = std::make_shared<int>(0);
+    watch = token;
+    e.schedule(5, [token] { (void)token; });
+    e.schedule(6000, [token] { (void)token; });  // past the calendar window
+    token.reset();
+    EXPECT_FALSE(watch.expired());
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST_P(EventLifetime, PendingHeapCapturesDieWithTheEngine) {
+  std::weak_ptr<int> watch;
+  {
+    Engine e(GetParam());
+    auto token = std::make_shared<int>(0);
+    watch = token;
+    e.schedule(5, BigCapture{token});
+    e.schedule(6000, BigCapture{token});
+    token.reset();
+    e.run_until(1);
+    EXPECT_FALSE(watch.expired());
+  }
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST_P(EventLifetime, HandleReadsNotPendingInsideItsOwnCallback) {
+  Engine e(GetParam());
+  erapid::des::EventHandle h;
+  bool pending_inside = true;
+  h = e.schedule(3, [&] { pending_inside = h.pending(); });
+  EXPECT_TRUE(h.pending());
+  e.run_all();
+  EXPECT_FALSE(pending_inside);
+}
+
+TEST_P(EventLifetime, EventReusingTheFreedSlotLeavesTheOldHandleInert) {
+  Engine e(GetParam());
+  erapid::des::EventHandle first;
+  erapid::des::EventHandle second;
+  bool second_fired = false;
+  first = e.schedule(1, [&] {
+    // The only pending event just gave up its slot; this takes it over.
+    second = e.schedule(1, [&] { second_fired = true; });
+    EXPECT_FALSE(first.pending());
+    EXPECT_TRUE(second.pending());
+    first.cancel();  // stale handle: must not touch the slot's new event
+    EXPECT_TRUE(second.pending());
+  });
+  e.run_all();
+  EXPECT_TRUE(second_fired);
+  EXPECT_FALSE(first.pending());
+  EXPECT_FALSE(second.pending());
+}
+
+INSTANTIATE_TEST_SUITE_P(BothKinds, EventLifetime,
+                         testing::Values(QueueKind::Heap, QueueKind::Calendar),
+                         [](const auto& kind_info) {
+                           return std::string(erapid::des::queue_kind_name(kind_info.param));
+                         });
 
 // ---- ClockDomain -------------------------------------------------------
 

@@ -3,6 +3,8 @@
 // helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <random>
 #include <vector>
@@ -528,6 +530,65 @@ TEST(Router, BodyFlitToIdleVcThrows) {
   Packet p = RouterRig::packet(1, 0);
   Flit body = make_flit(p, 1);
   EXPECT_THROW(rig.router->accept_flit(0, 0, body, 0), erapid::ModelInvariantError);
+}
+
+TEST(Router, VcRingWrapsInWormholeOrderBehindASlowSink) {
+  // One input VC four flits deep, drained at a flit per 3 cycles while the
+  // upstream refills it on every credit: the ring stays full and its head
+  // laps it nearly seven times. Packets shorter and longer than the ring
+  // must leave in exactly the order they came, and occupancy never passes
+  // the depth.
+  constexpr std::uint32_t kDepth = 4;
+  Engine engine;
+  ClockDomain domain(engine);
+  Router rt(engine, domain, "ring", 1, 1, kDepth, 1, [](const Flit&) { return 0u; });
+  CollectingSink sink(rt);
+  OutputPortConfig opc;
+  opc.sink = &sink;
+  opc.vcs = 1;
+  opc.credits_per_vc = 8;
+  opc.cycles_per_flit = 3;
+  sink.bind(rt.add_output(opc));
+  std::uint32_t credits = kDepth;
+  rt.set_credit_return(0, [&credits](std::uint32_t, Cycle) { ++credits; });
+
+  std::vector<Flit> stream;
+  std::uint64_t seq = 0;
+  for (const std::uint32_t len : {3u, 5u, 1u, 7u, 2u, 6u, 3u}) {
+    const Packet p = RouterRig::packet(++seq, 0, len);
+    for (std::uint32_t i = 0; i < len; ++i) stream.push_back(make_flit(p, i));
+  }
+  ASSERT_GT(stream.size(), 4u * kDepth);
+
+  std::size_t sent = 0;
+  std::size_t peak = 0;
+  std::function<void()> feed = [&] {
+    while (sent < stream.size() && credits > 0) {
+      rt.accept_flit(0, 0, stream[sent++], engine.now());
+      --credits;
+    }
+    peak = std::max(peak, rt.vc_occupancy(0, 0));
+    EXPECT_LE(rt.vc_occupancy(0, 0), kDepth) << "cycle " << engine.now();
+    if (sent < stream.size()) engine.schedule(1, feed);
+  };
+  engine.schedule(0, feed);
+  engine.run_until(10000);
+
+  EXPECT_EQ(peak, kDepth);  // the ring really filled
+  ASSERT_EQ(sink.arrivals.size(), stream.size());
+  for (std::size_t k = 0; k < stream.size(); ++k) {
+    EXPECT_EQ(sink.arrivals[k].flit.seq, stream[k].seq) << "flit " << k;
+    EXPECT_EQ(sink.arrivals[k].flit.index, stream[k].index) << "flit " << k;
+  }
+  ASSERT_TRUE(rt.quiescent());
+
+  // 27 flits left the head three slots into the ring: fill it across the
+  // wrap, and one more flit than the credits allow still throws.
+  const Packet big = RouterRig::packet(++seq, 0, kDepth + 1);
+  for (std::uint32_t i = 0; i < kDepth; ++i) rt.accept_flit(0, 0, make_flit(big, i), engine.now());
+  EXPECT_EQ(rt.vc_occupancy(0, 0), kDepth);
+  EXPECT_THROW(rt.accept_flit(0, 0, make_flit(big, kDepth), engine.now()),
+               erapid::ModelInvariantError);
 }
 
 // ---- FlitInjector / EjectionUnit -------------------------------------------

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/expect.hpp"
@@ -241,64 +239,6 @@ TEST(Cli, IntParsingWithDefault) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("--boards"), std::string::npos) << e.what();
   }
-}
-
-// ---- Arena -------------------------------------------------------------
-
-TEST(Arena, RespectsRequestedAlignment) {
-  erapid::util::Arena arena(256);
-  for (std::size_t align : {1u, 2u, 4u, 8u, 16u}) {
-    for (int i = 0; i < 8; ++i) {
-      void* p = arena.allocate(3, align);
-      ASSERT_NE(p, nullptr);
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
-          << "align " << align << " iter " << i;
-    }
-  }
-}
-
-TEST(Arena, GrowsBeyondOneChunk) {
-  erapid::util::Arena arena(64);
-  std::set<void*> seen;
-  for (int i = 0; i < 100; ++i) {
-    void* p = arena.allocate(16, 8);
-    EXPECT_TRUE(seen.insert(p).second) << "allocation " << i << " aliased";
-  }
-  EXPECT_GT(arena.chunk_count(), 1u);
-  EXPECT_EQ(arena.bytes_served(), 1600u);
-}
-
-TEST(Arena, OversizedRequestFallsBackToDedicatedChunk) {
-  erapid::util::Arena arena(64);
-  void* small1 = arena.allocate(16, 8);
-  void* big = arena.allocate(1000, 8);  // > chunk size: dedicated chunk
-  void* small2 = arena.allocate(16, 8);
-  ASSERT_NE(big, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big) % 8, 0u);
-  // The bump pointer keeps filling the normal chunk around the big one.
-  EXPECT_EQ(static_cast<char*>(small2), static_cast<char*>(small1) + 16);
-  std::memset(big, 0xAB, 1000);  // fully usable (ASan would object otherwise)
-}
-
-TEST(Arena, ResetReusesRetainedCapacity) {
-  erapid::util::Arena arena(128);
-  std::vector<void*> first;
-  for (int i = 0; i < 20; ++i) first.push_back(arena.allocate(24, 8));
-  const auto chunks_before = arena.chunk_count();
-  const auto capacity_before = arena.capacity_bytes();
-  arena.reset();
-  EXPECT_EQ(arena.bytes_served(), 0u);
-  EXPECT_EQ(arena.chunk_count(), chunks_before);
-  EXPECT_EQ(arena.capacity_bytes(), capacity_before);
-  // Same storage comes back in the same order.
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(arena.allocate(24, 8), first[static_cast<std::size_t>(i)]);
-}
-
-TEST(Arena, ZeroByteRequestStillReturnsDistinctStorage) {
-  erapid::util::Arena arena;
-  void* a = arena.allocate(0, 1);
-  void* b = arena.allocate(0, 1);
-  EXPECT_NE(a, b);
 }
 
 // ---- InplaceFn ---------------------------------------------------------
