@@ -3,7 +3,7 @@
 // snapshot. Load the trace in ui.perfetto.dev (or chrome://tracing), or
 // post-process it with tools/trace/summarize_trace.py.
 //
-//   ./trace_demo [--trace out.trace.json] [--format chrome|csv]
+//   ./trace_demo [--trace out.trace.json]
 //                [--boards 4] [--nodes-per-board 4] [--load 0.5] [--seed 1]
 //                [--interval 500] [--events] [--workload allreduce]
 //                [--telemetry out.jsonl] [--telemetry-window 2000]
@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
 
   opts.obs.enabled = true;
   opts.obs.trace_path = cli.get_or("trace", std::string("trace_demo.trace.json"));
-  opts.obs.trace_format = cli.get_or("format", std::string("chrome"));
   opts.obs.counter_interval = cli.get_uint<CycleDelta>("interval", 500);
   opts.obs.trace_events = cli.has("events");
 

@@ -49,6 +49,7 @@ void FlightRecorder::dump(Cycle now, const std::string& reason,
     first = false;
   }
   out << (first ? "]\n" : "\n  ]\n") << "}\n";
+  out.close();  // flush before the check, so a full disk fails here
   ERAPID_EXPECT(static_cast<bool>(out), "flight recorder dump failed: " + path_);
 }
 

@@ -7,14 +7,7 @@ namespace erapid::obs {
 Hub::Hub(const ObsConfig& cfg) : cfg_(cfg) {
   ERAPID_EXPECT(cfg_.counter_interval > 0, "obs.counter_interval must be positive");
   if (!cfg_.trace_path.empty()) {
-    if (cfg_.trace_format == "chrome") {
-      trace_ = std::make_unique<ChromeTraceWriter>(cfg_.trace_path);
-    } else if (cfg_.trace_format == "csv") {
-      trace_ = std::make_unique<CsvTimelineWriter>(cfg_.trace_path);
-    } else {
-      ERAPID_EXPECT(false, "unknown obs.trace_format: '" + cfg_.trace_format +
-                               "' (chrome | csv)");
-    }
+    trace_ = std::make_unique<ChromeTraceWriter>(cfg_.trace_path);
     t_engine_ = trace_->register_track(Tracks::kEngine);
     t_reconfig_ = trace_->register_track(Tracks::kReconfig);
     t_lanes_ = trace_->register_track(Tracks::kLanes);
@@ -66,9 +59,17 @@ void Hub::init_telemetry(des::Engine& engine, std::uint32_t boards,
   telemetry_ = std::make_unique<Telemetry>(engine, boards, *this, std::move(sampler));
 }
 
-Hub::~Hub() { close(profile_cycle_); }
+// No write check here: the destructor may run while an exception unwinds.
+Hub::~Hub() { release(profile_cycle_); }
 
 void Hub::close(Cycle now) {
+  release(now);
+  if (trace_) {
+    ERAPID_EXPECT(trace_->ok(), "trace stream failed: " + cfg_.trace_path);
+  }
+}
+
+void Hub::release(Cycle now) {
   if (closed_) return;
   closed_ = true;
   if (contract_observer_installed_) {
@@ -82,7 +83,7 @@ void Hub::close(Cycle now) {
   }
   if (trace_) trace_->close(now);
   ERAPID_INVARIANT(!contract_observer_installed_,
-                   "close() must clear the contract observer");
+                   "release() must clear the contract observer");
 }
 
 void Hub::on_dispatch_begin(const char* tag, Cycle now) {

@@ -1,6 +1,6 @@
 // Observability hub — one per Simulation, threaded through the model layers.
 //
-// The Hub owns the optional TraceSink and the MetricsRegistry and is the
+// The Hub owns the optional ChromeTraceWriter and the MetricsRegistry and is the
 // single object instrumented components talk to. Every component takes an
 // `obs::Hub*` defaulting to nullptr, so
 //
@@ -41,8 +41,6 @@ struct ObsConfig {
   bool enabled = false;
   /// Trace output path; empty = metrics only, no trace file.
   std::string trace_path;
-  /// "chrome" (trace-event JSON) or "csv" (timeline rows).
-  std::string trace_format = "chrome";
   /// Cadence of sampled counter tracks (power, backlog, lanes lit) — and
   /// of the power-cap monitor's envelope checks.
   CycleDelta counter_interval = 500;
@@ -82,7 +80,7 @@ struct ObsConfig {
   }
 };
 
-/// Well-known track names (one source of truth for writers and the
+/// Well-known track names (one source of truth for the writer and the
 /// summarize_trace.py validator).
 struct Tracks {
   static constexpr const char* kEngine = "des.engine";
@@ -111,7 +109,7 @@ class Hub final : public des::Engine::DispatchHook {
   [[nodiscard]] const ObsConfig& config() const { return cfg_; }
 
   /// Null when tracing is off (metrics may still be on).
-  [[nodiscard]] TraceSink* trace() { return trace_.get(); }
+  [[nodiscard]] ChromeTraceWriter* trace() { return trace_.get(); }
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
   /// Null unless at least one `monitor.*` check is configured.
@@ -130,8 +128,8 @@ class Hub final : public des::Engine::DispatchHook {
   void init_telemetry(des::Engine& engine, std::uint32_t boards,
                       Telemetry::Sampler sampler);
 
-  // Pre-registered tracks (all writers see the same set in the same order,
-  // so chrome and csv backends agree on track ids).
+  // Pre-registered tracks, in a fixed order so track ids (trace tids) are
+  // the same in every run.
   [[nodiscard]] TrackId track_engine() const { return t_engine_; }
   [[nodiscard]] TrackId track_reconfig() const { return t_reconfig_; }
   [[nodiscard]] TrackId track_lanes() const { return t_lanes_; }
@@ -140,7 +138,8 @@ class Hub final : public des::Engine::DispatchHook {
   [[nodiscard]] TrackId track_counters() const { return t_counters_; }
   [[nodiscard]] TrackId track_telemetry() const { return t_telemetry_; }
 
-  /// Finalizes the trace file. Idempotent.
+  /// Finalizes the trace file and fails through the contract layer if it
+  /// could not be written. Idempotent.
   void close(Cycle now);
 
   // ---- des::Engine::DispatchHook (engine self-profiling) ----
@@ -149,8 +148,11 @@ class Hub final : public des::Engine::DispatchHook {
                        std::uint64_t executed) override;
 
  private:
+  /// close() without the write check (also the destructor's path).
+  void release(Cycle now);
+
   ObsConfig cfg_;
-  std::unique_ptr<TraceSink> trace_;
+  std::unique_ptr<ChromeTraceWriter> trace_;
   MetricsRegistry metrics_;
   std::unique_ptr<MonitorSet> monitors_;
   std::unique_ptr<FlightRecorder> flight_;

@@ -6,7 +6,7 @@
 
 namespace erapid::obs {
 
-MonitorSet::MonitorSet(const MonitorConfig& cfg, bool fail_fast, TraceSink* trace,
+MonitorSet::MonitorSet(const MonitorConfig& cfg, bool fail_fast, ChromeTraceWriter* trace,
                        TrackId track, MetricsRegistry& metrics)
     : fail_fast_(fail_fast), trace_(trace), track_(track), metrics_(metrics) {
   ERAPID_REQUIRE(cfg.any(), "MonitorSet built with no check configured");

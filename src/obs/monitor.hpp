@@ -81,7 +81,7 @@ class MonitorSet {
  public:
   /// `trace` may be null (metrics-only run: verdicts still recorded, no
   /// instants). `track` is the pre-registered `obs.monitors` track.
-  MonitorSet(const MonitorConfig& cfg, bool fail_fast, TraceSink* trace, TrackId track,
+  MonitorSet(const MonitorConfig& cfg, bool fail_fast, ChromeTraceWriter* trace, TrackId track,
              MetricsRegistry& metrics);
 
   // ---- online feeds -----------------------------------------------------
@@ -154,7 +154,7 @@ class MonitorSet {
   bool fail_fast_;
   ViolationHook violation_hook_;
   ActuationHook actuation_hook_;
-  TraceSink* trace_;
+  ChromeTraceWriter* trace_;
   TrackId track_;
   MetricsRegistry& metrics_;
   MetricId m_violations_ = 0;

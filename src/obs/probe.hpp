@@ -6,13 +6,13 @@
 // built without one get nullptr. Off costs one branch, no allocation, no
 // I/O, and the argument expressions are not evaluated.
 //
-// Trace-only probes additionally check that a TraceSink is attached.
+// Trace-only probes additionally check that a trace file is being written.
 // The `hub` argument is always an `obs::Hub*` (possibly null).
 #pragma once
 
 #include "obs/hub.hpp"
 
-/// Runs `call` against the hub's TraceSink when tracing is live.
+/// Runs `call` against the hub's ChromeTraceWriter when tracing is live.
 #define ERAPID_OBS_DETAIL_SINK(hub, call)                          \
   do {                                                             \
     if ((hub) != nullptr) {                    \

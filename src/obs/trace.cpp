@@ -174,77 +174,4 @@ void ChromeTraceWriter::close(Cycle now) {
   ERAPID_INVARIANT(!out_.is_open(), "close() must release the trace file");
 }
 
-// ---- CsvTimelineWriter ------------------------------------------------------
-
-CsvTimelineWriter::CsvTimelineWriter(const std::string& path) : out_(path) {
-  ERAPID_EXPECT(static_cast<bool>(out_), "cannot open trace file: " + path);
-  out_ << "cycle,kind,track,name,id,value,args\n";
-}
-
-CsvTimelineWriter::~CsvTimelineWriter() { close(0); }
-
-TrackId CsvTimelineWriter::register_track(const std::string& name) {
-  ERAPID_EXPECT(!closed_, "cannot register a track on a closed trace");
-  track_names_.push_back(name);
-  return static_cast<TrackId>(track_names_.size() - 1);
-}
-
-void CsvTimelineWriter::row(Cycle ts, const char* kind, TrackId track, const char* name,
-                            const std::string& id, const std::string& value,
-                            const std::string& args) {
-  ERAPID_EXPECT(track < track_names_.size(), "event on an unregistered trace track");
-  // args is JSON and may contain commas: quote it, doubling inner quotes.
-  std::string quoted;
-  if (!args.empty()) {
-    quoted = "\"";
-    for (const char c : args) {
-      if (c == '"') quoted += "\"\"";
-      else quoted += c;
-    }
-    quoted += '"';
-  }
-  out_ << ts << ',' << kind << ',' << track_names_[track] << ',' << name << ',' << id
-       << ',' << value << ',' << quoted << '\n';
-}
-
-void CsvTimelineWriter::complete(TrackId track, const char* name, Cycle ts,
-                                 CycleDelta dur, const std::string& args_json) {
-  row(ts, "span", track, name, "", std::to_string(dur), args_json);
-}
-
-void CsvTimelineWriter::begin(TrackId track, const char* name, Cycle ts) {
-  row(ts, "begin", track, name, "", "", "");
-}
-
-void CsvTimelineWriter::end(TrackId track, const char* name, Cycle ts) {
-  row(ts, "end", track, name, "", "", "");
-}
-
-void CsvTimelineWriter::async_begin(TrackId track, const char* name, std::uint64_t id,
-                                    Cycle ts, const std::string& args_json) {
-  row(ts, "abegin", track, name, std::to_string(id), "", args_json);
-}
-
-void CsvTimelineWriter::async_end(TrackId track, const char* name, std::uint64_t id,
-                                  Cycle ts) {
-  row(ts, "aend", track, name, std::to_string(id), "", "");
-}
-
-void CsvTimelineWriter::instant(TrackId track, const char* name, Cycle ts,
-                                const std::string& args_json) {
-  row(ts, "instant", track, name, "", "", args_json);
-}
-
-void CsvTimelineWriter::counter(TrackId track, const char* name, Cycle ts,
-                                double value) {
-  row(ts, "counter", track, name, "", format_trace_value(value), "");
-}
-
-void CsvTimelineWriter::close(Cycle /*now*/) {
-  if (closed_ || !out_.is_open()) return;
-  closed_ = true;
-  out_.close();
-  ERAPID_INVARIANT(!out_.is_open(), "close() must release the trace file");
-}
-
 }  // namespace erapid::obs

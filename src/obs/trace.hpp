@@ -1,15 +1,11 @@
-// Structured trace sinks — the time-resolved complement to SimResult.
+// Structured trace — the time-resolved complement to SimResult.
 //
-// A TraceSink receives a deterministic stream of simulation events (spans,
-// instant marks, counter samples) and serializes it to disk. Two backends:
-//
-//   ChromeTraceWriter  — Chrome/Perfetto trace-event JSON (load the file in
-//                        chrome://tracing or ui.perfetto.dev). Tracks map to
-//                        tids of one synthetic process; async spans carry an
-//                        id so overlapping lifecycles (lane grants) render
-//                        correctly.
-//   CsvTimelineWriter  — one row per event, for awk/pandas post-processing
-//                        without a JSON parser.
+// ChromeTraceWriter receives a deterministic stream of simulation events
+// (spans, instant marks, counter samples) and serializes it as
+// Chrome/Perfetto trace-event JSON (load the file in chrome://tracing or
+// ui.perfetto.dev; post-process it with tools/trace/summarize_trace.py).
+// Tracks map to tids of one synthetic process; async spans carry an id so
+// overlapping lifecycles (lane grants) render correctly.
 //
 // Determinism contract (DESIGN.md §8): every timestamp is simulated time
 // (des::Engine::now() cycles) — never wall clock; event order is the
@@ -21,7 +17,6 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "util/types.hpp"
 
@@ -46,65 +41,48 @@ class Args {
   std::string body_;
 };
 
-/// Abstract deterministic trace consumer.
-class TraceSink {
+/// Deterministic Chrome trace-event JSON writer (streaming). The one trace
+/// backend: Hub::trace(), MonitorSet and the probe macros all write here.
+class ChromeTraceWriter {
  public:
-  virtual ~TraceSink() = default;
+  explicit ChromeTraceWriter(const std::string& path);
+  ~ChromeTraceWriter();
 
   /// Registers a named track; events reference it by the returned id.
   /// Tracks registered in deterministic (construction) order only.
-  virtual TrackId register_track(const std::string& name) = 0;
+  TrackId register_track(const std::string& name);
 
   /// A span of simulated time [ts, ts + dur] whose end is known at
   /// emission (e.g. a Lock-Step window). Spans on one track must not
   /// overlap.
-  virtual void complete(TrackId track, const char* name, Cycle ts, CycleDelta dur,
-                        const std::string& args_json = "") = 0;
+  void complete(TrackId track, const char* name, Cycle ts, CycleDelta dur,
+                const std::string& args_json = "");
 
   /// Open-ended span pair on one track (strictly nested / sequential).
-  virtual void begin(TrackId track, const char* name, Cycle ts) = 0;
-  virtual void end(TrackId track, const char* name, Cycle ts) = 0;
+  void begin(TrackId track, const char* name, Cycle ts);
+  void end(TrackId track, const char* name, Cycle ts);
 
   /// Async span pair: lifecycles that overlap on a track (lane grant →
   /// release) are disambiguated by `id`.
-  virtual void async_begin(TrackId track, const char* name, std::uint64_t id, Cycle ts,
-                           const std::string& args_json = "") = 0;
-  virtual void async_end(TrackId track, const char* name, std::uint64_t id, Cycle ts) = 0;
+  void async_begin(TrackId track, const char* name, std::uint64_t id, Cycle ts,
+                   const std::string& args_json = "");
+  void async_end(TrackId track, const char* name, std::uint64_t id, Cycle ts);
 
   /// Instantaneous mark (fault injected, DBR re-solve, ...).
-  virtual void instant(TrackId track, const char* name, Cycle ts,
-                       const std::string& args_json = "") = 0;
+  void instant(TrackId track, const char* name, Cycle ts,
+               const std::string& args_json = "");
 
   /// Sample of a counter track (power, queue depth, lanes lit, ...).
-  virtual void counter(TrackId track, const char* name, Cycle ts, double value) = 0;
+  void counter(TrackId track, const char* name, Cycle ts, double value);
 
-  /// Finalizes the output (writes footers). Idempotent; called before
-  /// destruction by the owner.
-  virtual void close(Cycle now) = 0;
+  /// Writes the footer and closes the file. Idempotent. A failed write
+  /// shows in ok() rather than throwing, so the destructor can call this;
+  /// the owner checks ok() after its explicit close.
+  void close(Cycle now);
 
-  /// False when the output file could not be opened or written.
-  [[nodiscard]] virtual bool ok() const = 0;
-};
-
-/// Chrome trace-event JSON backend (streaming writer).
-class ChromeTraceWriter final : public TraceSink {
- public:
-  explicit ChromeTraceWriter(const std::string& path);
-  ~ChromeTraceWriter() override;
-
-  TrackId register_track(const std::string& name) override;
-  void complete(TrackId track, const char* name, Cycle ts, CycleDelta dur,
-                const std::string& args_json) override;
-  void begin(TrackId track, const char* name, Cycle ts) override;
-  void end(TrackId track, const char* name, Cycle ts) override;
-  void async_begin(TrackId track, const char* name, std::uint64_t id, Cycle ts,
-                   const std::string& args_json) override;
-  void async_end(TrackId track, const char* name, std::uint64_t id, Cycle ts) override;
-  void instant(TrackId track, const char* name, Cycle ts,
-               const std::string& args_json) override;
-  void counter(TrackId track, const char* name, Cycle ts, double value) override;
-  void close(Cycle now) override;
-  [[nodiscard]] bool ok() const override { return static_cast<bool>(out_); }
+  /// False when the output file could not be opened or written (after
+  /// close(), this covers the final flush).
+  [[nodiscard]] bool ok() const { return static_cast<bool>(out_); }
 
   /// Trace schema version stamped into the file footer.
   static constexpr const char* kSchema = "erapid-trace-1";
@@ -115,35 +93,6 @@ class ChromeTraceWriter final : public TraceSink {
   std::ofstream out_;
   std::uint32_t next_track_ = 0;
   std::uint64_t events_ = 0;
-  bool closed_ = false;
-};
-
-/// Compact CSV backend: cycle,kind,track,name,id,value,args.
-class CsvTimelineWriter final : public TraceSink {
- public:
-  explicit CsvTimelineWriter(const std::string& path);
-  ~CsvTimelineWriter() override;
-
-  TrackId register_track(const std::string& name) override;
-  void complete(TrackId track, const char* name, Cycle ts, CycleDelta dur,
-                const std::string& args_json) override;
-  void begin(TrackId track, const char* name, Cycle ts) override;
-  void end(TrackId track, const char* name, Cycle ts) override;
-  void async_begin(TrackId track, const char* name, std::uint64_t id, Cycle ts,
-                   const std::string& args_json) override;
-  void async_end(TrackId track, const char* name, std::uint64_t id, Cycle ts) override;
-  void instant(TrackId track, const char* name, Cycle ts,
-               const std::string& args_json) override;
-  void counter(TrackId track, const char* name, Cycle ts, double value) override;
-  void close(Cycle now) override;
-  [[nodiscard]] bool ok() const override { return static_cast<bool>(out_); }
-
- private:
-  void row(Cycle ts, const char* kind, TrackId track, const char* name,
-           const std::string& id, const std::string& value, const std::string& args);
-
-  std::ofstream out_;
-  std::vector<std::string> track_names_;
   bool closed_ = false;
 };
 

@@ -99,10 +99,6 @@ std::string format_events(const std::vector<fault::FaultEvent>& events) {
   return plan.format_events();
 }
 
-std::optional<std::string> parse_trace_format(const std::string& text) {
-  if (text == "chrome" || text == "csv") return text;
-  return std::nullopt;
-}
 const std::string& same(const std::string& text) { return text; }
 
 std::string policy_text(const std::optional<resilience::ResponsePolicy>& p) {
@@ -246,7 +242,6 @@ const Key kKeys[] = {
     path("workload.trace_file", FIELD(workload.trace_file)),
     flag("obs.enabled", FIELD(obs.enabled)),
     path("obs.trace", FIELD(obs.trace_path)),
-    choice<parse_trace_format, same>("obs.trace_format", FIELD(obs.trace_format)),
     integer<1>("obs.counter_interval", FIELD(obs.counter_interval)),
     flag("obs.trace_events", FIELD(obs.trace_events)),
     flag("obs.monitor_fail_fast", FIELD(obs.monitor_fail_fast)),

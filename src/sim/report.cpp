@@ -239,6 +239,8 @@ void write_results_json(const std::string& path,
   std::ofstream out(path);
   ERAPID_EXPECT(static_cast<bool>(out), "cannot open JSON report: " + path);
   out << results_to_json(named);
+  out.close();
+  ERAPID_EXPECT(static_cast<bool>(out), "JSON report write failed: " + path);
 }
 
 std::string bench_point_json(const BenchPoint& p) {
@@ -315,6 +317,8 @@ void write_bench_json(const std::string& path, const std::string& bench,
   std::ofstream out(path);
   ERAPID_EXPECT(static_cast<bool>(out), "cannot open bench artifact: " + path);
   out << bench_to_json(bench, pattern, git_rev, last, points);
+  out.close();
+  ERAPID_EXPECT(static_cast<bool>(out), "bench artifact write failed: " + path);
 }
 
 }  // namespace erapid::sim

@@ -37,6 +37,8 @@ void Trace::save_file(const std::string& path) const {
   std::ofstream out(path);
   ERAPID_EXPECT(static_cast<bool>(out), "cannot open trace file for writing: " + path);
   save(out);
+  out.close();
+  ERAPID_EXPECT(static_cast<bool>(out), "trace file write failed: " + path);
 }
 
 Trace Trace::load(std::istream& in, std::uint32_t num_nodes) {

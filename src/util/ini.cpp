@@ -90,6 +90,8 @@ void Ini::save_file(const std::string& path) const {
   std::ofstream out(path);
   ERAPID_EXPECT(static_cast<bool>(out), "cannot open config file for writing: " + path);
   save(out);
+  out.close();
+  ERAPID_EXPECT(static_cast<bool>(out), "config file write failed: " + path);
 }
 
 }  // namespace erapid::util

@@ -238,6 +238,8 @@ TEST(OptionsIo, UnknownObsOrMonitorKeyThrows) {
                erapid::ModelInvariantError);
   EXPECT_THROW(options_from_ini(Ini::parse_string("[monitor]\npower_cap = 100\n")),
                erapid::ModelInvariantError);
+  EXPECT_THROW(options_from_ini(Ini::parse_string("[obs]\ntrace_format = chrome\n")),
+               erapid::ModelInvariantError);
 }
 
 TEST(OptionsIo, NonPositiveCounterIntervalRejectedAtParseTime) {
@@ -681,7 +683,6 @@ const KeyCase kKeyCases[] = {
      "[workload]\nkind = trace\n"},
     {"obs.enabled", Codec::Flag, "true", MEMBER(obs.enabled)},
     {"obs.trace", Codec::Path, "run.trace.json", MEMBER(obs.trace_path)},
-    {"obs.trace_format", Codec::Choice, "csv", MEMBER(obs.trace_format)},
     {"obs.counter_interval", Codec::Integer, "250", MEMBER(obs.counter_interval)},
     {"obs.trace_events", Codec::Flag, "true", MEMBER(obs.trace_events)},
     {"obs.monitor_fail_fast", Codec::Flag, "true", MEMBER(obs.monitor_fail_fast)},
@@ -1095,6 +1096,17 @@ TEST(Report, WriteFileRoundTrip) {
   ss << in.rdbuf();
   EXPECT_NE(ss.str().find("\"x\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+// Each writer flushes before it checks its stream, so a full disk fails the
+// call instead of leaving a silently truncated file.
+TEST(Report, FileWritersFailOnAFullDisk) {
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full on this platform";
+  EXPECT_THROW(erapid::sim::write_results_json("/dev/full", {{"x", erapid::sim::SimResult{}}}),
+               erapid::ModelInvariantError);
+  EXPECT_THROW(erapid::sim::write_bench_json("/dev/full", "b", "uniform", "rev", SimOptions{}, {}),
+               erapid::ModelInvariantError);
+  EXPECT_THROW(erapid::sim::save_options("/dev/full", SimOptions{}), erapid::ModelInvariantError);
 }
 
 // erapid-bench-1 points: each result-driven block pinned byte for byte.

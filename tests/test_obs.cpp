@@ -7,12 +7,12 @@
 //      "obs_metrics" block (the golden fixture in test_determinism.cpp
 //      additionally pins the obs-off report byte-for-byte).
 //   2. Determinism: two same-seed traced runs write byte-identical trace
-//      files (both backends), and a committed golden trace pins the tiny
-//      4-board run's full event stream. Regenerate with
-//      ERAPID_REGEN_GOLDEN=1 only when the change is intended.
+//      files, and a committed golden trace pins the tiny 4-board run's
+//      full event stream. Regenerate with ERAPID_REGEN_GOLDEN=1 only when
+//      the change is intended.
 //
 // Plus unit tests for the Args builder, the MetricsRegistry kinds, and the
-// trace writers.
+// trace writer, and a check that a trace lost to a full disk fails the run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -205,7 +205,7 @@ TEST(Histogram, SameSamplesAnyOrderSameRendering) {
   EXPECT_EQ(a.snapshot(0), b.snapshot(0));
 }
 
-// ---- unit: trace writers ----------------------------------------------------
+// ---- unit: trace writer -----------------------------------------------------
 
 TEST(ChromeTraceWriter, EmitsSchemaFooterAndTracks) {
   const auto path = tmp_path("unit_chrome.trace.json");
@@ -229,21 +229,14 @@ TEST(ChromeTraceWriter, EmitsSchemaFooterAndTracks) {
   std::remove(path.c_str());
 }
 
-TEST(CsvTimelineWriter, EmitsHeaderAndRows) {
-  const auto path = tmp_path("unit_timeline.trace.csv");
-  {
-    obs::CsvTimelineWriter w(path);
-    ASSERT_TRUE(w.ok());
-    const auto track = w.register_track("unit.track");
-    w.complete(track, "span.one", 10, 5, "");
-    w.counter(track, "level", 15, 2.5);
-    w.close(40);
-  }
-  const auto text = slurp(path);
-  EXPECT_EQ(text.rfind("cycle,kind,track,name,id,value,args\n", 0), 0u);
-  EXPECT_NE(text.find("10,span,unit.track,span.one,,5,"), std::string::npos);
-  EXPECT_NE(text.find("15,counter,unit.track,level,,2.5,"), std::string::npos);
-  std::remove(path.c_str());
+// The writer buffers, so a full disk shows only when the file is closed:
+// Hub::close must turn that into a contract failure, not a silent loss.
+TEST(ChromeTraceWriter, FullDiskFailsTheRunAtClose) {
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full on this platform";
+  sim::SimOptions o = base_options();
+  o.obs.enabled = true;
+  o.obs.trace_path = "/dev/full";
+  EXPECT_THROW((void)sim::Simulation(o).run(), erapid::ModelInvariantError);
 }
 
 // ---- integration: inertness -------------------------------------------------
@@ -271,13 +264,11 @@ TEST(ObsInert, EnabledRunLeavesCoreResultUntouched) {
 
 // ---- integration: trace determinism -----------------------------------------
 
-std::string run_traced(const std::string& path, const std::string& format,
-                       std::uint64_t seed = 1) {
+std::string run_traced(const std::string& path, std::uint64_t seed = 1) {
   sim::SimOptions o = base_options();
   o.seed = seed;
   o.obs.enabled = true;
   o.obs.trace_path = path;
-  o.obs.trace_format = format;
   (void)sim::Simulation(o).run();
   const auto text = slurp(path);
   std::remove(path.c_str());
@@ -285,23 +276,16 @@ std::string run_traced(const std::string& path, const std::string& format,
 }
 
 TEST(ObsDeterminism, SameSeedChromeTracesAreByteIdentical) {
-  const auto a = run_traced(tmp_path("det_a.trace.json"), "chrome");
-  const auto b = run_traced(tmp_path("det_b.trace.json"), "chrome");
-  EXPECT_EQ(a, b);
-  EXPECT_FALSE(a.empty());
-}
-
-TEST(ObsDeterminism, SameSeedCsvTracesAreByteIdentical) {
-  const auto a = run_traced(tmp_path("det_a.trace.csv"), "csv");
-  const auto b = run_traced(tmp_path("det_b.trace.csv"), "csv");
+  const auto a = run_traced(tmp_path("det_a.trace.json"));
+  const auto b = run_traced(tmp_path("det_b.trace.json"));
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a.empty());
 }
 
 TEST(ObsDeterminism, DifferentSeedsDiverge) {
   // Sanity check that the byte-identity above is not vacuous.
-  const auto a = run_traced(tmp_path("seed1.trace.json"), "chrome", 1);
-  const auto b = run_traced(tmp_path("seed2.trace.json"), "chrome", 2);
+  const auto a = run_traced(tmp_path("seed1.trace.json"), 1);
+  const auto b = run_traced(tmp_path("seed2.trace.json"), 2);
   EXPECT_NE(a, b);
 }
 

@@ -238,6 +238,15 @@ TEST(FlightRecorder, RingKeepsTheLastDepthEvents) {
   std::remove(path.c_str());
 }
 
+// The dump is buffered: a full disk shows only once it is flushed, and
+// that must fail loudly rather than leave no black box behind.
+TEST(FlightRecorder, DumpToFullDiskThrows) {
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full on this platform";
+  obs::FlightRecorder fr(4, "/dev/full");
+  fr.record(100, "evt", "");
+  EXPECT_THROW(fr.dump(200, "monitor_violation", "power_cap"), erapid::ModelInvariantError);
+}
+
 // ---- integration: inertness -------------------------------------------------
 
 TEST(TelemetryInert, DefaultRunCarriesNoTelemetryBlock) {

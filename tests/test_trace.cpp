@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "des/engine.hpp"
@@ -74,6 +75,12 @@ TEST(Trace, FileRoundTrip) {
   const Trace back = Trace::load_file(path, 8);
   EXPECT_EQ(back.size(), t.size());
   std::remove(path.c_str());
+}
+
+TEST(Trace, SaveToFullDiskThrows) {
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full on this platform";
+  EXPECT_THROW(make_stencil_trace(8, 2, 100).save_file("/dev/full"),
+               erapid::ModelInvariantError);
 }
 
 TEST(Trace, MissingFileThrows) {

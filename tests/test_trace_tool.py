@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Self-test for tools/trace/summarize_trace.py.
 
-Builds tiny synthetic traces in both writer formats (Chrome JSON and the
-CSV timeline) and checks that the summarizer aggregates spans, counters,
-instants, async pairs and the window timeline correctly, rejects
-schema/format drift, and keeps its CLI exit-code contract. Also covers the
-`telemetry` input format (erapid-telemetry-1 JSONL), which delegates to the
-shared checker in tools/obs/telemetry_report.py. Registered in CTest as
-`lint.trace_tool_self_test`.
+Builds tiny synthetic Chrome JSON traces and checks that the summarizer
+aggregates spans, counters, instants, async pairs and the window timeline
+correctly, rejects schema/format drift, and keeps its CLI exit-code
+contract. Also covers the telemetry JSONL (erapid-telemetry-1) checker in
+tools/obs/telemetry_report.py, the one reader of that stream. Registered in
+CTest as `lint.trace_tool_self_test`.
 """
 
 import json
@@ -20,7 +19,9 @@ TESTS_DIR = Path(__file__).resolve().parent
 REPO_ROOT = TESTS_DIR.parent
 
 sys.path.insert(0, str(REPO_ROOT / "tools" / "trace"))
+sys.path.insert(0, str(REPO_ROOT / "tools" / "obs"))
 import summarize_trace  # noqa: E402
+import telemetry_report  # noqa: E402
 
 
 def chrome_doc(events, schema=summarize_trace.SCHEMA, end_cycle=100):
@@ -62,29 +63,9 @@ EVENTS = [
      "args": {"value": 30.0}},
 ]
 
-CSV_ROWS = [
-    "cycle,kind,track,name,id,value,args",
-    "0,span,des.engine,phase.warmup,,40,",
-    '10,span,reconfig,window.dpm,,20,"{""index"":1,""parity"":1}"',
-    '30,span,reconfig,window.dbr,,20,"{""index"":2,""parity"":0}"',
-    '5,abegin,optical.lanes,lane.owned,7,,"{""owner"":0}"',
-    "35,aend,optical.lanes,lane.owned,7,,",
-    '40,abegin,optical.lanes,lane.owned,9,,"{""owner"":1}"',
-    '30,instant,reconfig,dbr.resolve,,,"{""lanes_moved"":2}"',
-    "0,counter,power,power.total_mw,,10,",
-    "50,counter,power,power.total_mw,,30,",
-]
-
-
 def write_chrome(tmp, events=EVENTS, **kw):
     path = Path(tmp) / "t.trace.json"
     path.write_text(json.dumps(chrome_doc(events, **kw)))
-    return path
-
-
-def write_csv(tmp, rows=CSV_ROWS):
-    path = Path(tmp) / "t.trace.csv"
-    path.write_text("\n".join(rows) + "\n")
     return path
 
 
@@ -95,8 +76,11 @@ def span(doc, track, name):
     return None
 
 
-class AggregationBothFormats(unittest.TestCase):
-    def check_doc(self, doc):
+class Aggregation(unittest.TestCase):
+    def test_chrome(self):
+        with tempfile.TemporaryDirectory() as td:
+            doc = summarize_trace.load_chrome(write_chrome(td)).to_doc()
+        self.assertEqual(doc["end_cycle"], 100)
         warmup = span(doc, "des.engine", "phase.warmup")
         self.assertEqual(warmup["count"], 1)
         self.assertEqual(warmup["total_dur"], 40)
@@ -125,37 +109,20 @@ class AggregationBothFormats(unittest.TestCase):
         self.assertEqual((second["start"], second["kind"], second["index"],
                           second["parity"]), (30, "dbr", 2, 0))
 
-    def test_chrome(self):
-        with tempfile.TemporaryDirectory() as td:
-            doc = summarize_trace.load(write_chrome(td), "auto").to_doc()
-        self.assertEqual(doc["end_cycle"], 100)
-        self.check_doc(doc)
-
-    def test_csv(self):
-        with tempfile.TemporaryDirectory() as td:
-            doc = summarize_trace.load(write_csv(td), "auto").to_doc()
-        self.check_doc(doc)
-
 
 class ValidationRejects(unittest.TestCase):
     def test_wrong_schema(self):
         with tempfile.TemporaryDirectory() as td:
             path = write_chrome(td, schema="erapid-trace-999")
             with self.assertRaises(summarize_trace.TraceError):
-                summarize_trace.load(path, "chrome")
+                summarize_trace.load_chrome(path)
 
     def test_not_a_trace(self):
         with tempfile.TemporaryDirectory() as td:
             path = Path(td) / "x.json"
             path.write_text('{"hello": 1}')
             with self.assertRaises(summarize_trace.TraceError):
-                summarize_trace.load(path, "chrome")
-
-    def test_csv_bad_header(self):
-        with tempfile.TemporaryDirectory() as td:
-            path = write_csv(td, rows=["cycle,what,track", "0,span,x"])
-            with self.assertRaises(summarize_trace.TraceError):
-                summarize_trace.load(path, "csv")
+                summarize_trace.load_chrome(path)
 
     def test_end_without_begin(self):
         events = [{"name": "lane.owned", "ph": "e", "pid": 0, "tid": 2,
@@ -163,7 +130,7 @@ class ValidationRejects(unittest.TestCase):
         with tempfile.TemporaryDirectory() as td:
             path = write_chrome(td, events=events)
             with self.assertRaises(summarize_trace.TraceError):
-                summarize_trace.load(path, "chrome")
+                summarize_trace.load_chrome(path)
 
 
 def telemetry_record(window, cycle, **kw):
@@ -209,15 +176,6 @@ def write_telemetry(tmp, records):
 
 
 class TelemetryFormat(unittest.TestCase):
-    def setUp(self):
-        self.tr = summarize_trace.telemetry_report_module()
-
-    def test_auto_picks_telemetry_for_jsonl(self):
-        self.assertEqual(
-            summarize_trace.resolve_format(Path("x.jsonl"), "auto"), "telemetry")
-        self.assertEqual(
-            summarize_trace.resolve_format(Path("x.trace.json"), "auto"), "chrome")
-
     def test_valid_stream_summarises(self):
         records = [
             telemetry_record(1, 2000),
@@ -227,11 +185,11 @@ class TelemetryFormat(unittest.TestCase):
         ]
         with tempfile.TemporaryDirectory() as td:
             path = write_telemetry(td, records)
-            doc = self.tr.summarize(self.tr.load_telemetry(path))
-            # And the same file through summarize_trace's CLI, auto format.
+            doc = telemetry_report.summarize(telemetry_report.load_telemetry(path))
+            # And the same file through the CLI.
             report = Path(td) / "summary.json"
             self.assertEqual(
-                summarize_trace.main([str(path), "--json", str(report)]), 0)
+                telemetry_report.main([str(path), "--json", str(report)]), 0)
             cli_doc = json.loads(report.read_text())
         self.assertEqual(doc["windows"], 3)
         self.assertEqual(doc["phase_changes"], 1)
@@ -249,9 +207,9 @@ class TelemetryFormat(unittest.TestCase):
         with tempfile.TemporaryDirectory() as td:
             path = write_telemetry(
                 td, [telemetry_record(1, 2000, schema="erapid-telemetry-999")])
-            with self.assertRaises(self.tr.TelemetryError):
-                self.tr.load_telemetry(path)
-            self.assertEqual(summarize_trace.main([str(path)]), 1)
+            with self.assertRaises(telemetry_report.TelemetryError):
+                telemetry_report.load_telemetry(path)
+            self.assertEqual(telemetry_report.main([str(path)]), 1)
 
     def test_rejects_missing_field_and_bad_ordering(self):
         bad = telemetry_record(1, 2000)
@@ -261,13 +219,8 @@ class TelemetryFormat(unittest.TestCase):
         with tempfile.TemporaryDirectory() as td:
             for records in ([bad], skipped, backwards):
                 path = write_telemetry(td, records)
-                with self.assertRaises(self.tr.TelemetryError):
-                    self.tr.load_telemetry(path)
-
-    def test_shared_checker_is_the_obs_module(self):
-        # The satellite contract: one schema checker, imported, not copied.
-        self.assertEqual(self.tr.SCHEMA, "erapid-telemetry-1")
-        self.assertTrue(self.tr.__file__.endswith("telemetry_report.py"))
+                with self.assertRaises(telemetry_report.TelemetryError):
+                    telemetry_report.load_telemetry(path)
 
 
 class CliContract(unittest.TestCase):

@@ -16,9 +16,8 @@ Consumes the windowed telemetry records written by src/obs/telemetry.cpp
 telemetry-enabled smoke simulation and validates its stream through this
 tool. Every record is schema-checked — wrong schema string, missing
 fields, non-monotone window indices or cycles all fail loudly (exit 1)
-rather than producing an empty summary. summarize_trace.py imports
-`load_telemetry` for its `telemetry` input format, so both tools apply the
-identical validation.
+rather than producing an empty summary. This is the one reader of the
+telemetry stream; tools/trace/summarize_trace.py reads only Chrome traces.
 
 Exit status: 0 summarised, 1 validation failure, 2 usage error.
 """

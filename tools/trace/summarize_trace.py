@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """summarize_trace — offline reader for E-RAPID observability traces.
 
-Consumes the deterministic trace files written by src/obs (Chrome/Perfetto
-JSON from ChromeTraceWriter, or the compact CSV timeline from
-CsvTimelineWriter) and prints a human summary:
+Consumes the deterministic Chrome/Perfetto JSON trace files written by
+src/obs (ChromeTraceWriter) and prints a human summary:
 
   * span totals per track and name (count, total/min/max duration in cycles),
     including async lane-ownership spans paired by id — unclosed spans are
@@ -13,15 +12,10 @@ CsvTimelineWriter) and prints a human summary:
   * the reconfiguration window timeline (start cycle, kind, duration,
     window index / R_w parity when present in args).
 
-Telemetry streams are also accepted: `--format telemetry` (picked
-automatically for `*.jsonl`) validates and summarises an
-`erapid-telemetry-1` windowed-telemetry file by delegating to
-tools/obs/telemetry_report.py, so both tools share one schema checker.
-
 `--json` emits the same summary as a machine-readable document; CI runs the
 instrumented smoke simulation and validates its trace through this tool.
 
-Chrome inputs are schema-checked: the writer stamps
+Inputs are schema-checked: the writer stamps
 `otherData.schema == "erapid-trace-1"` and this tool refuses anything else,
 so a silent format drift fails loudly in CI rather than producing an empty
 summary.
@@ -32,14 +26,11 @@ Exit status: 0 summarised, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
 SCHEMA = "erapid-trace-1"
-
-CSV_HEADER = ["cycle", "kind", "track", "name", "id", "value", "args"]
 
 
 class TraceError(Exception):
@@ -81,6 +72,8 @@ class Summary:
         self.instants = {}
         # open async spans: (track, name, id) -> begin ts
         self._open_async = {}
+        # reconfiguration windows in file order
+        self._windows = []
         self.unclosed_spans = 0
         self.end_cycle = None
         self.event_count = 0
@@ -120,8 +113,6 @@ class Summary:
     def windows(self):
         """Reconfiguration window timeline, sorted by start cycle."""
         return sorted(self._windows, key=lambda w: (w["start"], w["kind"]))
-
-    _windows = None  # populated by the loaders
 
     def to_doc(self):
         spans = [
@@ -182,7 +173,6 @@ def load_chrome(path: Path) -> Summary:
         )
 
     s = Summary()
-    s._windows = []
     s.end_cycle = other.get("end_cycle")
     s.event_count = other.get("events")
 
@@ -217,86 +207,6 @@ def load_chrome(path: Path) -> Summary:
             raise TraceError(f"{path}: unexpected event phase {ph!r}")
     s.finish()
     return s
-
-
-def _parse_csv_args(text):
-    """args column from the CSV writer: a JSON object string, or empty."""
-    if not text:
-        return {}
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return {}
-
-
-def load_csv(path: Path) -> Summary:
-    s = Summary()
-    s._windows = []
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != CSV_HEADER:
-                raise TraceError(
-                    f"{path}: header {header!r}, expected {CSV_HEADER!r}"
-                )
-            rows = 0
-            for row in reader:
-                rows += 1
-                cycle, kind, track, name, span_id, value, args = row
-                cycle = int(cycle)
-                s.end_cycle = cycle if s.end_cycle is None else max(s.end_cycle, cycle)
-                if kind == "span":
-                    dur = int(value)
-                    s.span(track, name, cycle, dur)
-                    if name.startswith("window."):
-                        s._windows.append(
-                            _window_entry(name, cycle, dur, _parse_csv_args(args))
-                        )
-                elif kind == "begin":
-                    s.async_begin(track, name, ("sync", track), cycle)
-                elif kind == "end":
-                    s.async_end(track, name, ("sync", track), cycle)
-                elif kind == "abegin":
-                    s.async_begin(track, name, span_id, cycle)
-                elif kind == "aend":
-                    s.async_end(track, name, span_id, cycle)
-                elif kind == "instant":
-                    s.instant(track, name)
-                elif kind == "counter":
-                    s.counter(name, float(value))
-                else:
-                    raise TraceError(f"{path}: unexpected row kind {kind!r}")
-            s.event_count = rows
-    except OSError as err:
-        raise TraceError(f"{path}: {err}") from err
-    s.finish()
-    return s
-
-
-def resolve_format(path: Path, fmt: str) -> str:
-    if fmt != "auto":
-        return fmt
-    if path.suffix == ".csv":
-        return "csv"
-    if path.suffix == ".jsonl":
-        return "telemetry"
-    return "chrome"
-
-
-def telemetry_report_module():
-    """tools/obs/telemetry_report — the shared erapid-telemetry-1 checker."""
-    tools_obs = Path(__file__).resolve().parent.parent / "obs"
-    if str(tools_obs) not in sys.path:
-        sys.path.insert(0, str(tools_obs))
-    import telemetry_report
-
-    return telemetry_report
-
-
-def load(path: Path, fmt: str) -> Summary:
-    fmt = resolve_format(path, fmt)
-    return load_csv(path) if fmt == "csv" else load_chrome(path)
 
 
 def _fmt_num(v):
@@ -353,14 +263,7 @@ def main(argv=None):
         prog="summarize_trace",
         description="Summarise an E-RAPID observability trace.",
     )
-    parser.add_argument("trace", type=Path, help="trace file (Chrome JSON or CSV)")
-    parser.add_argument(
-        "--format",
-        choices=("auto", "chrome", "csv", "telemetry"),
-        default="auto",
-        help="input format; auto picks csv for *.csv, telemetry for *.jsonl, "
-             "chrome otherwise",
-    )
+    parser.add_argument("trace", type=Path, help="Chrome JSON trace file")
     parser.add_argument(
         "--json",
         metavar="PATH",
@@ -371,26 +274,8 @@ def main(argv=None):
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
 
-    fmt = resolve_format(args.trace, args.format)
-    if fmt == "telemetry":
-        tr = telemetry_report_module()
-        try:
-            doc = tr.summarize(tr.load_telemetry(args.trace))
-        except tr.TelemetryError as err:
-            print(f"summarize_trace: error: {err}", file=sys.stderr)
-            return 1
-        if args.json is not None:
-            text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
-            if args.json == "-":
-                sys.stdout.write(text)
-            else:
-                Path(args.json).write_text(text)
-        else:
-            tr.print_text(doc)
-        return 0
-
     try:
-        summary = load(args.trace, fmt)
+        summary = load_chrome(args.trace)
     except TraceError as err:
         print(f"summarize_trace: error: {err}", file=sys.stderr)
         return 1
