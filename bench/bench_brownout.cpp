@@ -102,11 +102,11 @@ void print_summary(const Results& results) {
     for (double c : caps()) {
       if (c <= 0.0) continue;
       const auto& r = results.at({c, load}).result;
+      const auto& st = r.resilience.value();
       d.row_values(util::TablePrinter::fixed(load, 1), cap_label(c),
-                   r.resilience.peak_stage, r.resilience.steps_down,
-                   r.resilience.lanes_slept, r.resilience.lanes_shed,
-                   util::TablePrinter::fixed(r.power_avg_mw, 2),
-                   r.resilience.suppressed_violations);
+                   std::string(resilience::stage_name(st.peak_stage)), st.steps_down,
+                   st.lanes_slept, st.lanes_shed,
+                   util::TablePrinter::fixed(r.power_avg_mw, 2), st.suppressed_violations);
     }
   }
   d.print(std::cout);

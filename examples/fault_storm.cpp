@@ -92,11 +92,11 @@ int run(int argc, char** argv) {
   rec.row_values("reroutes still pending", r.fault.reroutes_pending);
   rec.row_values("degraded windows", r.fault.degraded_windows);
   rec.row_values("worst time-to-reroute (cycles)", r.fault.worst_time_to_reroute);
-  rec.row_values("ctrl packets dropped", r.fault.ctrl_drops);
-  rec.row_values("ctrl retransmissions", r.fault.ctrl_retries);
-  rec.row_values("ctrl timeouts (window sat out)", r.fault.ctrl_timeouts);
-  rec.row_values("ctrl retry budgets exhausted", r.fault.ctrl_exhausted);
-  rec.row_values("stale directives discarded", r.fault.stale_directives);
+  rec.row_values("ctrl packets dropped", r.control.ctrl_drops);
+  rec.row_values("ctrl retransmissions", r.control.ctrl_retries);
+  rec.row_values("ctrl timeouts (window sat out)", r.control.ctrl_timeouts);
+  rec.row_values("ctrl retry budgets exhausted", r.control.ctrl_exhausted_drops);
+  rec.row_values("stale directives discarded", r.control.stale_directives);
   rec.print(std::cout);
 
   if (transient) {
@@ -111,11 +111,11 @@ int run(int argc, char** argv) {
     heal.row_values("ARQ retransmissions", r.fault.arq_retransmits);
     heal.row_values("ARQ dead letters", r.fault.arq_dead_letters);
     heal.row_values("RC crashes / repairs",
-                    std::to_string(r.fault.rc_crashes) + " / " +
-                        std::to_string(r.fault.rc_repairs));
-    heal.row_values("watchdog fires", r.fault.watchdog_fires);
-    heal.row_values("ring tokens regenerated", r.fault.tokens_regenerated);
-    heal.row_values("frozen LS windows", r.fault.frozen_windows);
+                    std::to_string(r.control.rc_crashes) + " / " +
+                        std::to_string(r.control.rc_repairs));
+    heal.row_values("watchdog fires", r.control.watchdog_fires);
+    heal.row_values("ring tokens regenerated", r.control.tokens_regenerated);
+    heal.row_values("frozen LS windows", r.control.frozen_windows);
     heal.print(std::cout);
   }
 

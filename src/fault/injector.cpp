@@ -21,28 +21,24 @@ std::size_t target_index(CtrlTarget t) { return t == CtrlTarget::Chain ? 0 : 1; 
 FaultInjector::FaultInjector(des::Engine& engine, const topology::SystemConfig& cfg,
                              topology::LaneMap& lane_map,
                              reconfig::ReconfigManager& manager,
-                             std::vector<optical::OpticalTerminal*> terminals,
-                             FaultPlan plan, obs::Hub* hub,
-                             std::vector<optical::Receiver*> receivers)
+                             const std::vector<optical::OpticalTerminal*>& terminals,
+                             const std::vector<optical::Receiver*>& receivers,
+                             FaultPlan plan, obs::Hub* hub)
     : engine_(engine),
       cfg_(cfg),
       lane_map_(lane_map),
       manager_(manager),
-      terminals_(std::move(terminals)),
+      terminals_(terminals),
+      receivers_(receivers),
       plan_(std::move(plan)),
       rng_(plan_.seed),
-      receivers_(std::move(receivers)),
       hub_(hub) {
   ERAPID_EXPECT(terminals_.size() == cfg_.num_boards_total(),
                 "one optical terminal per board required");
+  ERAPID_EXPECT(receivers_.size() ==
+                    static_cast<std::size_t>(cfg_.num_boards_total()) * cfg_.num_wavelengths(),
+                "receiver array must cover every (board, wavelength)");
   plan_.validate(cfg_);
-  const bool any_ber =
-      std::any_of(plan_.events.begin(), plan_.events.end(),
-                  [](const FaultEvent& e) { return e.kind == FaultKind::BitError; });
-  ERAPID_EXPECT(!any_ber || receivers_.size() ==
-                                static_cast<std::size_t>(cfg_.num_boards_total()) *
-                                    cfg_.num_wavelengths(),
-                "bit_error events need the receiver array (one per board × wavelength)");
   drop_budget_[0].assign(terminals_.size(), 0);
   drop_budget_[1].assign(terminals_.size(), 0);
   if (hub_ != nullptr) {
@@ -325,17 +321,6 @@ RecoveryStats FaultInjector::stats() const {
     s.arq_retransmits += t->arq_retransmits();
     s.arq_dead_letters += t->arq_dead_letters();
   }
-  const auto& c = manager_.counters();
-  s.ctrl_drops = c.ctrl_drops;
-  s.ctrl_retries = c.ctrl_retries;
-  s.ctrl_timeouts = c.ctrl_timeouts;
-  s.ctrl_exhausted = c.ctrl_exhausted_drops;
-  s.stale_directives = c.stale_directives;
-  s.rc_crashes = c.rc_crashes;
-  s.rc_repairs = c.rc_repairs;
-  s.watchdog_fires = c.watchdog_fires;
-  s.tokens_regenerated = c.tokens_regenerated;
-  s.frozen_windows = c.frozen_windows;
   return s;
 }
 

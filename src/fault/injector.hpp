@@ -30,9 +30,9 @@
 
 namespace erapid::fault {
 
-/// What the faults did and how the protocol absorbed them. ctrl_* and
-/// stale_directives mirror the manager's ControlCounters (copied at
-/// stats() time so the struct is self-contained for reports).
+/// What the faults did to the data plane and how the protocol absorbed
+/// them. The control-plane side (ctrl_*, stale directives, RC crashes and
+/// ring failover) lives only in the manager's ControlCounters.
 struct RecoveryStats {
   std::uint64_t lanes_failed = 0;    ///< lane deaths injected
   std::uint64_t lanes_degraded = 0;  ///< laser caps applied (skips dark lanes)
@@ -56,38 +56,26 @@ struct RecoveryStats {
   std::uint64_t arq_retransmits = 0;   ///< bounded retransmissions issued
   std::uint64_t arq_dead_letters = 0;  ///< packets abandoned after the retry limit
 
-  // ---- control plane (mirrors the manager's ControlCounters) ----
-  std::uint64_t ctrl_drops = 0;
-  std::uint64_t ctrl_retries = 0;
-  std::uint64_t ctrl_timeouts = 0;
-  std::uint64_t ctrl_exhausted = 0;  ///< drops that exhausted the retry budget
-  std::uint64_t stale_directives = 0;
-  std::uint64_t rc_crashes = 0;
-  std::uint64_t rc_repairs = 0;
-  std::uint64_t watchdog_fires = 0;
-  std::uint64_t tokens_regenerated = 0;
-  std::uint64_t frozen_windows = 0;
-
-  /// True when any fault actually touched the run (gates report output).
+  /// True when a data-plane fault touched the run. The report's `fault`
+  /// block appears when this or ControlCounters::faulted() holds.
   [[nodiscard]] bool any() const {
-    return lanes_failed || lanes_degraded || lanes_repaired || crc_dropped ||
-           ctrl_drops || ctrl_timeouts || rc_crashes || stale_directives;
+    return lanes_failed || lanes_degraded || lanes_repaired || crc_dropped;
   }
 };
 
 /// Schedules a FaultPlan's events and tracks recovery.
 class FaultInjector {
  public:
-  /// `terminals` is indexed by board id (same vector the manager holds).
-  /// `receivers` is the flat [board * W + wavelength] array (required only
-  /// when the plan contains BitError events; may be empty otherwise).
-  /// Validates the plan against `cfg` (throws on out-of-range events).
-  /// `hub` (optional) receives fault/recovery instant marks.
+  /// `terminals` (indexed by board id) and `receivers` (flat
+  /// [board * W + wavelength]) are the network's shared lists; both must
+  /// outlive the injector. Validates the plan against `cfg` (throws on
+  /// out-of-range events). `hub` (optional) receives fault/recovery
+  /// instant marks.
   FaultInjector(des::Engine& engine, const topology::SystemConfig& cfg,
                 topology::LaneMap& lane_map, reconfig::ReconfigManager& manager,
-                std::vector<optical::OpticalTerminal*> terminals, FaultPlan plan,
-                obs::Hub* hub = nullptr,
-                std::vector<optical::Receiver*> receivers = {});
+                const std::vector<optical::OpticalTerminal*>& terminals,
+                const std::vector<optical::Receiver*>& receivers, FaultPlan plan,
+                obs::Hub* hub = nullptr);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -96,7 +84,7 @@ class FaultInjector {
   /// an empty plan. Call once, before the first event's cycle.
   void arm();
 
-  /// Live recovery metrics (control counters copied from the manager).
+  /// Live recovery metrics.
   [[nodiscard]] RecoveryStats stats() const;
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
@@ -135,10 +123,10 @@ class FaultInjector {
   const topology::SystemConfig& cfg_;
   topology::LaneMap& lane_map_;
   reconfig::ReconfigManager& manager_;
-  std::vector<optical::OpticalTerminal*> terminals_;
+  const std::vector<optical::OpticalTerminal*>& terminals_;
+  const std::vector<optical::Receiver*>& receivers_;  ///< [b*W + w]
   FaultPlan plan_;
   util::Rng rng_;  ///< dedicated stream for random ctrl loss (plan.seed)
-  std::vector<optical::Receiver*> receivers_;  ///< [b*W + w]; empty unless BitError
 
   bool armed_ = false;
   RecoveryStats stats_;

@@ -59,16 +59,6 @@ struct ObsConfig {
   std::string telemetry_path;
   /// Cycles per telemetry record.
   CycleDelta telemetry_window = 2000;
-  /// Traffic-matrix flows listed per record.
-  std::uint32_t telemetry_top_k = 8;
-  /// Per-flow traffic-matrix EWMA weight, in (0, 1].
-  double telemetry_ewma_alpha = 0.3;
-  /// Phase detector EWMA weight, in (0, 1].
-  double telemetry_phase_alpha = 0.2;
-  /// Phase detector CUSUM dead-band (utilization per window).
-  double telemetry_phase_slack = 0.05;
-  /// Phase detector CUSUM firing threshold.
-  double telemetry_phase_threshold = 0.25;
   /// Flight recorder ring depth; 0 = no flight recorder.
   std::size_t flight_recorder_depth = 0;
   /// Flight recorder dump path (written only when a trigger fires).

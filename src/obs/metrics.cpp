@@ -217,20 +217,4 @@ std::vector<std::pair<std::string, std::string>> MetricsRegistry::snapshot(Cycle
   return out;
 }
 
-std::string MetricsRegistry::to_json(Cycle now, int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent) + 2, ' ');
-  std::ostringstream os;
-  os << '{';
-  bool first = true;
-  // index_ iterates name-sorted: snapshot order is instrumentation-order
-  // independent.
-  for (const auto& [name, id] : index_) {
-    os << (first ? "\n" : ",\n") << pad << '"' << json_escape(name)
-       << "\": " << render(entries_[id], now);
-    first = false;
-  }
-  os << '\n' << std::string(static_cast<std::size_t>(indent), ' ') << '}';
-  return os.str();
-}
-
 }  // namespace erapid::obs

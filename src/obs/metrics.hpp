@@ -90,7 +90,9 @@ class MetricsRegistry {
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-  /// Snapshot of every metric, name-sorted, as one JSON object:
+  /// Every metric as name-sorted (name, rendered JSON value) pairs — what
+  /// SimResult carries so sim::report can emit the snapshot with its own
+  /// indentation. Values render as:
   ///   counters   -> integer
   ///   gauges     -> {"level": x, "avg": time-weighted avg over [0, now]}
   ///   series     -> {"count": n, "min": ..., "mean": ..., "max": ...}
@@ -98,11 +100,6 @@ class MetricsRegistry {
   ///   histograms -> {"count": n, "min": ..., "mean": ..., "max": ...,
   ///                  "p50": ..., "p95": ..., "p99": ...,
   ///                  "buckets": [[bucket, count], ...]}  (sparse, ordered)
-  /// (`indent` matches sim::report's hand-rolled emitter conventions.)
-  [[nodiscard]] std::string to_json(Cycle now, int indent = 0) const;
-
-  /// Name-sorted (name, rendered JSON value) pairs — what SimResult carries
-  /// so sim::report can emit the snapshot with its own indentation.
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> snapshot(Cycle now) const;
 
  private:

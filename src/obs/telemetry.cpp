@@ -9,14 +9,23 @@
 
 namespace erapid::obs {
 
+namespace {
+
+// Fixed tuning of the telemetry plane (DESIGN.md §14).
+constexpr std::size_t kTopK = 8;          ///< traffic-matrix cells per record
+constexpr double kTmEwmaAlpha = 0.3;      ///< per-cell EWMA weight, in (0, 1]
+constexpr double kPhaseAlpha = 0.2;       ///< phase detector EWMA weight, in (0, 1]
+constexpr double kPhaseSlack = 0.05;      ///< CUSUM dead-band per window
+constexpr double kPhaseThreshold = 0.25;  ///< CUSUM deviation that fires a change
+
+}  // namespace
+
 Telemetry::Telemetry(des::Engine& engine, std::uint32_t boards, Hub& hub, Sampler sampler)
     : engine_(engine), hub_(hub), cfg_(hub.config()), sampler_(std::move(sampler)),
-      tm_(boards, cfg_.telemetry_ewma_alpha),
-      detector_({cfg_.telemetry_phase_alpha, cfg_.telemetry_phase_slack,
-                 cfg_.telemetry_phase_threshold}) {
+      tm_(boards, kTmEwmaAlpha),
+      detector_({kPhaseAlpha, kPhaseSlack, kPhaseThreshold}) {
   ERAPID_REQUIRE(!cfg_.telemetry_path.empty(), "telemetry needs an output path");
   ERAPID_REQUIRE(cfg_.telemetry_window > 0, "telemetry window must be positive");
-  ERAPID_REQUIRE(cfg_.telemetry_top_k > 0, "telemetry top_k must be positive");
   ERAPID_REQUIRE(static_cast<bool>(sampler_), "telemetry needs a window sampler");
   out_.open(cfg_.telemetry_path);
   ERAPID_EXPECT(static_cast<bool>(out_),
@@ -89,7 +98,7 @@ void Telemetry::emit_record(Cycle now, const WindowObservables& o, bool phase_ch
     << ", \"hotspot\": " << format_trace_value(tm_.window_hotspot())
     << ", \"top\": [";
   bool first = true;
-  for (const auto& e : tm_.top_k(cfg_.telemetry_top_k)) {
+  for (const auto& e : tm_.top_k(kTopK)) {
     r << (first ? "" : ", ") << "{\"src\": " << e.src << ", \"dst\": " << e.dst
       << ", \"bytes\": " << e.bytes << ", \"packets\": " << e.packets
       << ", \"ewma\": " << format_trace_value(e.ewma_bytes) << "}";

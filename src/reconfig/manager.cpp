@@ -12,13 +12,13 @@ using power::PowerLevel;
 
 ReconfigManager::ReconfigManager(des::Engine& engine, const topology::SystemConfig& cfg,
                                  const ReconfigConfig& rc_cfg, topology::LaneMap& lane_map,
-                                 std::vector<optical::OpticalTerminal*> terminals,
+                                 const std::vector<optical::OpticalTerminal*>& terminals,
                                  obs::Hub* hub)
     : engine_(engine),
       cfg_(cfg),
       cfg_rc_(rc_cfg),
       lane_map_(lane_map),
-      terminals_(std::move(terminals)),
+      terminals_(terminals),
       hub_(hub) {
   ERAPID_REQUIRE(terminals_.size() == cfg_.num_boards_total(),
                  "one optical terminal per board required: got " << terminals_.size()

@@ -76,11 +76,12 @@ struct ReconfigConfig {
 /// Drives DPM + DBR over all boards' terminals.
 class ReconfigManager {
  public:
-  /// `hub` (optional) receives Lock-Step window spans, DBR re-solve marks
-  /// and per-LC level-transition counter tracks.
+  /// `terminals` is the board-indexed list the network owns; it must
+  /// outlive the manager. `hub` (optional) receives Lock-Step window spans,
+  /// DBR re-solve marks and per-LC level-transition counter tracks.
   ReconfigManager(des::Engine& engine, const topology::SystemConfig& cfg,
                   const ReconfigConfig& rc_cfg, topology::LaneMap& lane_map,
-                  std::vector<optical::OpticalTerminal*> terminals,
+                  const std::vector<optical::OpticalTerminal*>& terminals,
                   obs::Hub* hub = nullptr);
 
   /// Lights the static RWA lanes (call once at t=0 before traffic starts).
@@ -154,7 +155,7 @@ class ReconfigManager {
   const topology::SystemConfig& cfg_;
   ReconfigConfig cfg_rc_;
   topology::LaneMap& lane_map_;
-  std::vector<optical::OpticalTerminal*> terminals_;
+  const std::vector<optical::OpticalTerminal*>& terminals_;
 
   // Last-window statistics per board (index = board id).
   std::vector<std::vector<optical::LaneSnapshot>> lane_stats_;

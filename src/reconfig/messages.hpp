@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "power/link_power.hpp"
 #include "util/types.hpp"
@@ -13,19 +12,12 @@
 namespace erapid::reconfig {
 
 /// Per-flow statistics one RC reports about its *outgoing* link toward the
-/// requesting board (carried in Board Request/Response packets).
+/// requesting board (the contents of a Board Request packet).
 struct FlowStatsEntry {
   BoardId src;               ///< reporting (transmitting) board
   double buffer_util = 0.0;  ///< transmit-queue Buffer_util over last R_w
   std::uint32_t queued = 0;  ///< packets currently waiting
   std::uint32_t lanes = 0;   ///< lanes src currently owns toward the dest
-};
-
-/// Board Request: RC_d collects incoming-link statistics. The packet
-/// circles the ring; every RC_s appends its entry for flow s→d.
-struct BoardRequestPkt {
-  BoardId origin;  ///< the destination board whose incoming links these are
-  std::vector<FlowStatsEntry> incoming;
 };
 
 /// One lane re-allocation decided by RC_d in the Reconfigure stage.
@@ -34,13 +26,6 @@ struct Directive {
   BoardId old_owner;  ///< invalid ⇒ lane was dark (λ0 / previously released)
   BoardId new_owner;  ///< invalid ⇒ pure release (unused by the allocator)
   power::PowerLevel grant_level = power::PowerLevel::High;
-};
-
-/// Board Response: RC_d broadcasts its directives; each RC applies the
-/// ones naming it (release or grant) in its Link Response stage.
-struct BoardResponsePkt {
-  BoardId origin;  ///< destination board whose incoming lanes moved
-  std::vector<Directive> directives;
 };
 
 /// Which control-plane medium a Lock-Step message traverses. Used by the
@@ -78,6 +63,13 @@ struct ControlCounters {
   std::uint64_t watchdog_fires = 0;      ///< ring-token losses detected
   std::uint64_t tokens_regenerated = 0;  ///< tokens re-issued after a watchdog fire
   std::uint64_t frozen_windows = 0;      ///< LS windows run with >= 1 dead RC
+
+  /// True when a control-plane fault touched the run: a lost or timed-out
+  /// control packet, an RC crash, or a discarded directive. Shedding alone
+  /// can discard directives, so this can hold without a fault plan.
+  [[nodiscard]] bool faulted() const {
+    return ctrl_drops || ctrl_timeouts || rc_crashes || stale_directives;
+  }
 };
 
 }  // namespace erapid::reconfig

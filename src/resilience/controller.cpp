@@ -22,14 +22,21 @@ const char* stage_name(Stage s) {
 }
 
 DegradeController::DegradeController(const DegradeConfig& cfg, double power_cap_mw,
+                                     topology::LaneMap& lane_map,
+                                     const std::vector<optical::OpticalTerminal*>& terminals,
                                      obs::Hub* hub)
-    : cfg_(cfg), cap_mw_(power_cap_mw), hub_(hub) {
+    : cfg_(cfg), cap_mw_(power_cap_mw), hub_(hub), lane_map_(lane_map), terminals_(terminals) {
   ERAPID_REQUIRE(cfg_.any(), "degradation controller built with no policy configured");
   if (cfg_.power_cap.has_value() && (*cfg_.power_cap == ResponsePolicy::Degrade ||
                                      *cfg_.power_cap == ResponsePolicy::Shed)) {
     ERAPID_REQUIRE(cap_mw_ > 0.0,
                    "brownout ladder needs the power-cap threshold it defends");
   }
+  ERAPID_REQUIRE(terminals_.size() == lane_map_.boards(),
+                 "degradation controller needs one terminal per board");
+  const auto pool = lane_map_.boards() * lane_map_.wavelengths();
+  shed_limit_ =
+      static_cast<std::uint32_t>(cfg_.max_shed_fraction * static_cast<double>(pool));
   if (hub_ != nullptr) {
     auto& m = hub_->metrics();
     m_steps_down_ = m.counter("resilience.ladder_steps");
@@ -42,18 +49,6 @@ DegradeController::DegradeController(const DegradeConfig& cfg, double power_cap_
     m_shed_batch_ = m.histogram("resilience.shed_batch");
     m_restore_batch_ = m.histogram("resilience.restore_batch");
   }
-}
-
-void DegradeController::attach(topology::LaneMap& lane_map,
-                               std::vector<optical::OpticalTerminal*> terminals) {
-  ERAPID_REQUIRE(lane_map_ == nullptr, "degradation controller attached twice");
-  ERAPID_REQUIRE(terminals.size() == lane_map.boards(),
-                 "degradation controller needs one terminal per board");
-  lane_map_ = &lane_map;
-  terminals_ = std::move(terminals);
-  const auto pool = lane_map.boards() * lane_map.wavelengths();
-  shed_limit_ =
-      static_cast<std::uint32_t>(cfg_.max_shed_fraction * static_cast<double>(pool));
 }
 
 std::optional<ResponsePolicy> DegradeController::policy_for(const char* name) const {
@@ -91,7 +86,6 @@ void DegradeController::record(Cycle now, const char* action, std::uint32_t lane
 }
 
 void DegradeController::act(Cycle now) {
-  ERAPID_REQUIRE(lane_map_ != nullptr, "degradation controller acting before attach()");
   if (acted_ && now - last_action_ < static_cast<Cycle>(cfg_.cooldown_cycles)) return;
   acted_ = true;
   last_action_ = now;
@@ -213,8 +207,8 @@ void DegradeController::step_up(Cycle now) {
 }
 
 void DegradeController::set_caps_all(PowerLevel cap, Cycle now) {
-  const auto boards = lane_map_->boards();
-  const auto wavelengths = lane_map_->wavelengths();
+  const auto boards = lane_map_.boards();
+  const auto wavelengths = lane_map_.wavelengths();
   for (std::uint32_t s = 0; s < boards; ++s) {
     optical::OpticalTerminal* term = terminals_[s];
     for (std::uint32_t d = 0; d < boards; ++d) {
@@ -227,8 +221,8 @@ void DegradeController::set_caps_all(PowerLevel cap, Cycle now) {
 }
 
 void DegradeController::clear_caps_all() {
-  const auto boards = lane_map_->boards();
-  const auto wavelengths = lane_map_->wavelengths();
+  const auto boards = lane_map_.boards();
+  const auto wavelengths = lane_map_.wavelengths();
   for (std::uint32_t s = 0; s < boards; ++s) {
     optical::OpticalTerminal* term = terminals_[s];
     for (std::uint32_t d = 0; d < boards; ++d) {
@@ -242,13 +236,13 @@ void DegradeController::clear_caps_all() {
 
 std::uint32_t DegradeController::sleep_idle_lanes(Cycle now) {
   std::uint32_t slept = 0;
-  const auto boards = lane_map_->boards();
-  const auto wavelengths = lane_map_->wavelengths();
+  const auto boards = lane_map_.boards();
+  const auto wavelengths = lane_map_.wavelengths();
   for (std::uint32_t d = 0; d < boards; ++d) {
     for (std::uint32_t w = 0; w < wavelengths; ++w) {
       const BoardId dd{d};
       const WavelengthId ww{w};
-      const BoardId owner = lane_map_->owner(dd, ww);
+      const BoardId owner = lane_map_.owner(dd, ww);
       if (!owner.valid()) continue;
       optical::OpticalTerminal* term = terminals_[owner.value()];
       const optical::Lane& ln = term->lane(dd, ww);
@@ -271,16 +265,16 @@ std::uint32_t DegradeController::shed_batch(Cycle now) {
   if (shed_total_ + budget > shed_limit_) budget = shed_limit_ - shed_total_;
   if (budget == 0) return 0;
   std::vector<std::pair<BoardId, WavelengthId>> batch;
-  const auto boards = lane_map_->boards();
-  const auto wavelengths = lane_map_->wavelengths();
+  const auto boards = lane_map_.boards();
+  const auto wavelengths = lane_map_.wavelengths();
   // Free lanes first: withdrawing one costs no carried traffic at all.
   for (std::uint32_t d = 0; d < boards && batch.size() < budget; ++d) {
     for (std::uint32_t w = 0; w < wavelengths && batch.size() < budget; ++w) {
       const BoardId dd{d};
       const WavelengthId ww{w};
-      if (lane_map_->is_failed(dd, ww) || lane_map_->is_shed(dd, ww)) continue;
-      if (!lane_map_->is_free(dd, ww)) continue;
-      lane_map_->shed(dd, ww);
+      if (lane_map_.is_failed(dd, ww) || lane_map_.is_shed(dd, ww)) continue;
+      if (!lane_map_.is_free(dd, ww)) continue;
+      lane_map_.shed(dd, ww);
       batch.emplace_back(dd, ww);
     }
   }
@@ -291,17 +285,17 @@ std::uint32_t DegradeController::shed_batch(Cycle now) {
     for (std::uint32_t w = 0; w < wavelengths && batch.size() < budget; ++w) {
       const BoardId dd{d};
       const WavelengthId ww{w};
-      if (lane_map_->is_failed(dd, ww) || lane_map_->is_shed(dd, ww)) continue;
-      const BoardId owner = lane_map_->owner(dd, ww);
+      if (lane_map_.is_failed(dd, ww) || lane_map_.is_shed(dd, ww)) continue;
+      const BoardId owner = lane_map_.owner(dd, ww);
       if (!owner.valid()) continue;
       optical::OpticalTerminal* term = terminals_[owner.value()];
       optical::Lane& ln = term->lane(dd, ww);
       if (!ln.enabled() || ln.release_pending()) continue;
-      if (lane_map_->lane_count(owner, dd) < 2) continue;
+      if (lane_map_.lane_count(owner, dd) < 2) continue;
       // Shed before releasing so no bandwidth window between the two can
       // re-grant the lane.
-      lane_map_->shed(dd, ww);
-      topology::LaneMap* lm = lane_map_;
+      lane_map_.shed(dd, ww);
+      topology::LaneMap* lm = &lane_map_;
       term->apply_release(dd, ww, now,
                           [lm, dd, ww](Cycle /*at*/) { lm->release(dd, ww); });
       batch.emplace_back(dd, ww);
@@ -325,7 +319,7 @@ std::uint32_t DegradeController::restore_batch(Cycle /*now*/) {
   shed_batches_.pop_back();
   // LIFO within the batch too: strict reverse of the shed order.
   for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
-    lane_map_->unshed(it->first, it->second);
+    lane_map_.unshed(it->first, it->second);
   }
   const auto n = static_cast<std::uint32_t>(batch.size());
   ERAPID_INVARIANT(shed_total_ >= n, "restored more lanes than were shed");

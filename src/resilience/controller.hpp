@@ -69,22 +69,20 @@ struct ControllerStats {
 };
 
 /// Runtime half of the `degrade.*` surface (see file comment). Built by
-/// the Simulation driver when any policy is configured; attached to the
-/// network's lane map and terminals once they exist.
+/// the Simulation driver, after the network, when any policy is
+/// configured.
 class DegradeController {
  public:
   /// `power_cap_mw` is the monitor threshold the hysteresis margin is
-  /// relative to (0 when no power-cap policy is configured). `hub` may be
+  /// relative to (0 when no power-cap policy is configured). `lane_map`
+  /// and the board-indexed `terminals` are the actuation targets; both
+  /// belong to the network and must outlive the controller. `hub` may be
   /// null only in obs-disabled unit tests; flight/metrics are skipped then.
-  DegradeController(const DegradeConfig& cfg, double power_cap_mw, obs::Hub* hub);
+  DegradeController(const DegradeConfig& cfg, double power_cap_mw, topology::LaneMap& lane_map,
+                    const std::vector<optical::OpticalTerminal*>& terminals, obs::Hub* hub);
 
   DegradeController(const DegradeController&) = delete;
   DegradeController& operator=(const DegradeController&) = delete;
-
-  /// Wires the actuation targets. Called once from the Network constructor
-  /// (terminals are board-indexed; the controller acts on all of them).
-  void attach(topology::LaneMap& lane_map,
-              std::vector<optical::OpticalTerminal*> terminals);
 
   /// MonitorSet actuation hook: rules on a just-recorded violation and,
   /// for degrade|shed power-cap policies, takes the next ladder action.
@@ -117,8 +115,8 @@ class DegradeController {
   DegradeConfig cfg_;
   double cap_mw_;
   obs::Hub* hub_;
-  topology::LaneMap* lane_map_ = nullptr;
-  std::vector<optical::OpticalTerminal*> terminals_;
+  topology::LaneMap& lane_map_;
+  const std::vector<optical::OpticalTerminal*>& terminals_;
 
   Stage stage_ = Stage::Normal;
   bool acted_ = false;  ///< at least one action taken (gates the cooldown)

@@ -4,11 +4,9 @@ namespace erapid::sim {
 
 Network::Network(des::Engine& engine, const topology::SystemConfig& cfg,
                  const reconfig::ReconfigConfig& rc_cfg,
-                 const power::LinkPowerModel& power_model, obs::Hub* hub,
-                 resilience::DegradeController* degrade_ctrl)
+                 const power::LinkPowerModel& power_model, obs::Hub* hub)
     : engine_(engine),
       hub_(hub),
-      degrade_ctrl_(degrade_ctrl),
       cfg_(cfg),
       domain_(engine),
       power_model_(power_model),
@@ -20,22 +18,23 @@ Network::Network(des::Engine& engine, const topology::SystemConfig& cfg,
   const std::uint32_t W = cfg_.num_wavelengths();
 
   routers_.resize(B);
-  receivers_.resize(static_cast<std::size_t>(B) * W);
+  receiver_store_.resize(static_cast<std::size_t>(B) * W);
   ejections_.resize(cfg_.num_nodes());
-  terminals_.resize(B);
+  terminal_store_.resize(B);
   nis_.resize(cfg_.num_nodes());
 
   // Phase 1: routers, ejection outputs, receivers (per board, in order).
   for (std::uint32_t b = 0; b < B; ++b) build_board(BoardId{b});
 
   // Phase 2: terminals (need every board's receivers) and NIs.
-  std::vector<optical::Receiver*> rx_view;
-  rx_view.reserve(receivers_.size());
-  for (const auto& r : receivers_) rx_view.push_back(r.get());
+  receivers_.reserve(receiver_store_.size());
+  for (const auto& r : receiver_store_) receivers_.push_back(r.get());
   meter_.attach_hub(hub_);
+  terminals_.reserve(B);
   for (std::uint32_t b = 0; b < B; ++b) {
-    terminals_[b] = std::make_unique<optical::OpticalTerminal>(
-        engine_, cfg_, power_model_, meter_, BoardId{b}, *routers_[b], rx_view, hub_);
+    terminal_store_[b] = std::make_unique<optical::OpticalTerminal>(
+        engine_, cfg_, power_model_, meter_, BoardId{b}, *routers_[b], receivers_, hub_);
+    terminals_.push_back(terminal_store_[b].get());
   }
 
   // Receiver slot-freed events go to whichever board currently owns the
@@ -55,8 +54,8 @@ Network::Network(des::Engine& engine, const topology::SystemConfig& cfg,
       });
     }
   }
-  for (std::uint32_t b = 0; b < B; ++b) {
-    terminals_[b]->set_dead_letter_callback([this](const router::Packet& p, Cycle now) {
+  for (optical::OpticalTerminal* t : terminals_) {
+    t->set_dead_letter_callback([this](const router::Packet& p, Cycle now) {
       if (on_dead_letter_) on_dead_letter_(p, now);
     });
   }
@@ -69,20 +68,8 @@ Network::Network(des::Engine& engine, const topology::SystemConfig& cfg,
         cfg_.vc_buffer_flits, cfg_.cycles_per_flit_electrical());
   }
 
-  manager_ = std::make_unique<reconfig::ReconfigManager>(
-      engine_, cfg_, rc_cfg, lane_map_,
-      [this] {
-        std::vector<optical::OpticalTerminal*> v;
-        for (const auto& t : terminals_) v.push_back(t.get());
-        return v;
-      }(),
-      hub_);
-
-  if (degrade_ctrl_ != nullptr) {
-    std::vector<optical::OpticalTerminal*> v;
-    for (const auto& t : terminals_) v.push_back(t.get());
-    degrade_ctrl_->attach(lane_map_, std::move(v));
-  }
+  manager_ = std::make_unique<reconfig::ReconfigManager>(engine_, cfg_, rc_cfg, lane_map_,
+                                                         terminals_, hub_);
 }
 
 void Network::build_board(BoardId b) {
@@ -126,7 +113,7 @@ void Network::build_board(BoardId b) {
 
   // Wavelength receivers feeding router input ports D..D+W-1.
   for (std::uint32_t w = 0; w < W; ++w) {
-    receivers_[static_cast<std::size_t>(b.value()) * W + w] =
+    receiver_store_[static_cast<std::size_t>(b.value()) * W + w] =
         std::make_unique<optical::Receiver>(engine_, rt, D + w, cfg_.num_vcs,
                                             cfg_.vc_buffer_flits,
                                             cfg_.cycles_per_flit_electrical(),
@@ -156,7 +143,7 @@ std::size_t Network::total_source_backlog() const {
 
 units::MilliwattCycles Network::active_energy_mw_cycles() const {
   units::MilliwattCycles total{0.0};
-  for (const auto& t : terminals_) total += t->active_energy_mw_cycles();
+  for (const optical::OpticalTerminal* t : terminals_) total += t->active_energy_mw_cycles();
   return total;
 }
 

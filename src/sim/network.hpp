@@ -6,7 +6,10 @@
 //   * W wavelength receivers per board feeding the router;
 //   * one optical terminal per board (TX queues, lanes, scheduler);
 //   * per-node NIs and ejection units;
-//   * the global lane-ownership map and the LS reconfiguration manager.
+//   * the global lane-ownership map and the LS reconfiguration manager;
+//   * the board-indexed terminal and receiver pointer lists, built once
+//     here and shared by every plane that acts on all boards (manager,
+//     fault injector, degradation controller).
 //
 // Delivered packets are reported through a single callback the simulation
 // driver installs (latency/throughput accounting lives there, keeping the
@@ -27,7 +30,6 @@
 #include "power/energy_meter.hpp"
 #include "power/link_power.hpp"
 #include "reconfig/manager.hpp"
-#include "resilience/controller.hpp"
 #include "router/injector.hpp"
 #include "router/router.hpp"
 #include "sim/node_interface.hpp"
@@ -45,13 +47,10 @@ class Network {
   /// latencies); the default is the paper's Table 1 optical model. `hub`
   /// (optional) is threaded to every instrumented component (manager,
   /// terminals, receivers, energy meter).
-  /// `degrade_ctrl` (optional) is the degradation controller; the network
-  /// attaches it to the lane map and terminals it builds.
   Network(des::Engine& engine, const topology::SystemConfig& cfg,
           const reconfig::ReconfigConfig& rc_cfg,
           const power::LinkPowerModel& power_model = power::LinkPowerModel{},
-          obs::Hub* hub = nullptr,
-          resilience::DegradeController* degrade_ctrl = nullptr);
+          obs::Hub* hub = nullptr);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -84,9 +83,14 @@ class Network {
   [[nodiscard]] optical::Receiver& receiver(BoardId b, WavelengthId w) {
     return *receivers_[static_cast<std::size_t>(b.value()) * cfg_.num_wavelengths() + w.value()];
   }
-  /// Null unless the Simulation built a degradation controller.
-  [[nodiscard]] resilience::DegradeController* degrade_controller() {
-    return degrade_ctrl_;
+  /// Every board's terminal, indexed by board id. The list lives as long
+  /// as the network; consumers keep a reference to it.
+  [[nodiscard]] const std::vector<optical::OpticalTerminal*>& terminals() const {
+    return terminals_;
+  }
+  /// Every receiver, flat [board * W + wavelength]; same lifetime.
+  [[nodiscard]] const std::vector<optical::Receiver*>& receivers() const {
+    return receivers_;
   }
   [[nodiscard]] std::uint64_t packets_delivered() const { return delivered_; }
 
@@ -102,7 +106,6 @@ class Network {
 
   des::Engine& engine_;
   obs::Hub* hub_;
-  resilience::DegradeController* degrade_ctrl_;
   topology::SystemConfig cfg_;
   des::ClockDomain domain_;
   power::LinkPowerModel power_model_;
@@ -111,9 +114,11 @@ class Network {
   topology::LaneMap lane_map_;
 
   std::vector<std::unique_ptr<router::Router>> routers_;
-  std::vector<std::unique_ptr<optical::Receiver>> receivers_;  ///< [b*W + w]
+  std::vector<std::unique_ptr<optical::Receiver>> receiver_store_;  ///< [b*W + w]
   std::vector<std::unique_ptr<router::EjectionUnit>> ejections_;  ///< [node]
-  std::vector<std::unique_ptr<optical::OpticalTerminal>> terminals_;
+  std::vector<std::unique_ptr<optical::OpticalTerminal>> terminal_store_;
+  std::vector<optical::Receiver*> receivers_;         ///< views of receiver_store_
+  std::vector<optical::OpticalTerminal*> terminals_;  ///< views of terminal_store_
   std::vector<std::unique_ptr<NodeInterface>> nis_;
   std::unique_ptr<reconfig::ReconfigManager> manager_;
 

@@ -247,11 +247,6 @@ const Key kKeys[] = {
     flag("obs.monitor_fail_fast", FIELD(obs.monitor_fail_fast)),
     path("obs.telemetry", FIELD(obs.telemetry_path)),
     integer<1>("obs.telemetry_window", FIELD(obs.telemetry_window)),
-    integer<1>("obs.telemetry_top_k", FIELD(obs.telemetry_top_k)),
-    real<kPositive, 1.0>("obs.telemetry_ewma_alpha", FIELD(obs.telemetry_ewma_alpha)),
-    real<kPositive, 1.0>("obs.telemetry_phase_alpha", FIELD(obs.telemetry_phase_alpha)),
-    real<0.0>("obs.telemetry_phase_slack", FIELD(obs.telemetry_phase_slack)),
-    real<kPositive>("obs.telemetry_phase_threshold", FIELD(obs.telemetry_phase_threshold)),
     integer("obs.flight_recorder_depth", FIELD(obs.flight_recorder_depth)),
     path("obs.flight_recorder", FIELD(obs.flight_recorder_path)),
     real<0.0>("monitor.power_cap_mw", FIELD(obs.monitors.power_cap_mw)),

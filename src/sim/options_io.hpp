@@ -20,12 +20,11 @@
 //   * unknown keys and empty values are rejected (typos must not silently
 //     fall back to defaults);
 //   * integers are plain unsigned decimals that fit the field ("-1", "2.5",
-//     "8x" and out-of-width values are rejected, never wrapped), and a few
-//     keys have a floor (obs.counter_interval, obs.telemetry_window and
-//     obs.telemetry_top_k are >= 1);
-//   * reals are finite decimals ("nan", "inf", "0.5x" are rejected); unit
-//     weights are in (0, 1], monitor thresholds and the phase slack are
-//     >= 0, and the phase threshold is > 0;
+//     "8x" and out-of-width values are rejected, never wrapped), and window
+//     lengths, queue depths and hop latencies are >= 1;
+//   * reals are finite decimals ("nan", "inf", "0.5x" are rejected); the
+//     unit weight reconfig.ewma_alpha is in (0, 1], and the load and
+//     monitor thresholds are >= 0;
 //   * flags are true|false|1|0|yes|no|on|off;
 //   * named values (modes, patterns, kinds, policies, ...) must be known.
 // Cross-field rules (workload kind vs phases, degrade policies vs armed

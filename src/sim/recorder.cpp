@@ -1,11 +1,17 @@
 #include "sim/recorder.hpp"
 
+#include "resilience/controller.hpp"
 #include "util/expect.hpp"
 
 namespace erapid::sim {
 
-Recorder::Recorder(des::Engine& engine, Network& network, CycleDelta interval, obs::Hub& hub)
-    : engine_(engine), network_(network), interval_(interval), hub_(hub) {
+Recorder::Recorder(des::Engine& engine, Network& network, CycleDelta interval, obs::Hub& hub,
+                   resilience::DegradeController* degrade_ctrl)
+    : engine_(engine),
+      network_(network),
+      interval_(interval),
+      hub_(hub),
+      degrade_ctrl_(degrade_ctrl) {
   ERAPID_EXPECT(interval_ > 0, "sampling interval must be positive");
   auto& reg = hub_.metrics();
   m_power_ = reg.timeline("recorder.power_mw");
@@ -53,7 +59,7 @@ void Recorder::take_sample() {
   // step the brownout ladder down (via the monitor's actuation hook), and
   // sustained headroom steps it back up.
   if (auto* mon = hub_.monitors()) mon->sample_power(now, power);
-  if (auto* ctrl = network_.degrade_controller()) ctrl->on_power_sample(now, power);
+  if (degrade_ctrl_ != nullptr) degrade_ctrl_->on_power_sample(now, power);
 
   // Mirror the sampled state onto trace counter tracks: this is the
   // at-a-glance dashboard row of the Perfetto view.

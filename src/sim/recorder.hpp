@@ -14,6 +14,10 @@
 #include "obs/metrics.hpp"
 #include "sim/network.hpp"
 
+namespace erapid::resilience {
+class DegradeController;
+}
+
 namespace erapid::sim {
 
 /// Periodic sampler over a Network.
@@ -21,8 +25,10 @@ class Recorder {
  public:
   /// Samples every `interval` cycles once started, into `hub`'s timelines
   /// recorder.{power_mw, lanes_lit, delivered, backlog, lane_grants,
-  /// level_changes, lanes_failed}.
-  Recorder(des::Engine& engine, Network& network, CycleDelta interval, obs::Hub& hub);
+  /// level_changes, lanes_failed}. `degrade_ctrl` (null without a
+  /// `degrade.*` policy) gets every power sample after the monitor.
+  Recorder(des::Engine& engine, Network& network, CycleDelta interval, obs::Hub& hub,
+           resilience::DegradeController* degrade_ctrl = nullptr);
 
   /// Begins sampling (first sample at now + interval).
   void start();
@@ -37,6 +43,7 @@ class Recorder {
   Network& network_;
   CycleDelta interval_;
   obs::Hub& hub_;
+  resilience::DegradeController* degrade_ctrl_;
   bool running_ = false;
   des::EventHandle next_;
 

@@ -63,9 +63,9 @@ class JsonObject {
 
 /// The `resilience` block's fields: one list for the report and the bench
 /// point alike.
-void resilience_fields(JsonObject& d, const SimResult::ResilienceSummary& r) {
+void resilience_fields(JsonObject& d, const resilience::ControllerStats& r) {
   d.field("engaged", r.engaged);
-  d.field("peak_stage", r.peak_stage);
+  d.field("peak_stage", resilience::stage_name(r.peak_stage));
   d.field("steps_down", r.steps_down);
   d.field("steps_up", r.steps_up);
   d.field("lanes_shed", r.lanes_shed);
@@ -105,8 +105,9 @@ std::string to_json(const SimResult& r, int indent) {
   o.field("bandwidth_cycles", r.control.bandwidth_cycles);
   o.field("ring_hops", r.control.ring_hops);
   // Fault-free runs must serialize byte-identically to builds predating
-  // the fault subsystem, so the fault block only appears when faults hit.
-  if (r.fault.any()) {
+  // the fault subsystem, so the fault block only appears when faults hit
+  // either plane.
+  if (r.fault.any() || r.control.faulted()) {
     JsonObject f(indent + 2);
     f.field("lanes_failed", r.fault.lanes_failed);
     f.field("lanes_degraded", r.fault.lanes_degraded);
@@ -118,11 +119,11 @@ std::string to_json(const SimResult& r, int indent) {
             r.fault.first_failure == kNeverCycle ? Cycle{0} : r.fault.first_failure);
     f.field("last_recovery", r.fault.last_recovery);
     f.field("worst_time_to_reroute", r.fault.worst_time_to_reroute);
-    f.field("ctrl_drops", r.fault.ctrl_drops);
-    f.field("ctrl_retries", r.fault.ctrl_retries);
-    f.field("ctrl_timeouts", r.fault.ctrl_timeouts);
-    f.field("ctrl_exhausted", r.fault.ctrl_exhausted);
-    f.field("stale_directives", r.fault.stale_directives);
+    f.field("ctrl_drops", r.control.ctrl_drops);
+    f.field("ctrl_retries", r.control.ctrl_retries);
+    f.field("ctrl_timeouts", r.control.ctrl_timeouts);
+    f.field("ctrl_exhausted", r.control.ctrl_exhausted_drops);
+    f.field("stale_directives", r.control.stale_directives);
     f.field("lanes_repaired", r.fault.lanes_repaired);
     f.field("readmissions_completed", r.fault.readmissions_completed);
     f.field("readmissions_pending", r.fault.readmissions_pending);
@@ -131,11 +132,11 @@ std::string to_json(const SimResult& r, int indent) {
     f.field("crc_dropped", r.fault.crc_dropped);
     f.field("arq_retransmits", r.fault.arq_retransmits);
     f.field("arq_dead_letters", r.fault.arq_dead_letters);
-    f.field("rc_crashes", r.fault.rc_crashes);
-    f.field("rc_repairs", r.fault.rc_repairs);
-    f.field("watchdog_fires", r.fault.watchdog_fires);
-    f.field("tokens_regenerated", r.fault.tokens_regenerated);
-    f.field("frozen_windows", r.fault.frozen_windows);
+    f.field("rc_crashes", r.control.rc_crashes);
+    f.field("rc_repairs", r.control.rc_repairs);
+    f.field("watchdog_fires", r.control.watchdog_fires);
+    f.field("tokens_regenerated", r.control.tokens_regenerated);
+    f.field("frozen_windows", r.control.frozen_windows);
     o.raw_field("fault", f.str());
   }
   // Same byte-compatibility rule for workloads: legacy Bernoulli runs carry
@@ -209,9 +210,9 @@ std::string to_json(const SimResult& r, int indent) {
   // Degradation-controller roll-up: present only when a `degrade.*` policy
   // built a controller, so policy-free reports match older builds
   // byte-exactly (absence of the block reads as "degradation-free run").
-  if (r.resilience.active) {
+  if (r.resilience.has_value()) {
     JsonObject d(indent + 2);
-    resilience_fields(d, r.resilience);
+    resilience_fields(d, *r.resilience);
     o.raw_field("resilience", d.str());
   }
   return o.str();
@@ -270,9 +271,9 @@ std::string bench_point_json(const BenchPoint& p) {
     o.field("monitors_ok", r.monitors_ok());
     o.field("monitor_violations", r.monitor_violations);
   }
-  if (r.resilience.active) {
+  if (r.resilience.has_value()) {
     auto d = JsonObject::one_line();
-    resilience_fields(d, r.resilience);
+    resilience_fields(d, *r.resilience);
     o.raw_field("resilience", d.str());
   }
   o.field("wall_ms", p.wall_ms);

@@ -121,12 +121,15 @@ Simulation::Simulation(const SimOptions& opts)
     m_latency_hist_ = hub_->metrics().histogram("sim.packet_latency_hist");
     m_delivered_ = hub_->metrics().counter("sim.packets_delivered");
   }
+  network_ = std::make_unique<Network>(engine_, opts_.system, opts_.reconfig,
+                                       opts_.power_model, hub_.get());
   // The degradation controller exists only with a policy configured (and
   // validate() above guarantees obs is on then), so policy-free runs stay
   // byte-identical to builds without the resilience subsystem.
   if (opts_.degrade.any()) {
     degrade_ctrl_ = std::make_unique<resilience::DegradeController>(
-        opts_.degrade, opts_.obs.monitors.power_cap_mw, hub_.get());
+        opts_.degrade, opts_.obs.monitors.power_cap_mw, network_->lane_map(),
+        network_->terminals(), hub_.get());
     if (auto* mon = hub_->monitors()) {
       mon->set_actuation_hook(
           [this](const char* name, Cycle now, double value, double threshold) {
@@ -134,30 +137,13 @@ Simulation::Simulation(const SimOptions& opts)
           });
     }
   }
-  network_ = std::make_unique<Network>(engine_, opts_.system, opts_.reconfig,
-                                       opts_.power_model, hub_.get(),
-                                       degrade_ctrl_.get());
   if (hub_ != nullptr) {
     recorder_ = std::make_unique<Recorder>(engine_, *network_, opts_.obs.counter_interval,
-                                           *hub_);
-  }
-
-  std::vector<optical::OpticalTerminal*> terminals;
-  terminals.reserve(opts_.system.num_boards_total());
-  for (std::uint32_t b = 0; b < opts_.system.num_boards_total(); ++b) {
-    terminals.push_back(&network_->terminal(BoardId{b}));
-  }
-  std::vector<optical::Receiver*> receivers;
-  receivers.reserve(static_cast<std::size_t>(opts_.system.num_boards_total()) *
-                    opts_.system.num_wavelengths());
-  for (std::uint32_t b = 0; b < opts_.system.num_boards_total(); ++b) {
-    for (std::uint32_t w = 0; w < opts_.system.num_wavelengths(); ++w) {
-      receivers.push_back(&network_->receiver(BoardId{b}, WavelengthId{w}));
-    }
+                                           *hub_, degrade_ctrl_.get());
   }
   injector_ = std::make_unique<fault::FaultInjector>(
       engine_, network_->config(), network_->lane_map(), network_->reconfig_manager(),
-      std::move(terminals), opts_.fault, hub_.get(), std::move(receivers));
+      network_->terminals(), network_->receivers(), opts_.fault, hub_.get());
   injector_->arm();
 
   if (hub_ != nullptr && opts_.obs.telemetry_on()) {
@@ -325,7 +311,10 @@ SimResult Simulation::run() {
       r.monitors = mon->report();
       r.monitor_violations = mon->violations();
     }
-    fill_resilience_summary(r, engine_.now());
+    if (degrade_ctrl_ != nullptr) {
+      degrade_ctrl_->finalize(engine_.now());
+      r.resilience = degrade_ctrl_->stats();
+    }
     fill_telemetry_summary(r);
     r.metrics = hub_->metrics().snapshot(engine_.now());
     hub_->close(engine_.now());
@@ -353,24 +342,6 @@ obs::WindowObservables Simulation::sample_telemetry(Cycle now) {
   o.boards = board_energy(network_->meter(), now);
   o.workload_phase = driver_->active_phase();
   return o;
-}
-
-void Simulation::fill_resilience_summary(SimResult& r, Cycle now) {
-  if (degrade_ctrl_ == nullptr) return;
-  degrade_ctrl_->finalize(now);
-  const auto& st = degrade_ctrl_->stats();
-  auto& out = r.resilience;
-  out.active = true;
-  out.engaged = st.engaged;
-  out.peak_stage = resilience::stage_name(st.peak_stage);
-  out.steps_down = st.steps_down;
-  out.steps_up = st.steps_up;
-  out.lanes_shed = st.lanes_shed;
-  out.lanes_restored = st.lanes_restored;
-  out.lanes_slept = st.lanes_slept;
-  out.episodes = st.episodes;
-  out.time_degraded = st.time_degraded;
-  out.suppressed_violations = st.suppressed_violations;
 }
 
 void Simulation::fill_telemetry_summary(SimResult& r) {

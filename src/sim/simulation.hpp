@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -137,22 +138,9 @@ struct SimResult {
     std::uint64_t flight_dumps = 0;
   };
   TelemetrySummary telemetry;
-  /// Degradation-controller roll-up; inactive (no report block) unless a
+  /// Degradation-controller stats; empty (no report block) unless a
   /// `degrade.*` policy was configured.
-  struct ResilienceSummary {
-    bool active = false;
-    bool engaged = false;
-    std::string peak_stage = "normal";
-    std::uint64_t steps_down = 0;
-    std::uint64_t steps_up = 0;
-    std::uint64_t lanes_shed = 0;
-    std::uint64_t lanes_restored = 0;
-    std::uint64_t lanes_slept = 0;
-    std::uint64_t episodes = 0;
-    std::uint64_t time_degraded = 0;
-    std::uint64_t suppressed_violations = 0;
-  };
-  ResilienceSummary resilience;
+  std::optional<resilience::ControllerStats> resilience;
   /// True when monitors ran and every configured check held.
   [[nodiscard]] bool monitors_ok() const {
     return monitor_violations == 0;
@@ -180,10 +168,6 @@ class Simulation {
   [[nodiscard]] double capacity() const { return capacity_; }
   /// Null unless obs.enabled.
   [[nodiscard]] obs::Hub* hub() { return hub_.get(); }
-  /// Null unless a `degrade.*` policy is configured.
-  [[nodiscard]] resilience::DegradeController* degrade_controller() {
-    return degrade_ctrl_.get();
-  }
 
  private:
   /// One telemetry window's sample of the run (the Telemetry plane's
@@ -192,15 +176,11 @@ class Simulation {
   /// Copies the telemetry/flight-recorder roll-up into the result.
   void fill_telemetry_summary(SimResult& r);
 
-  /// Closes the controller's open episode and copies its stats into the
-  /// result (no-op without a controller).
-  void fill_resilience_summary(SimResult& r, Cycle now);
-
   SimOptions opts_;
   des::Engine engine_;
   std::unique_ptr<obs::Hub> hub_;
-  std::unique_ptr<resilience::DegradeController> degrade_ctrl_;
   std::unique_ptr<Network> network_;
+  std::unique_ptr<resilience::DegradeController> degrade_ctrl_;
   std::unique_ptr<Recorder> recorder_;
   std::unique_ptr<fault::FaultInjector> injector_;
   double capacity_;

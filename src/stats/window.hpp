@@ -3,7 +3,6 @@
 // window R_w and reset when the window is harvested.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 #include "stats/time_weighted.hpp"
@@ -58,46 +57,6 @@ class OccupancyTracker {
  private:
   std::uint32_t capacity_;
   TimeWeighted signal_;
-};
-
-/// Batch-means confidence interval for steady-state estimates: samples are
-/// grouped into `batch` consecutive means whose variance estimates the
-/// sampling error of the grand mean despite autocorrelation.
-class BatchMeans {
- public:
-  explicit BatchMeans(std::uint64_t batch_size) : batch_size_(batch_size ? batch_size : 1) {}
-
-  void add(double x) {
-    batch_sum_ += x;
-    if (++in_batch_ == batch_size_) {
-      const double m = batch_sum_ / static_cast<double>(batch_size_);
-      ++k_;
-      const double d = m - mean_;
-      mean_ += d / static_cast<double>(k_);
-      m2_ += d * (m - mean_);
-      batch_sum_ = 0;
-      in_batch_ = 0;
-    }
-  }
-
-  [[nodiscard]] std::uint64_t batches() const { return k_; }
-  [[nodiscard]] double mean() const { return mean_; }
-
-  /// Half-width of the ~95% confidence interval (normal approximation;
-  /// adequate for the dozens of batches a measurement interval yields).
-  [[nodiscard]] double ci_halfwidth() const {
-    if (k_ < 2) return 0.0;
-    const double var = m2_ / static_cast<double>(k_ - 1);
-    return 1.96 * std::sqrt(var / static_cast<double>(k_));
-  }
-
- private:
-  std::uint64_t batch_size_;
-  std::uint64_t in_batch_ = 0;
-  double batch_sum_ = 0.0;
-  std::uint64_t k_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
 };
 
 }  // namespace erapid::stats

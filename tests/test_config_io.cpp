@@ -296,21 +296,11 @@ TEST(OptionsIo, TelemetryKeysSurviveRoundTrip) {
   o.obs.enabled = true;
   o.obs.telemetry_path = "run.telemetry.jsonl";
   o.obs.telemetry_window = 1500;
-  o.obs.telemetry_top_k = 4;
-  o.obs.telemetry_ewma_alpha = 0.4;
-  o.obs.telemetry_phase_alpha = 0.3;
-  o.obs.telemetry_phase_slack = 0.02;
-  o.obs.telemetry_phase_threshold = 0.5;
   o.obs.flight_recorder_depth = 256;
   o.obs.flight_recorder_path = "blackbox.json";
   const auto back = options_from_ini(options_to_ini(o));
   EXPECT_EQ(back.obs.telemetry_path, "run.telemetry.jsonl");
   EXPECT_EQ(back.obs.telemetry_window, 1500u);
-  EXPECT_EQ(back.obs.telemetry_top_k, 4u);
-  EXPECT_DOUBLE_EQ(back.obs.telemetry_ewma_alpha, 0.4);
-  EXPECT_DOUBLE_EQ(back.obs.telemetry_phase_alpha, 0.3);
-  EXPECT_DOUBLE_EQ(back.obs.telemetry_phase_slack, 0.02);
-  EXPECT_DOUBLE_EQ(back.obs.telemetry_phase_threshold, 0.5);
   EXPECT_EQ(back.obs.flight_recorder_depth, 256u);
   EXPECT_EQ(back.obs.flight_recorder_path, "blackbox.json");
   EXPECT_TRUE(back.obs.telemetry_on());
@@ -331,17 +321,15 @@ TEST(OptionsIo, TelemetryKeysParseFromIniText) {
 TEST(OptionsIo, InvalidTelemetryKeysThrow) {
   EXPECT_THROW(options_from_ini(Ini::parse_string("[obs]\ntelemetry_window = 0\n")),
                erapid::ModelInvariantError);
-  EXPECT_THROW(options_from_ini(Ini::parse_string("[obs]\ntelemetry_top_k = -1\n")),
-               erapid::ModelInvariantError);
-  EXPECT_THROW(
-      options_from_ini(Ini::parse_string("[obs]\ntelemetry_ewma_alpha = 1.5\n")),
-      erapid::ModelInvariantError);
-  EXPECT_THROW(
-      options_from_ini(Ini::parse_string("[obs]\ntelemetry_phase_slack = -0.1\n")),
-      erapid::ModelInvariantError);
-  EXPECT_THROW(
-      options_from_ini(Ini::parse_string("[obs]\ntelemetry_phase_threshold = 0\n")),
-      erapid::ModelInvariantError);
+  // The traffic-matrix and phase-detector tuning is fixed in the telemetry
+  // plane: even a valid value for one of those names is an unknown key.
+  for (const char* fixed : {"telemetry_top_k = 8", "telemetry_ewma_alpha = 0.3",
+                            "telemetry_phase_alpha = 0.2", "telemetry_phase_slack = 0.05",
+                            "telemetry_phase_threshold = 0.25"}) {
+    EXPECT_THROW(options_from_ini(Ini::parse_string(std::string("[obs]\n") + fixed + "\n")),
+                 erapid::ModelInvariantError)
+        << fixed;
+  }
   EXPECT_THROW(
       options_from_ini(Ini::parse_string("[obs]\nflight_recorder_depth = -2\n")),
       erapid::ModelInvariantError);
@@ -688,12 +676,6 @@ const KeyCase kKeyCases[] = {
     {"obs.monitor_fail_fast", Codec::Flag, "true", MEMBER(obs.monitor_fail_fast)},
     {"obs.telemetry", Codec::Path, "run.telemetry.jsonl", MEMBER(obs.telemetry_path)},
     {"obs.telemetry_window", Codec::Integer, "1500", MEMBER(obs.telemetry_window)},
-    {"obs.telemetry_top_k", Codec::Integer, "4", MEMBER(obs.telemetry_top_k)},
-    {"obs.telemetry_ewma_alpha", Codec::Real, "0.4", MEMBER(obs.telemetry_ewma_alpha)},
-    {"obs.telemetry_phase_alpha", Codec::Real, "0.3", MEMBER(obs.telemetry_phase_alpha)},
-    {"obs.telemetry_phase_slack", Codec::Real, "0.02", MEMBER(obs.telemetry_phase_slack)},
-    {"obs.telemetry_phase_threshold", Codec::Real, "0.5",
-     MEMBER(obs.telemetry_phase_threshold)},
     {"obs.flight_recorder_depth", Codec::Integer, "256", MEMBER(obs.flight_recorder_depth)},
     {"obs.flight_recorder", Codec::Path, "blackbox.json", MEMBER(obs.flight_recorder_path)},
     {"monitor.power_cap_mw", Codec::Real, "2500.5", MEMBER(obs.monitors.power_cap_mw)},
@@ -862,12 +844,9 @@ TEST(OptionsIo, RealKeysRejectMalformedValues) {
       {"system.channel_width_bits", "0"},    {"system.tx_queue_packets", "0"},
       {"system.flit_bits", "0"},             {"system.flit_bits", "4"},
       {"system.tx_feed_cycles_per_flit", "0"},
-      {"obs.telemetry_ewma_alpha", "0"},     {"obs.telemetry_ewma_alpha", "1.0000001"},
-      {"obs.telemetry_phase_alpha", "0"},    {"obs.telemetry_phase_alpha", "1.5"},
-      {"obs.telemetry_phase_slack", "-0.1"}, {"obs.telemetry_phase_threshold", "0"},
       {"monitor.power_cap_mw", "-1"},        {"monitor.throughput_floor", "-0.5"},
       {"monitor.p99_latency_ceiling", "-900"}, {"obs.counter_interval", "0"},
-      {"obs.telemetry_window", "0"},         {"obs.telemetry_top_k", "0"},
+      {"obs.telemetry_window", "0"},         {"reconfig.ewma_alpha", "1.0000001"},
       {"workload.measure_cycles", "0"},      {"reconfig.window", "0"},
       {"reconfig.ring_hop_cycles", "0"},     {"reconfig.lc_hop_cycles", "0"},
       {"reconfig.rc_watchdog_cycles", "0"},  {"system.rx_queue_packets", "0"},
@@ -881,11 +860,10 @@ TEST(OptionsIo, RealKeysRejectMalformedValues) {
   }
   // The bounds are closed where the rule allows equality.
   const auto edge = options_from_ini(Ini::parse_string(
-      "[obs]\ntelemetry_ewma_alpha = 1\ntelemetry_phase_slack = 0\ntelemetry_top_k = 1\n"
-      "[monitor]\npower_cap_mw = 0\n"));
-  EXPECT_EQ(edge.obs.telemetry_ewma_alpha, 1.0);
-  EXPECT_EQ(edge.obs.telemetry_phase_slack, 0.0);
-  EXPECT_EQ(edge.obs.telemetry_top_k, 1u);
+      "[reconfig]\newma_alpha = 1\nwindow = 1\n[monitor]\npower_cap_mw = 0\n"));
+  EXPECT_EQ(edge.reconfig.dpm_params.ewma_alpha, 1.0);
+  EXPECT_EQ(edge.reconfig.window, 1u);
+  EXPECT_EQ(edge.obs.monitors.power_cap_mw, 0.0);
 }
 
 TEST(OptionsIo, FlagKeysAcceptOnlyKnownSpellings) {
@@ -1076,6 +1054,34 @@ TEST(Report, JsonContainsKeyFields) {
   EXPECT_NE(json.find("\"lane_grants\": 7"), std::string::npos);
 }
 
+// The `fault` block appears when either plane saw a fault: a data-plane
+// RecoveryStats counter or ControlCounters::faulted().
+bool has_fault_block(const erapid::sim::SimResult& r) {
+  return erapid::sim::to_json(r).find("\"fault\"") != std::string::npos;
+}
+
+TEST(Report, FaultBlockOnStaleDirectivesAlone) {
+  // Shedding alone can discard directives, with no fault plan at all.
+  erapid::sim::SimResult r;
+  r.control.stale_directives = 3;
+  EXPECT_TRUE(has_fault_block(r));
+  EXPECT_NE(erapid::sim::to_json(r).find("\"stale_directives\": 3"), std::string::npos);
+}
+
+TEST(Report, FaultBlockOnCtrlDropsAlone) {
+  erapid::sim::SimResult r;
+  r.control.ctrl_drops = 2;
+  EXPECT_TRUE(has_fault_block(r));
+  EXPECT_NE(erapid::sim::to_json(r).find("\"ctrl_drops\": 2"), std::string::npos);
+}
+
+TEST(Report, NoFaultBlockOnFaultFreeControlTraffic) {
+  erapid::sim::SimResult r;
+  r.control.lane_grants = 40;
+  r.control.power_cycles = 12;
+  EXPECT_FALSE(has_fault_block(r));
+}
+
 TEST(Report, NamedResultsDocument) {
   erapid::sim::SimResult a, b;
   a.accepted_fraction = 0.1;
@@ -1157,17 +1163,17 @@ TEST(Report, BenchPointMonitorsAndResilienceBlocks) {
   auto r = bench_result();
   r.monitors = {{"power_cap_mw", "{}"}};
   r.monitor_violations = 3;
-  r.resilience.active = true;
-  r.resilience.engaged = true;
-  r.resilience.peak_stage = "shed";
-  r.resilience.steps_down = 4;
-  r.resilience.steps_up = 1;
-  r.resilience.lanes_shed = 2;
-  r.resilience.lanes_restored = 1;
-  r.resilience.lanes_slept = 5;
-  r.resilience.episodes = 1;
-  r.resilience.time_degraded = 700;
-  r.resilience.suppressed_violations = 3;
+  auto& st = r.resilience.emplace();
+  st.engaged = true;
+  st.peak_stage = erapid::resilience::Stage::Shed;
+  st.steps_down = 4;
+  st.steps_up = 1;
+  st.lanes_shed = 2;
+  st.lanes_restored = 1;
+  st.lanes_slept = 5;
+  st.episodes = 1;
+  st.time_degraded = 700;
+  st.suppressed_violations = 3;
   EXPECT_EQ(
       erapid::sim::bench_point_json(
           {{{"mode", std::string("P-B")}, {"cap_mw", 100.0}, {"load", 0.5}}, &r, 1.0}),
@@ -1195,7 +1201,7 @@ std::vector<std::string> resilience_keys(const std::string& json) {
 
 TEST(Report, BenchPointResilienceKeysMatchReport) {
   auto r = bench_result();
-  r.resilience.active = true;
+  r.resilience.emplace();
   const auto point_keys = resilience_keys(erapid::sim::bench_point_json({{}, &r, 0.0}));
   EXPECT_EQ(point_keys.size(), 10u);
   EXPECT_EQ(point_keys, resilience_keys(erapid::sim::to_json(r)));

@@ -315,19 +315,33 @@ TEST(ContractObs, DbrQuiescedAfterFinalizeViolatesRequire) {
 
 // ---- resilience ------------------------------------------------------------
 
+resilience::DegradeConfig record_power_cap() {
+  resilience::DegradeConfig c;
+  c.power_cap = resilience::ResponsePolicy::Record;
+  return c;
+}
+
 TEST(ContractResilience, NamelessViolationViolatesRequire) {
-  resilience::DegradeConfig cfg;
-  cfg.power_cap = resilience::ResponsePolicy::Record;
-  resilience::DegradeController ctrl(cfg, 1000.0, /*hub=*/nullptr);
+  test::ControllerTargets t;
+  resilience::DegradeController ctrl(record_power_cap(), 1000.0, t.map, t.terms,
+                                     /*hub=*/nullptr);
   EXPECT_THROW(ctrl.on_violation(nullptr, 10, 1200.0, 1000.0),
                ModelInvariantError);
 }
 
 TEST(ContractResilience, NegativePowerSampleViolatesRequire) {
-  resilience::DegradeConfig cfg;
-  cfg.power_cap = resilience::ResponsePolicy::Record;
-  resilience::DegradeController ctrl(cfg, 1000.0, /*hub=*/nullptr);
+  test::ControllerTargets t;
+  resilience::DegradeController ctrl(record_power_cap(), 1000.0, t.map, t.terms,
+                                     /*hub=*/nullptr);
   EXPECT_THROW(ctrl.on_power_sample(10, -1.0), ModelInvariantError);
+}
+
+TEST(ContractResilience, TerminalCountMismatchViolatesRequire) {
+  test::ControllerTargets t;
+  t.terms.pop_back();
+  EXPECT_THROW(resilience::DegradeController(record_power_cap(), 1000.0, t.map, t.terms,
+                                             /*hub=*/nullptr),
+               ModelInvariantError);
 }
 
 // ---- diagnostics ----------------------------------------------------------

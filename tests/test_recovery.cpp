@@ -95,11 +95,11 @@ TEST(SelfHealing, RcCrashNeverDeadlocks) {
   sim::Simulation s(o);
   const auto r = s.run();
 
-  EXPECT_EQ(r.fault.rc_crashes, 1u);
-  EXPECT_EQ(r.fault.rc_repairs, 0u);
-  EXPECT_GE(r.fault.watchdog_fires, 1u);
-  EXPECT_GE(r.fault.tokens_regenerated, 1u);
-  EXPECT_GT(r.fault.frozen_windows, 0u);
+  EXPECT_EQ(r.control.rc_crashes, 1u);
+  EXPECT_EQ(r.control.rc_repairs, 0u);
+  EXPECT_GE(r.control.watchdog_fires, 1u);
+  EXPECT_GE(r.control.tokens_regenerated, 1u);
+  EXPECT_GT(r.control.frozen_windows, 0u);
   EXPECT_TRUE(r.drained) << "RC crash must not deadlock the protocol";
   EXPECT_EQ(r.labelled_generated, r.labelled_delivered);
   EXPECT_TRUE(s.network().reconfig_manager().rc_dead(BoardId{2}));
@@ -111,14 +111,14 @@ TEST(SelfHealing, RcCrashRepairRejoinsTheRing) {
   sim::Simulation s(o);
   const auto r = s.run();
 
-  EXPECT_EQ(r.fault.rc_crashes, 1u);
-  EXPECT_EQ(r.fault.rc_repairs, 1u);
+  EXPECT_EQ(r.control.rc_crashes, 1u);
+  EXPECT_EQ(r.control.rc_repairs, 1u);
   EXPECT_FALSE(s.network().reconfig_manager().rc_dead(BoardId{2}));
   EXPECT_TRUE(r.drained);
   // Windows opened during the outage froze the dead board's lanes.
-  EXPECT_GT(r.fault.frozen_windows, 0u);
+  EXPECT_GT(r.control.frozen_windows, 0u);
   // After rejoin the protocol runs clean: later windows are not frozen.
-  EXPECT_LT(r.fault.frozen_windows, r.control.power_cycles + r.control.bandwidth_cycles);
+  EXPECT_LT(r.control.frozen_windows, r.control.power_cycles + r.control.bandwidth_cycles);
 }
 
 // ---- CRC + ARQ ---------------------------------------------------------------
@@ -197,9 +197,10 @@ TEST(Chaos, StormUnderBrownoutKeepsFaultAndPolicyAccountingDisjoint) {
   const auto r = sim::Simulation(chaos_options()).run();
 
   // The ladder went deep: lanes were slept and shed while the storm ran.
-  EXPECT_TRUE(r.resilience.engaged);
-  EXPECT_GT(r.resilience.lanes_shed, 0u);
-  EXPECT_GT(r.resilience.lanes_slept + r.resilience.lanes_shed, 1u);
+  ASSERT_TRUE(r.resilience.has_value());
+  EXPECT_TRUE(r.resilience->engaged);
+  EXPECT_GT(r.resilience->lanes_shed, 0u);
+  EXPECT_GT(r.resilience->lanes_slept + r.resilience->lanes_shed, 1u);
   EXPECT_TRUE(r.drained);
 
   // Fault accounting covers exactly the storm's two transient lanes —
@@ -212,7 +213,7 @@ TEST(Chaos, StormUnderBrownoutKeepsFaultAndPolicyAccountingDisjoint) {
   // the much longer policy-held brownout window.
   EXPECT_GE(r.fault.worst_downtime, 3000u);
   EXPECT_LT(r.fault.worst_downtime,
-            static_cast<CycleDelta>(r.resilience.time_degraded));
+            static_cast<CycleDelta>(r.resilience->time_degraded));
 }
 
 TEST(Chaos, StormUnderBrownoutIsByteIdenticalAcrossQueueKinds) {

@@ -138,14 +138,16 @@ TEST(DegradeConfig, EndOfRunChecksAdmitRecordOrAbortOnly) {
 
 TEST(DegradeController, RefusesToBuildWithoutAnyPolicy) {
   resilience::DegradeConfig d;
-  EXPECT_THROW(resilience::DegradeController(d, 100.0, nullptr),
+  test::ControllerTargets t;
+  EXPECT_THROW(resilience::DegradeController(d, 100.0, t.map, t.terms, nullptr),
                ModelInvariantError);
 }
 
 TEST(DegradeController, BrownoutLadderNeedsThePowerCapItDefends) {
   resilience::DegradeConfig d;
   d.power_cap = resilience::ResponsePolicy::Degrade;
-  EXPECT_THROW(resilience::DegradeController(d, 0.0, nullptr),
+  test::ControllerTargets t;
+  EXPECT_THROW(resilience::DegradeController(d, 0.0, t.map, t.terms, nullptr),
                ModelInvariantError);
 }
 
@@ -190,14 +192,14 @@ TEST(Brownout, FailFastAbortsWithoutAPolicy) {
 
 TEST(Brownout, ShedPolicyCompletesTheAbortingPoint) {
   const auto r = sim::Simulation(brownout_options()).run();
-  EXPECT_TRUE(r.resilience.active);
-  EXPECT_TRUE(r.resilience.engaged);
-  EXPECT_GT(r.resilience.steps_down, 0u);
-  EXPECT_GT(r.resilience.suppressed_violations, 0u);
+  ASSERT_TRUE(r.resilience.has_value());
+  EXPECT_TRUE(r.resilience->engaged);
+  EXPECT_GT(r.resilience->steps_down, 0u);
+  EXPECT_GT(r.resilience->suppressed_violations, 0u);
   // Every recorded violation was suppressed — none unwound the run.
-  EXPECT_EQ(r.resilience.suppressed_violations, r.monitor_violations);
+  EXPECT_EQ(r.resilience->suppressed_violations, r.monitor_violations);
   EXPECT_GT(r.accepted_fraction, 0.0);
-  EXPECT_GT(r.resilience.time_degraded, 0u);
+  EXPECT_GT(r.resilience->time_degraded, 0u);
 
   const auto json = sim::to_json(r);
   EXPECT_NE(json.find("\"resilience\""), std::string::npos);
@@ -210,10 +212,11 @@ TEST(Brownout, ViolationsStopOnceTheLadderHolds) {
   // count the controller suppressed during the descent, and the descent is
   // short (bounded by the ladder depth plus cooldown re-fires).
   const auto r = sim::Simulation(brownout_options()).run();
-  EXPECT_EQ(r.monitor_violations, r.resilience.suppressed_violations);
+  ASSERT_TRUE(r.resilience.has_value());
+  EXPECT_EQ(r.monitor_violations, r.resilience->suppressed_violations);
   // The run samples power hundreds of times; a violation tally this small
   // means the breach window closed right after the descent.
-  EXPECT_LE(r.monitor_violations, r.resilience.steps_down + 4);
+  EXPECT_LE(r.monitor_violations, r.resilience->steps_down + 4);
 }
 
 TEST(Brownout, SameSeedTwiceIsByteIdentical) {
@@ -235,7 +238,7 @@ TEST(Brownout, NoPolicyMeansNoResilienceBlock) {
   o.obs.enabled = true;
   o.obs.monitors.power_cap_mw = 1.0e9;  // armed but never violated
   const auto r = sim::Simulation(o).run();
-  EXPECT_FALSE(r.resilience.active);
+  EXPECT_FALSE(r.resilience.has_value());
   EXPECT_EQ(sim::to_json(r).find("\"resilience\""), std::string::npos);
 }
 
@@ -243,11 +246,11 @@ TEST(Brownout, RecordPolicySuppressesWithoutActing) {
   sim::SimOptions o = brownout_options();
   o.degrade.power_cap = resilience::ResponsePolicy::Record;
   const auto r = sim::Simulation(o).run();
-  EXPECT_TRUE(r.resilience.active);
-  EXPECT_FALSE(r.resilience.engaged);  // record never touches the ladder
-  EXPECT_EQ(r.resilience.steps_down, 0u);
-  EXPECT_GT(r.resilience.suppressed_violations, 0u);
-  EXPECT_EQ(r.resilience.suppressed_violations, r.monitor_violations);
+  ASSERT_TRUE(r.resilience.has_value());
+  EXPECT_FALSE(r.resilience->engaged);  // record never touches the ladder
+  EXPECT_EQ(r.resilience->steps_down, 0u);
+  EXPECT_GT(r.resilience->suppressed_violations, 0u);
+  EXPECT_EQ(r.resilience->suppressed_violations, r.monitor_violations);
 }
 
 TEST(Brownout, DeepLadderSleepsAndShedsUnderATightCap) {
@@ -258,14 +261,14 @@ TEST(Brownout, DeepLadderSleepsAndShedsUnderATightCap) {
   sim::SimOptions o = brownout_options();
   o.obs.monitors.power_cap_mw = 100.0;
   const auto r = sim::Simulation(o).run();
-  EXPECT_EQ(r.resilience.peak_stage, "shed");
-  EXPECT_GT(r.resilience.lanes_slept, 0u);
-  EXPECT_GT(r.resilience.lanes_shed, 0u);
+  ASSERT_TRUE(r.resilience.has_value());
+  EXPECT_EQ(r.resilience->peak_stage, resilience::Stage::Shed);
+  EXPECT_GT(r.resilience->lanes_slept, 0u);
+  EXPECT_GT(r.resilience->lanes_shed, 0u);
   EXPECT_GT(r.accepted_fraction, 0.0);
   EXPECT_TRUE(r.drained);
   // Shed lanes are healthy withdrawals, never faults: the fault plane must
   // not see them.
-  EXPECT_FALSE(r.fault.any());
   EXPECT_EQ(sim::to_json(r).find("\"fault\""), std::string::npos);
 }
 
@@ -277,8 +280,9 @@ TEST(Brownout, HysteresisRecoveryStepsBackUp) {
   o.degrade.recover_cycles = 2000;
   o.degrade.recover_margin = 0.9;
   const auto r = sim::Simulation(o).run();
-  EXPECT_TRUE(r.resilience.engaged);
-  EXPECT_GT(r.resilience.steps_up, 0u);
+  ASSERT_TRUE(r.resilience.has_value());
+  EXPECT_TRUE(r.resilience->engaged);
+  EXPECT_GT(r.resilience->steps_up, 0u);
 }
 
 // ---- golden fixture ---------------------------------------------------------

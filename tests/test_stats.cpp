@@ -13,7 +13,6 @@
 
 namespace {
 
-using erapid::stats::BatchMeans;
 using erapid::stats::BusyCounter;
 using erapid::stats::Histogram;
 using erapid::stats::OccupancyTracker;
@@ -178,26 +177,6 @@ TEST(OccupancyTracker, HarvestResetsWindow) {
   t.harvest(100);
   t.set_occupancy(100, 0);
   EXPECT_DOUBLE_EQ(t.utilization(100, 200), 0.0);
-}
-
-// ---- BatchMeans --------------------------------------------------------
-
-TEST(BatchMeans, MeanOfConstantSeries) {
-  BatchMeans bm(10);
-  for (int i = 0; i < 100; ++i) bm.add(7.0);
-  EXPECT_EQ(bm.batches(), 10u);
-  EXPECT_DOUBLE_EQ(bm.mean(), 7.0);
-  EXPECT_DOUBLE_EQ(bm.ci_halfwidth(), 0.0);
-}
-
-TEST(BatchMeans, CiShrinksWithMoreBatches) {
-  erapid::util::Rng rng(2);
-  BatchMeans small(10), large(10);
-  for (int i = 0; i < 100; ++i) small.add(rng.next_double());
-  erapid::util::Rng rng2(2);
-  for (int i = 0; i < 10000; ++i) large.add(rng2.next_double());
-  EXPECT_GT(small.ci_halfwidth(), large.ci_halfwidth());
-  EXPECT_NEAR(large.mean(), 0.5, 0.02);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "sim/report.hpp"
 #include "sim/simulation.hpp"
 #include "topology/config.hpp"
+#include "topology/rwa.hpp"
 
 namespace erapid::test {
 
@@ -73,6 +74,21 @@ inline void expect_report_golden(sim::SimOptions o, std::string_view name,
                   kind == des::QueueKind::Heap);
   }
 }
+
+/// A two-board lane map with null terminals: enough to build a
+/// DegradeController for the checks that fire before it touches a lane.
+struct ControllerTargets {
+  topology::SystemConfig sys = [] {
+    topology::SystemConfig c;
+    c.boards = 2;
+    c.nodes_per_board = 1;
+    return c;
+  }();
+  topology::Rwa rwa{sys.num_boards_total()};
+  topology::LaneMap map{sys, rwa};
+  std::vector<optical::OpticalTerminal*> terms =
+      std::vector<optical::OpticalTerminal*>(2, nullptr);
+};
 
 /// Minimal optical rig: a 1-input router with one ejection port, one
 /// receiver on that input, and one lane shooting packets at the receiver.
