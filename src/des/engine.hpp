@@ -6,7 +6,9 @@
 //  * Determinism. Events at equal timestamps fire in scheduling (FIFO)
 //    order: the calendar orders by (time, sequence). Two runs with the same
 //    seed produce byte-identical statistics — on either calendar
-//    implementation (see event_queue.hpp; selected via `des.queue`).
+//    implementation (see event_queue.hpp; selected via `des.queue`). The
+//    default is the calendar wheel; the binary heap stays as the
+//    reference ordering the wheel is tested against.
 //  * Cancellation. schedule() returns an EventHandle that can cancel the
 //    event in O(1) (lazy deletion: the calendar entry stays but is
 //    skipped). Each pending event owns an EventSlot that holds its closure
@@ -97,7 +99,7 @@ class Engine {
                                  std::uint64_t executed) = 0;
   };
 
-  explicit Engine(QueueKind kind = QueueKind::Heap) : queue_(make_event_queue(kind)) {}
+  explicit Engine(QueueKind kind = QueueKind::Calendar) : queue_(make_event_queue(kind)) {}
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 

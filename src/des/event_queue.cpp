@@ -1,6 +1,7 @@
 #include "des/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/expect.hpp"
 
@@ -46,8 +47,6 @@ Event HeapEventQueue::pop() {
 
 // ---- CalendarEventQueue -----------------------------------------------------
 
-CalendarEventQueue::CalendarEventQueue() : wheel_(kBuckets) {}
-
 void CalendarEventQueue::push(Event&& e) {
   // The engine guards when >= now and wheel_time_ never passes the pending
   // minimum, so the offset cannot be negative.
@@ -55,13 +54,24 @@ void CalendarEventQueue::push(Event&& e) {
                                               << e.when << " base=" << wheel_time_);
   if (e.when - wheel_time_ < kBuckets) {
     const auto idx = static_cast<std::size_t>(e.when % kBuckets);
-    Bucket& b = wheel_[idx];
-    if (!b.live() && !b.items.empty()) {
-      // All prior entries already popped — reclaim the storage before this
-      // bucket starts a new cycle value.
-      b.items.clear();
-      b.head = 0;
+    std::uint32_t n = free_;
+    if (n != kNil) {
+      free_ = nodes_[n].next;
+    } else {
+      ERAPID_INVARIANT(nodes_.size() < kNil, "calendar node pool exhausted");
+      n = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.emplace_back();
     }
+    nodes_[n].ev = e;
+    nodes_[n].next = kNil;
+    Bucket& b = wheel_[idx];
+    if (b.tail == kNil) {
+      b.head = n;
+      occupied_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+    } else {
+      nodes_[b.tail].next = n;
+    }
+    b.tail = n;
     if (wheel_count_ == 0) {
       min_valid_ = true;
       min_when_ = e.when;
@@ -70,7 +80,6 @@ void CalendarEventQueue::push(Event&& e) {
       min_when_ = e.when;
       min_bucket_ = idx;
     }
-    b.items.push_back(std::move(e));
     ++wheel_count_;
   } else {
     ladder_.push_back(std::move(e));
@@ -80,26 +89,32 @@ void CalendarEventQueue::push(Event&& e) {
 }
 
 void CalendarEventQueue::find_wheel_min() {
+  // Scan the bitmap from the base's word upward, wrapping once. The base
+  // word is read twice: first without the buckets below the base (those
+  // hold next-lap times), then whole on the wrap, when only those are left.
   const auto start = static_cast<std::size_t>(wheel_time_ % kBuckets);
-  for (std::size_t off = 0; off < kBuckets; ++off) {
-    const std::size_t idx = (start + off) % kBuckets;
-    if (wheel_[idx].live()) {
-      min_bucket_ = idx;
-      min_when_ = wheel_[idx].items[wheel_[idx].head].when;
+  std::size_t w = start / 64;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
+  for (std::size_t i = 0; i <= kWords; ++i) {
+    if (bits != 0) {
+      min_bucket_ = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      min_when_ = nodes_[wheel_[min_bucket_].head].ev.when;
       min_valid_ = true;
       return;
     }
+    w = (w + 1) % kWords;
+    bits = occupied_[w];
   }
-  ERAPID_UNREACHABLE("wheel count positive but no live bucket");
+  ERAPID_UNREACHABLE("wheel count positive but no occupied bucket");
 }
 
 const Event* CalendarEventQueue::peek() {
   const Event* wheel_min = nullptr;
   if (wheel_count_ > 0) {
     if (!min_valid_) find_wheel_min();
-    Bucket& b = wheel_[min_bucket_];
-    ERAPID_INVARIANT(b.live(), "calendar min cache points at an empty bucket");
-    wheel_min = &b.items[b.head];
+    const Bucket& b = wheel_[min_bucket_];
+    ERAPID_INVARIANT(b.head != kNil, "calendar min cache points at an empty bucket");
+    wheel_min = &nodes_[b.head].ev;
   }
   const Event* ladder_min = ladder_.empty() ? nullptr : &ladder_.front();
   if (wheel_min == nullptr) return ladder_min;
@@ -112,20 +127,23 @@ Event CalendarEventQueue::pop() {
   bool use_wheel = wheel_count_ > 0;
   if (use_wheel) {
     if (!min_valid_) find_wheel_min();
-    if (!ladder_.empty()) {
-      const Bucket& b = wheel_[min_bucket_];
-      if (EventLater{}(b.items[b.head], ladder_.front())) use_wheel = false;
+    if (!ladder_.empty() &&
+        EventLater{}(nodes_[wheel_[min_bucket_].head].ev, ladder_.front())) {
+      use_wheel = false;
     }
   }
   Event out;
   if (use_wheel) {
     Bucket& b = wheel_[min_bucket_];
-    out = std::move(b.items[b.head]);
-    ++b.head;
+    const std::uint32_t n = b.head;
+    out = nodes_[n].ev;
+    b.head = nodes_[n].next;
+    nodes_[n].next = free_;
+    free_ = n;
     --wheel_count_;
-    if (!b.live()) {
-      b.items.clear();
-      b.head = 0;
+    if (b.head == kNil) {
+      b.tail = kNil;
+      occupied_[min_bucket_ / 64] &= ~(std::uint64_t{1} << (min_bucket_ % 64));
       min_valid_ = false;
     }
     // A still-live minimum bucket keeps the cache: every remaining entry

@@ -4,17 +4,22 @@
 // pop in (time, insertion sequence) order — FIFO among equal timestamps.
 // Two implementations honour it:
 //
-//  * HeapEventQueue — the classic binary heap. O(log n) push/pop,
-//    allocation-free beyond vector growth. The reference implementation
-//    and the default (`des.queue=heap`).
-//
 //  * CalendarEventQueue — a timing wheel of 1-cycle buckets with a
-//    min-heap "ladder" for events beyond the window
+//    min-heap "ladder" for events beyond the window. The default
 //    (`des.queue=calendar`). Near-future events (the vast majority in a
 //    cycle-driven model: clock ticks at +1, pipeline hops a few cycles
-//    out) cost O(1) amortized push/pop; far-future events (drain
-//    timeouts, laser repairs) spill to the ladder and are merged at the
-//    head by the same (time, seq) comparison.
+//    out) cost O(1) push/pop; far-future events (drain timeouts, laser
+//    repairs) spill to the ladder and are merged at the head by the same
+//    (time, seq) comparison. Wheel entries live in one pooled node array
+//    threaded by a free list, and a bucket is just a head/tail pair of
+//    node indices, so memory is O(peak pending events), not O(buckets ×
+//    per-bucket high water). A 64-word occupancy bitmap finds the next
+//    live bucket with countr_zero, at most 65 word reads however sparse
+//    the wheel is.
+//
+//  * HeapEventQueue — the classic binary heap (`des.queue=heap`).
+//    O(log n) push/pop. Kept as the reference ordering the calendar is
+//    tested against, and for the DES hold probe that times both.
 //
 // The calendar's correctness hinges on two invariants, both guaranteed by
 // the engine: pushes never carry `when` below the current time, and the
@@ -22,10 +27,11 @@
 // minimum), so no pending wheel event is ever left behind the window.
 // Within a live bucket every entry shares one cycle value (the window is
 // exactly one lap wide), so append order is seq order and FIFO falls out
-// of a head index. tests/test_event_queue.cpp holds the two
-// implementations against each other on randomized streams.
+// of popping the chain from its head. tests/test_event_queue.cpp holds
+// the two implementations against each other on randomized streams.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -86,7 +92,7 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return size() == 0; }
 };
 
-/// Binary min-heap calendar (the default and reference ordering).
+/// Binary min-heap calendar (the reference ordering).
 class HeapEventQueue final : public EventQueue {
  public:
   void push(Event&& e) override;
@@ -98,32 +104,50 @@ class HeapEventQueue final : public EventQueue {
   std::vector<Event> heap_;
 };
 
-/// Timing-wheel calendar with a min-heap ladder for far-future events.
+/// Timing-wheel calendar with a min-heap ladder for far-future events
+/// (the default).
 class CalendarEventQueue final : public EventQueue {
  public:
   /// Window width in cycles (= bucket count; each bucket is 1 cycle wide).
   static constexpr std::size_t kBuckets = 4096;
 
-  CalendarEventQueue();
   void push(Event&& e) override;
   const Event* peek() override;
   Event pop() override;
   [[nodiscard]] std::size_t size() const override { return size_; }
 
+  /// Wheel nodes ever allocated: the peak count of wheel entries pending
+  /// at once, since popped nodes are reused before the pool grows.
+  [[nodiscard]] std::size_t pooled_nodes() const { return nodes_.size(); }
+
  private:
-  struct Bucket {
-    std::vector<Event> items;
-    std::size_t head = 0;  ///< first live entry; earlier ones already popped
-    [[nodiscard]] bool live() const { return head < items.size(); }
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+  static constexpr std::size_t kWords = kBuckets / 64;
+  static_assert(kBuckets % 64 == 0, "the occupancy bitmap needs whole words");
+
+  /// A wheel entry and the index of the next one in its bucket's chain
+  /// (or in the free list once popped).
+  struct Node {
+    Event ev;
+    std::uint32_t next = kNil;
   };
 
-  /// Repopulates the cached wheel minimum by scanning buckets outward from
-  /// the window base. The first live bucket in that order holds the
-  /// smallest time (one lap, one cycle value per bucket). Precondition:
-  /// the wheel is non-empty.
+  /// A FIFO chain of nodes; both ends are kNil when the bucket is empty.
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
+  /// Repopulates the cached wheel minimum: the first occupied bucket at or
+  /// after the window base, wrapping once. That bucket holds the smallest
+  /// time (one lap, one cycle value per bucket). Precondition: the wheel
+  /// is non-empty.
   void find_wheel_min();
 
-  std::vector<Bucket> wheel_;
+  std::vector<Node> nodes_;          ///< node pool; grows to the peak wheel count
+  std::uint32_t free_ = kNil;        ///< head of the free-node list
+  std::array<Bucket, kBuckets> wheel_{};
+  std::array<std::uint64_t, kWords> occupied_{};  ///< bit b: bucket b is non-empty
   std::vector<Event> ladder_;  ///< min-heap (EventLater) of beyond-window events
   Cycle wheel_time_ = 0;       ///< window base; advances only to popped times
   std::size_t size_ = 0;

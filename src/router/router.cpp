@@ -46,6 +46,7 @@ void Router::accept_flit(std::uint32_t in_port, std::uint32_t vc, const Flit& f,
     ERAPID_EXPECT(f.head, "a body flit reached an idle VC (wormhole order broken)");
     ch.state = VcState::Routing;
     ch.state_since = now;
+    ++inputs_[in_port].active_vcs;
     ++active_vcs_;
   }
   std::uint32_t at = ch.head + ch.count;
@@ -88,7 +89,8 @@ void Router::size_scratch() {
 // stages one after another: each stage only considers VCs whose state is
 // older than this cycle (now > state_since), and every transition stamps
 // state_since = now, so no stage can see another's same-tick transition.
-// Requests are appended in ascending VC order, as grant() requires.
+// Requests are appended in ascending VC order, as grant() requires. A port
+// with no non-Idle VC is skipped: the scan would find nothing to do there.
 void Router::collect_requests(Cycle now) {
   auto& s = scratch_;
   const std::uint32_t ninputs = static_cast<std::uint32_t>(inputs_.size());
@@ -96,6 +98,10 @@ void Router::collect_requests(Cycle now) {
   std::fill(s.va_count.begin(), s.va_count.end(), 0);
   std::fill(s.sa_count.begin(), s.sa_count.end(), 0);
   for (std::uint32_t i = 0; i < ninputs; ++i) {
+    if (inputs_[i].active_vcs == 0) {
+      s.nominee[i] = RoundRobinArbiter::kNoGrant;
+      continue;
+    }
     std::uint32_t nready = 0;
     for (std::uint32_t v = 0; v < vcs_per_input_; ++v) {
       auto& ch = inputs_[i].vcs[v];
@@ -185,6 +191,7 @@ void Router::stage_switch(Cycle now) {
       out.vc_taken[ch.out_vc] = 0;
       if (ch.count == 0) {
         ch.state = VcState::Idle;
+        --inputs_[wi].active_vcs;
         --active_vcs_;
       } else {
         ERAPID_EXPECT(front(wi, vc).head, "flit after tail must be a head (wormhole order)");

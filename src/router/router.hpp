@@ -20,10 +20,15 @@
 // Cost discipline: a tick allocates nothing (request lists live in reused
 // scratch) and a router whose VCs are all Idle returns after one branch.
 // An Idle VC always has an empty buffer, so the count of non-Idle VCs is
-// the whole of the router's pending work. Each input VC buffers its flits
-// in a fixed ring of vc_depth slots (credits bound its occupancy), and all
-// of a router's rings share one vector allocated in the ctor, so moving a
-// flit through a VC touches no allocator and no node map.
+// the whole of the router's pending work. Each input port keeps the same
+// count for its own VCs, and a busy tick skips the ports whose count is 0:
+// a port of Idle VCs would make no request, nominate nothing and leave its
+// arbiter alone, so skipping it changes nothing but the cost.
+//
+// Each input VC buffers its flits in a fixed ring of vc_depth slots
+// (credits bound its occupancy), and all of a router's rings share one
+// vector allocated in the ctor, so moving a flit through a VC touches no
+// allocator and no node map.
 #pragma once
 
 #include <cstddef>
@@ -131,6 +136,7 @@ class Router : public des::Clocked {
   struct InputPort {
     std::vector<VirtualChannel> vcs;
     CreditFn credit_return;
+    std::uint32_t active_vcs = 0;  ///< non-Idle VCs on this port
   };
 
   struct OutputPort {
@@ -185,6 +191,7 @@ class Router : public des::Clocked {
   std::vector<RoundRobinArbiter> input_sa_arb_;  ///< per input: pick one VC
   RouterCounters counters_;
   std::uint32_t active_vcs_ = 0;  ///< non-Idle VCs; 0 means quiescent
+                                  ///< (the sum of the ports' active_vcs)
   Scratch scratch_;
 };
 

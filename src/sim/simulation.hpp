@@ -45,8 +45,9 @@ struct SimOptions {
   std::uint64_t seed = 1;
   /// Event-calendar implementation (`des.queue`). Both kinds are held to
   /// the same (time, seq) ordering contract, so results are byte-identical
-  /// either way; calendar trades heap log-factors for O(1) wheel buckets.
-  des::QueueKind des_queue = des::QueueKind::Heap;
+  /// either way; the default calendar trades heap log-factors for O(1)
+  /// wheel buckets.
+  des::QueueKind des_queue = des::QueueKind::Calendar;
   Cycle warmup_cycles = 20000;
   Cycle measure_cycles = 30000;
   Cycle drain_limit = 150000;  ///< cap on the post-measurement drain

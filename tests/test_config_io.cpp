@@ -87,14 +87,14 @@ TEST(Ini, MissingFileThrows) {
 
 TEST(OptionsIo, DesQueueRoundTripsAndRejectsUnknown) {
   SimOptions def;
-  EXPECT_EQ(def.des_queue, erapid::des::QueueKind::Heap);
-  def.des_queue = erapid::des::QueueKind::Calendar;
+  EXPECT_EQ(def.des_queue, erapid::des::QueueKind::Calendar);
+  def.des_queue = erapid::des::QueueKind::Heap;
   const auto ini = options_to_ini(def);
-  EXPECT_EQ(ini.get("des.queue").value_or(""), "calendar");
-  EXPECT_EQ(options_from_ini(ini).des_queue, erapid::des::QueueKind::Calendar);
+  EXPECT_EQ(ini.get("des.queue").value_or(""), "heap");
+  EXPECT_EQ(options_from_ini(ini).des_queue, erapid::des::QueueKind::Heap);
 
-  erapid::util::Ini text = erapid::util::Ini::parse_string("[des]\nqueue = heap\n");
-  EXPECT_EQ(options_from_ini(text).des_queue, erapid::des::QueueKind::Heap);
+  erapid::util::Ini text = erapid::util::Ini::parse_string("[des]\nqueue = calendar\n");
+  EXPECT_EQ(options_from_ini(text).des_queue, erapid::des::QueueKind::Calendar);
   erapid::util::Ini bad = erapid::util::Ini::parse_string("[des]\nqueue = splay\n");
   EXPECT_THROW(options_from_ini(bad), erapid::ModelInvariantError);
 }
@@ -643,7 +643,7 @@ const KeyCase kKeyCases[] = {
      MEMBER(fault.events)},
     {"fault.ctrl_drop_prob", Codec::Real, "0.125", MEMBER(fault.ctrl_drop_prob)},
     {"fault.seed", Codec::Integer, "77", MEMBER(fault.seed)},
-    {"des.queue", Codec::Choice, "calendar", MEMBER(des_queue)},
+    {"des.queue", Codec::Choice, "heap", MEMBER(des_queue)},
     {"workload.pattern", Codec::Choice, "hotspot", MEMBER(pattern)},
     {"workload.hotspot_fraction", Codec::Real, "0.35", MEMBER(hotspot_fraction)},
     {"workload.hotspot_node", Codec::Integer, "3", MEMBER(hotspot_node)},
@@ -1220,7 +1220,7 @@ TEST(Report, BenchDocumentLayout) {
                              "  \"bench\": \"Fig\",\n"
                              "  \"pattern\": \"uniform\",\n"
                              "  \"git_rev\": \"abc\",\n"
-                             "  \"des_queue\": \"heap\",\n"
+                             "  \"des_queue\": \"calendar\",\n"
                              "  \"obs\": {\"enabled\": true, \"trace\": false, \"monitors\": "
                              "true, \"telemetry\": false, \"flight_recorder\": false},\n"
                              "  \"points\": [\n"

@@ -145,19 +145,19 @@ TEST(Golden, TransientStormReportMatchesCommittedFixtureExactly) {
                       "golden_transient_storm.json", "transient-storm golden");
 }
 
-// The calendar wheel (`des.queue=calendar`) must reproduce the committed
-// heap-generated fixtures byte-for-byte — the two calendars share one
+// The heap (`des.queue=heap`) must reproduce the fixtures the default
+// calendar wheel writes byte-for-byte — the two calendars share one
 // golden, so neither can drift without the other noticing.
-TEST(Golden, CalendarQueueMatchesHeapGoldenExactly) {
+TEST(Golden, HeapQueueMatchesCalendarGoldenExactly) {
   sim::SimOptions o = base_options();
   o.reconfig.mode = reconfig::NetworkMode::p_b();
-  o.des_queue = des::QueueKind::Calendar;
+  o.des_queue = des::QueueKind::Heap;
   test::expect_golden(sim::to_json(sim::Simulation(o).run()) + "\n",
-                      "golden_fig5_uniform.json", "calendar-queue Fig. 5 golden",
+                      "golden_fig5_uniform.json", "heap-queue Fig. 5 golden",
                       /*writer=*/false);
   o.fault = transient_storm_plan();
   test::expect_golden(sim::to_json(sim::Simulation(o).run()) + "\n",
-                      "golden_transient_storm.json", "calendar-queue transient-storm golden",
+                      "golden_transient_storm.json", "heap-queue transient-storm golden",
                       /*writer=*/false);
 }
 

@@ -8,6 +8,7 @@
 // and asserts identical execution traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,124 @@ TEST(EventQueueDiff, EmptyRefillCyclesStayIdentical) {
   }
 }
 
+/// A heap and a calendar fed the same (when, seq) stream.
+struct QueuePair {
+  HeapEventQueue heap;
+  CalendarEventQueue cal;
+  std::uint64_t seq = 0;
+
+  void push(Cycle when) {
+    heap.push(make_event(when, seq));
+    cal.push(make_event(when, seq));
+    ++seq;
+  }
+
+  /// Pops one entry from each and asserts they agree; returns its time.
+  Cycle pop(const char* context) {
+    const Event eh = heap.pop();
+    const Event ec = cal.pop();
+    EXPECT_EQ(eh.when, ec.when) << context;
+    EXPECT_EQ(eh.seq, ec.seq) << context;
+    return eh.when;
+  }
+};
+
+TEST(EventQueueDiff, WheelScanCrossesBitmapWordsAndWraps) {
+  // Buckets 63/64 and 127/128 straddle occupancy words; 4095 is the last
+  // bucket before the wheel wraps to 0.
+  QueuePair q;
+  for (const Cycle when : {64, 63, 128, 127, 4095, 65, 62, 4095}) q.push(when);
+  expect_identical_drain(q.heap, q.cal, "word boundaries from base 0");
+
+  // Base 4030 sits mid-word (word 62, bit 62). Bucket 4029 in the same
+  // word holds a next-lap time, so it must lose to every bucket after the
+  // base, including those reached by wrapping past 4095 to 0.
+  QueuePair w;
+  w.push(4030);
+  EXPECT_EQ(w.pop("advance the base to 4030"), 4030u);
+  for (const Cycle when : {4030 + 4095, 4096 + 64, 4096, 4096 + 63, 4095, 4031, 4096 + 1}) {
+    w.push(when);
+  }
+  expect_identical_drain(w.heap, w.cal, "wrap from a mid-word base");
+
+  // Only next-lap entries just behind the base: the scan goes all the way
+  // round and finds them in the base's own word.
+  QueuePair x;
+  x.push(4030);
+  EXPECT_EQ(x.pop("advance the base to 4030"), 4030u);
+  x.push(4030 + 4095);
+  x.push(4030 + 4095);
+  expect_identical_drain(x.heap, x.cal, "only the bucket behind the base");
+}
+
+TEST(EventQueueDiff, EventsOneLapMinusOneApartStayInOrder) {
+  // when = base + kBuckets - 1 is the last in-window slot: it lands in the
+  // bucket just behind the base, the longest scan the bitmap can make.
+  constexpr Cycle kGap = CalendarEventQueue::kBuckets - 1;
+  QueuePair q;
+  for (Cycle i = 0; i < 6; ++i) q.push(i * kGap);  // wheel and ladder both
+  Cycle now = q.pop("first");
+  for (int step = 0; step < 200; ++step) {
+    q.push(now + kGap);
+    if (step % 3 == 0) q.push(now + kGap);  // a tie behind the base
+    if (step % 7 == 0) q.push(now);
+    now = q.pop("one lap minus one");
+    ASSERT_EQ(q.heap.size(), q.cal.size()) << "step " << step;
+  }
+  expect_identical_drain(q.heap, q.cal, "one lap minus one tail");
+}
+
+TEST(EventQueueDiff, DrainRefillCyclesReuseFreedNodes) {
+  QueuePair q;
+  Rng rng(91);
+  Cycle base = 0;
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    for (int i = 0; i < 100; ++i) q.push(base + rng.next_below(300));
+    // Half out, half back in: the refill must take the freed nodes.
+    for (int i = 0; i < 50; ++i) base = q.pop("partial drain");
+    for (int i = 0; i < 50; ++i) q.push(base + rng.next_below(300));
+    EXPECT_EQ(q.cal.pooled_nodes(), 100u) << "cycle " << cycle;
+    while (!q.heap.empty()) base = q.pop("drain/refill cycle");
+    EXPECT_TRUE(q.cal.empty());
+    base += 1 + rng.next_below(5000);  // sometimes past the window
+  }
+  EXPECT_EQ(q.cal.pooled_nodes(), 100u);
+}
+
+TEST(EventQueueDiff, SparseFarFutureMixMatchesHeap) {
+  // A run shaped like a fault plan over a long trace replay: a handful of
+  // fault events spread over a 2M-cycle horizon, trace records separated
+  // by long gaps, and each record setting off a short burst of
+  // near-future events. Pending entries stay few while the wheel is
+  // mostly empty, the case that a linear bucket scan handles worst.
+  constexpr Cycle kHorizon = 2'000'000;
+  QueuePair q;
+  const Cycle faults[] = {5000, 8000, 120000, 600000, 1'250'000, kHorizon - 1};
+  for (const Cycle when : faults) q.push(when);
+  q.push(kHorizon);  // the workload horizon
+  Rng rng(2024);
+  Cycle next_record = 0;
+  q.push(next_record);
+  std::size_t peak = q.cal.size();
+  std::uint64_t pops = 0;
+  while (!q.heap.empty()) {
+    const Event* top = q.heap.peek();
+    const bool record = top->when == next_record;
+    const Cycle now = q.pop("sparse mix");
+    ++pops;
+    if (record && now < kHorizon) {
+      for (int k = 0; k < 4; ++k) q.push(now + 1 + rng.next_below(50));
+      next_record = now + 10000 + rng.next_below(100000);
+      q.push(next_record);
+    }
+    peak = std::max(peak, q.cal.size());
+  }
+  EXPECT_TRUE(q.cal.empty());
+  EXPECT_GT(pops, 100u);
+  // Memory follows the pending count, not the horizon or the gaps.
+  EXPECT_LE(q.cal.pooled_nodes(), peak);
+}
+
 // ---- engine-level differential ---------------------------------------------
 
 class EngineOnQueue : public testing::TestWithParam<QueueKind> {};
@@ -206,6 +325,30 @@ TEST_P(EngineOnQueue, RecursiveSchedulingAndRunUntil) {
   e.run_all();
   EXPECT_EQ(depth, 105);
   EXPECT_EQ(e.now(), 100000u);
+}
+
+TEST_P(EngineOnQueue, CancelledHeadOfAPooledChainIsSkipped) {
+  // Same-cycle events share one wheel chain. Cancel its head before the
+  // run, and cancel the next head from inside a callback, so each skim
+  // meets a dead entry at the front of a live chain.
+  Engine e(GetParam());
+  std::vector<int> order;
+  std::vector<erapid::des::EventHandle> h;
+  for (int i = 0; i < 5; ++i) {
+    h.push_back(e.schedule(10, [&order, i] { order.push_back(i); }));
+  }
+  h.push_back(e.schedule(20, [&] {
+    order.push_back(20);
+    h[6].cancel();
+  }));
+  h.push_back(e.schedule(20, [&] { order.push_back(21); }));
+  h.push_back(e.schedule(20, [&] { order.push_back(22); }));
+  h.push_back(e.schedule(20, [&] { order.push_back(23); }));
+  h[0].cancel();
+  h[2].cancel();
+  e.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 20, 22, 23}));
+  EXPECT_EQ(e.queue_size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothKinds, EngineOnQueue,

@@ -306,7 +306,7 @@ TEST(GoldenTrace, SmallRunTraceMatchesCommittedFixtureExactly) {
     std::remove(o.obs.trace_path.c_str());
     test::expect_golden(trace, "golden_trace_small.json",
                         std::string("golden trace on des.queue=") + des::queue_kind_name(kind),
-                        kind == des::QueueKind::Heap);
+                        test::writes_golden(kind));
   }
 }
 

@@ -227,6 +227,7 @@ TEST(Brownout, SameSeedTwiceIsByteIdentical) {
 
 TEST(Brownout, CalendarQueueMatchesHeapByteExactly) {
   sim::SimOptions o = brownout_options();
+  o.des_queue = des::QueueKind::Heap;
   const auto heap = sim::to_json(sim::Simulation(o).run());
   o.des_queue = des::QueueKind::Calendar;
   const auto calendar = sim::to_json(sim::Simulation(o).run());
@@ -288,7 +289,7 @@ TEST(Brownout, HysteresisRecoveryStepsBackUp) {
 // ---- golden fixture ---------------------------------------------------------
 
 TEST(GoldenBrownout, ReportMatchesCommittedFixtureExactly) {
-  // Brownout.CalendarQueueMatchesHeapByteExactly covers the calendar queue.
+  // Brownout.CalendarQueueMatchesHeapByteExactly covers the heap queue.
   test::expect_golden(sim::to_json(sim::Simulation(brownout_options()).run()) + "\n",
                       "golden_brownout_small.json", "brownout golden");
 }

@@ -482,6 +482,54 @@ TEST(Router, TailWithQueuedHeadBehindKeepsRouterBusy) {
   EXPECT_TRUE(rig.router.quiescent());
 }
 
+TEST(Router, IdleInputSkipKeepsRoundRobinOrder) {
+  // Inputs 1 and 3 of four carry traffic; inputs 0 and 2 stay idle, so a
+  // busy tick skips them. Both packets win a downstream VC and then share
+  // the output flit by flit: round-robin SA must alternate 1, 3, 1, 3 as
+  // if every input were scanned. The second round reuses the same inputs
+  // after their VCs went Idle, so each port's count drops to 0 and comes
+  // back.
+  Engine engine;
+  ClockDomain domain(engine);
+  Router rt(engine, domain, "skip", 4, 2, 8, 1, [](const Flit&) { return 0u; });
+  CollectingSink sink(rt);
+  OutputPortConfig opc;
+  opc.sink = &sink;
+  opc.vcs = 2;
+  opc.credits_per_vc = 8;
+  opc.cycles_per_flit = 1;
+  sink.bind(rt.add_output(opc));
+  auto send = [&](std::uint32_t in, std::uint32_t vc, std::uint64_t seq) {
+    const Packet p = RouterRig::packet(seq, 0, /*flits=*/4);
+    for (std::uint32_t i = 0; i < 4; ++i) rt.accept_flit(in, vc, make_flit(p, i), engine.now());
+  };
+  send(1, 0, 1);
+  send(3, 0, 2);
+  engine.run_until(100);
+  ASSERT_TRUE(rt.quiescent());
+  send(1, 1, 3);
+  send(3, 1, 4);
+  engine.run_until(200);
+
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> got;
+  for (const auto& a : sink.arrivals) got.emplace_back(a.flit.seq, a.flit.index);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> want;
+  for (const std::uint64_t first : {1u, 3u}) {
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      want.emplace_back(first, i);      // input 1
+      want.emplace_back(first + 1, i);  // input 3
+    }
+  }
+  EXPECT_EQ(got, want);
+  for (std::size_t k = 1; k < sink.arrivals.size(); ++k) {
+    if (k == 8) continue;  // the second round starts at cycle 100
+    EXPECT_EQ(sink.arrivals[k].when, sink.arrivals[k - 1].when + 1) << "flit " << k;
+  }
+  EXPECT_TRUE(sink.arrivals.back().flit.tail);
+  EXPECT_TRUE(rt.quiescent());
+  EXPECT_EQ(rt.counters().sa_conflicts, 7u + 7u);
+}
+
 TEST(Router, TickingAQuiescentRouterChangesNothing) {
   // Two rigs with one history; one also sees ticks while quiescent. Its
   // counters must not move, and contended traffic afterwards — whose grant

@@ -265,7 +265,7 @@ TEST(TelemetryInert, ObsWithoutTelemetryPathSchedulesNothing) {
 // ---- integration: determinism -----------------------------------------------
 
 std::string run_telemetry(const std::string& path,
-                          des::QueueKind queue = des::QueueKind::Heap,
+                          des::QueueKind queue = des::QueueKind::Calendar,
                           std::uint64_t seed = 1) {
   sim::SimOptions o = telemetry_options(path);
   o.des_queue = queue;
@@ -386,7 +386,7 @@ TEST(FlightRecorderTrigger, CleanRunWritesNoDump) {
 // ---- golden telemetry stream ------------------------------------------------
 
 TEST(GoldenTelemetry, SmallRunStreamMatchesCommittedFixtureExactly) {
-  // HeapAndCalendarQueuesWriteTheSameStream covers the calendar queue.
+  // HeapAndCalendarQueuesWriteTheSameStream covers the heap queue.
   test::expect_golden(run_telemetry(tmp_path("tel_golden.jsonl")),
                       "golden_telemetry_small.jsonl", "telemetry golden");
 }
