@@ -119,8 +119,8 @@ class BenchComparison(unittest.TestCase):
 
 
 class CampaignComparison(unittest.TestCase):
-    """Campaign-artifact features: 4-component keys, failed points, and
-    doc-level wall aggregates."""
+    """Campaign-artifact features: pattern/mode/load/seed/variant keys,
+    failed points, and doc-level wall aggregates."""
 
     def compare(self, base, cand, threshold=0.05, include_wall=False):
         return compare_runs.compare_docs(base, cand, threshold, include_wall)
@@ -143,6 +143,36 @@ class CampaignComparison(unittest.TestCase):
         self.assertEqual(len(missing), 1)
         self.assertEqual(missing[0]["kind"], "regressed")
         self.assertIn("seed=2", missing[0]["where"])
+
+    def test_points_differing_only_in_variant_stay_distinct(self):
+        # Two overrides entries of one campaign give two points that share
+        # (pattern, mode, load, seed); the variant tells them apart, so a
+        # move on either one is seen.
+        def point(window, **metrics):
+            return bench_point(pattern="uniform", seed=1,
+                               variant={"reconfig.window": window}, **metrics)
+        base = bench_doc([point(500), point(2000)])
+        cand = bench_doc([point(500, throughput_xNc=0.25), point(2000)])
+        out = self.compare(base, cand, threshold=0.0)
+        moved = [c for c in out if c["kind"] != "same"]
+        self.assertEqual([(c["metric"], c["kind"]) for c in moved],
+                         [("throughput_xNc", "regressed")])
+        self.assertIn("reconfig.window=500", moved[0]["where"])
+        self.assertEqual(sorted(kinds(out, "throughput_xNc")), ["regressed", "same"])
+
+    def test_variant_key_order_does_not_matter(self):
+        base = bench_doc([bench_point(variant={"a.k": 1, "b.k": 2})])
+        cand = bench_doc([bench_point(variant={"b.k": 2, "a.k": 1})])
+        out = self.compare(base, cand)
+        self.assertNotIn("point", [c["metric"] for c in out])
+
+    def test_two_points_on_one_key_raise(self):
+        doc = bench_doc([bench_point(pattern="uniform", seed=1),
+                         bench_point(pattern="uniform", seed=1)])
+        with self.assertRaises(compare_runs.CompareError):
+            self.compare(doc, bench_doc([bench_point()]))
+        with self.assertRaises(compare_runs.CompareError):
+            self.compare(bench_doc([bench_point()]), doc)
 
     def test_legacy_points_without_pattern_seed_still_match(self):
         base = bench_doc([bench_point()])
@@ -350,6 +380,14 @@ class CliContract(unittest.TestCase):
             with contextlib.redirect_stdout(io.StringIO()), \
                  contextlib.redirect_stderr(io.StringIO()):
                 self.assertEqual(compare_runs.main([same, bad]), 2)
+
+            twice = self.write(
+                tmp, "d.json", bench_doc([bench_point(), bench_point()]))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                 contextlib.redirect_stderr(err):
+                self.assertEqual(compare_runs.main([twice, twice]), 2)
+            self.assertIn("two points share the key P-B/load=0.5", err.getvalue())
 
     def test_threshold_knob_loosens_the_gate(self):
         with tempfile.TemporaryDirectory() as tmp:

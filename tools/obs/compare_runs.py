@@ -6,9 +6,10 @@ relative thresholds:
 
   * bench artifacts (``BENCH_<slug>.json`` and campaign artifacts
     ``CAMPAIGN_<name>.json``, both schema erapid-bench-1): points are
-    matched by (pattern, mode, load, seed) — components absent from a
-    point (older artifacts carry only mode/load) match as absent on both
-    sides — and every per-point metric is compared with a direction-aware
+    matched by (pattern, mode, load, seed, variant) — components absent
+    from a point (older artifacts carry only mode/load) match as absent on
+    both sides, and an artifact with two points on one key is rejected —
+    and every per-point metric is compared with a direction-aware
     rule — throughput falling, latency/power/energy rising,
     ``drained``/``monitors_ok`` flipping to false are regressions;
     improvements and sub-threshold drift are reported but never fail. A
@@ -66,7 +67,7 @@ BENCH_FIELDS = {
     "drained": "false_bad",
     "monitors_ok": "false_bad",
     "monitor_violations": "up_bad",
-    # Workload-bench points (bench_ml_collectives / bench_hpc_kernels):
+    # Workload points (e.g. the ml_collectives / hpc_kernels specs):
     # completion-bounded runs gate on the makespan and phase tail too.
     "completed": "false_bad",
     "makespan_cycles": "up_bad",
@@ -274,15 +275,18 @@ def compare_resilience(label, base_res, cand_res, threshold, out):
 
 def point_key(p):
     """Full point identity. Components a point does not carry (older bench
-    artifacts have no pattern/seed; only brownout sweeps have cap_mw) stay
-    None and match None on the other side, so pre-campaign artifacts keep
-    comparing exactly as before."""
+    artifacts have no pattern/seed; only brownout sweeps have cap_mw; only
+    campaigns whose overrides vary have a variant) stay None and match None
+    on the other side, so pre-campaign artifacts keep comparing exactly as
+    before. The variant is canonical JSON, so key order does not matter."""
+    variant = p.get("variant")
     return (p.get("pattern"), p.get("mode"), p.get("cap_mw"), p.get("load"),
-            p.get("seed"))
+            p.get("seed"),
+            json.dumps(variant, sort_keys=True) if variant else None)
 
 
 def point_label(key):
-    pattern, mode, cap_mw, load, seed = key
+    pattern, mode, cap_mw, load, seed, variant = key
     parts = [] if pattern is None else [str(pattern)]
     parts.append(str(mode))
     if cap_mw is not None:
@@ -290,6 +294,8 @@ def point_label(key):
     parts.append(f"load={load}")
     if seed is not None:
         parts.append(f"seed={seed}")
+    if variant is not None:
+        parts.extend(f"{k}={v}" for k, v in json.loads(variant).items())
     return "/".join(parts)
 
 
@@ -298,7 +304,14 @@ def compare_bench(base, cand, threshold, include_wall):
         points = doc.get("points")
         if not isinstance(points, list):
             raise CompareError(f"{which}: bench artifact has no points list")
-        return {point_key(p): p for p in points}
+        indexed = {}
+        for p in points:
+            key = point_key(p)
+            if key in indexed:
+                raise CompareError(
+                    f"{which}: two points share the key {point_label(key)}")
+            indexed[key] = p
+        return indexed
 
     b_pts, c_pts = index(base, "baseline"), index(cand, "candidate")
     comparisons = []
