@@ -1,8 +1,22 @@
 #include "obs/hub.hpp"
 
+#include <bit>
+#include <string_view>
+
 #include "util/expect.hpp"
 
 namespace erapid::obs {
+
+namespace {
+
+/// histogram_bucket_of for a whole-number sample: floor(log2(n)) + 1 is
+/// n's bit width, and 0 has width 0, so no floating-point log is needed.
+std::size_t bucket_of_count(std::size_t n) {
+  const auto width = static_cast<std::size_t>(std::bit_width(n));
+  return width < kHistogramBuckets ? width : kHistogramBuckets - 1;
+}
+
+}  // namespace
 
 Hub::Hub(const ObsConfig& cfg) : cfg_(cfg) {
   ERAPID_EXPECT(cfg_.counter_interval > 0, "obs.counter_interval must be positive");
@@ -86,6 +100,30 @@ void Hub::release(Cycle now) {
                    "release() must clear the contract observer");
 }
 
+std::vector<std::pair<std::string, std::string>> Hub::snapshot(Cycle now) {
+  ERAPID_REQUIRE(!folded_, "Hub::snapshot() called twice");
+  folded_ = true;
+  metrics_.add(m_events_, events_);
+  metrics_.fold(m_queue_depth_, queue_depth_);
+  for (const TagMetrics& tm : tag_metrics_) {
+    metrics_.add(metrics_.counter("des.tag." + tm.label), tm.count);
+    metrics_.fold(metrics_.histogram("des.dispatch_cost." + tm.label), tm.cost, tm.buckets);
+  }
+  return metrics_.snapshot(now);
+}
+
+Hub::TagMetrics& Hub::tag_metrics(const char* tag) {
+  for (const auto& [key, slot] : tag_index_) {
+    if (key == tag) return tag_metrics_[slot];
+  }
+  const std::string_view label = tag != nullptr ? tag : "event";
+  std::uint32_t slot = 0;
+  while (slot < tag_metrics_.size() && tag_metrics_[slot].label != label) ++slot;
+  if (slot == tag_metrics_.size()) tag_metrics_.emplace_back().label = label;
+  tag_index_.emplace_back(tag, slot);
+  return tag_metrics_[slot];
+}
+
 void Hub::on_dispatch_begin(const char* tag, Cycle now) {
   ERAPID_EXPECT(!closed_, "event dispatched after Hub::close()");
   if (trace_ && cfg_.trace_events) {
@@ -95,20 +133,14 @@ void Hub::on_dispatch_begin(const char* tag, Cycle now) {
 
 void Hub::on_dispatch_end(const char* tag, Cycle now, std::size_t queue_size,
                           std::uint64_t /*executed*/) {
-  ERAPID_EXPECT(!closed_, "event dispatched after Hub::close()");
-  metrics_.add(m_events_);
-  metrics_.observe(m_queue_depth_, static_cast<double>(queue_size));
-
-  const char* label = tag != nullptr ? tag : "event";
-  auto it = tag_metrics_.find(label);
-  if (it == tag_metrics_.end()) {
-    TagMetrics tm;
-    tm.count = metrics_.counter(std::string("des.tag.") + label);
-    tm.cost = metrics_.histogram(std::string("des.dispatch_cost.") + label);
-    it = tag_metrics_.emplace(label, tm).first;
-  }
-  metrics_.add(it->second.count);
-  metrics_.observe(it->second.cost, static_cast<double>(queue_size));
+  ERAPID_EXPECT(!closed_ && !folded_, "event dispatched after Hub::snapshot() or close()");
+  const auto depth = static_cast<double>(queue_size);
+  ++events_;
+  queue_depth_.add(depth);
+  TagMetrics& tm = tag_metrics(tag);
+  ++tm.count;
+  tm.cost.add(depth);
+  ++tm.buckets[bucket_of_count(queue_size)];
 
   // Events-per-cycle self-profiling: flush the tally when time advances.
   if (now != profile_cycle_) {
@@ -121,7 +153,7 @@ void Hub::on_dispatch_end(const char* tag, Cycle now, std::size_t queue_size,
   ++events_this_cycle_;
 
   if (trace_ && cfg_.trace_events) {
-    trace_->end(t_engine_, label, now);
+    trace_->end(t_engine_, tag != nullptr ? tag : "event", now);
   }
 }
 

@@ -14,15 +14,20 @@
 // The Hub also implements des::Engine::DispatchHook: installed by the
 // Simulation driver, it self-profiles the event calendar (events per tag,
 // queue depth, events/sim-cycle counter tracks) without des/ depending on
-// the obs layer.
+// the obs layer. The per-event part of that profile (des.events,
+// des.queue_depth, des.tag.*, des.dispatch_cost.*) accumulates in the
+// Hub's own cells, so a dispatch pays no registry lookup; snapshot() folds
+// the cells into the registry once, after the last dispatch, and the
+// snapshot renders exactly as if every sample had been observe()d.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "des/engine.hpp"
 #include "obs/flight_recorder.hpp"
@@ -30,6 +35,7 @@
 #include "obs/monitor.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "stats/streaming.hpp"
 #include "util/types.hpp"
 
 namespace erapid::obs {
@@ -128,6 +134,12 @@ class Hub final : public des::Engine::DispatchHook {
   [[nodiscard]] TrackId track_counters() const { return t_counters_; }
   [[nodiscard]] TrackId track_telemetry() const { return t_telemetry_; }
 
+  /// The metrics snapshot a report carries (MetricsRegistry::snapshot):
+  /// first folds the engine self-profile into the registry. The one way to
+  /// read the des.* dispatch metrics; call it once, after the last event —
+  /// a dispatch after it fails through the contract layer.
+  [[nodiscard]] std::vector<std::pair<std::string, std::string>> snapshot(Cycle now);
+
   /// Finalizes the trace file and fails through the contract layer if it
   /// could not be written. Idempotent.
   void close(Cycle now);
@@ -162,16 +174,28 @@ class Hub final : public des::Engine::DispatchHook {
   MetricId m_events_ = 0;
   MetricId m_queue_depth_ = 0;
   MetricId m_events_per_cycle_ = 0;
-  /// Per-tag dispatch metrics, created on first sight of each tag:
-  /// a monotone dispatch counter plus a calendar-cost histogram (queue
-  /// depth at dispatch — the deterministic proxy for per-event dispatch
-  /// cost; wall clocks are banned in model code). The transparent
-  /// comparator lets a dispatch look its tag up without building a string.
+  /// Per-tag dispatch cells, created on first sight of each tag's text and
+  /// folded by snapshot() into a monotone dispatch counter
+  /// (des.tag.<label>) and a calendar-cost histogram
+  /// (des.dispatch_cost.<label>: queue depth at dispatch — the
+  /// deterministic proxy for per-event dispatch cost; wall clocks are
+  /// banned in model code). `buckets` uses the registry's log2 scheme.
   struct TagMetrics {
-    MetricId count = 0;
-    MetricId cost = 0;
+    std::string label;
+    std::uint64_t count = 0;
+    stats::Streaming cost;
+    std::array<std::uint64_t, kHistogramBuckets> buckets{};
   };
-  std::map<std::string, TagMetrics, std::less<>> tag_metrics_;
+  /// The cells of `tag` (nullptr is labelled "event").
+  TagMetrics& tag_metrics(const char* tag);
+  std::vector<TagMetrics> tag_metrics_;
+  /// Tag pointer -> index into tag_metrics_. Looked up by address first;
+  /// a new address whose text is already known joins that entry, so one
+  /// label spelled at several schedule sites shares one cell.
+  std::vector<std::pair<const char*, std::uint32_t>> tag_index_;
+  std::uint64_t events_ = 0;
+  stats::Streaming queue_depth_;
+  bool folded_ = false;
   Cycle profile_cycle_ = 0;
   std::uint64_t events_this_cycle_ = 0;
   bool closed_ = false;

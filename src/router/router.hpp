@@ -18,12 +18,18 @@
 // result is independent of same-cycle event ordering (deterministic).
 //
 // Cost discipline: a tick allocates nothing (request lists live in reused
-// scratch) and a router whose VCs are all Idle returns after one branch.
-// An Idle VC always has an empty buffer, so the count of non-Idle VCs is
-// the whole of the router's pending work. Each input port keeps the same
-// count for its own VCs, and a busy tick skips the ports whose count is 0:
-// a port of Idle VCs would make no request, nominate nothing and leave its
-// arbiter alone, so skipping it changes nothing but the cost.
+// scratch) and walks only live state. An Idle VC always has an empty
+// buffer, so the non-Idle VCs are the whole of the router's pending work.
+// Each input port keeps a one-word mask of its non-Idle VCs (hence at most
+// 64 VCs per port), and the router keeps a bitset of the ports whose mask
+// is non-zero: a router with an empty port set is quiescent and returns
+// after one branch, and a busy tick visits only the live ports and, within
+// each, only the live VCs. Bits are walked in ascending order, so request
+// lists come out ascending exactly as a full scan would build them; a port
+// or VC that is Idle would make no request, nominate nothing and leave its
+// arbiter alone, so skipping it changes nothing but the cost. VA and SA
+// then visit only the outputs that received a request this tick, again
+// in ascending order.
 //
 // Each input VC buffers its flits in a fixed ring of vc_depth slots
 // (credits bound its occupancy), and all of a router's rings share one
@@ -85,6 +91,9 @@ struct RouterCounters {
 /// The VC wormhole router.
 class Router : public des::Clocked {
  public:
+  /// Most VCs an input port can have: a port's live-VC mask is one word.
+  static constexpr std::uint32_t kMaxVcsPerInput = 64;
+
   /// Registers with `domain`, through which the router hands off every
   /// flit and credit (ClockDomain::post). `engine` is the engine the
   /// domain runs on; the router keeps no reference to it.
@@ -136,7 +145,7 @@ class Router : public des::Clocked {
   struct InputPort {
     std::vector<VirtualChannel> vcs;
     CreditFn credit_return;
-    std::uint32_t active_vcs = 0;  ///< non-Idle VCs on this port
+    std::uint64_t live = 0;  ///< bit v set iff VC v is not Idle
   };
 
   struct OutputPort {
@@ -154,17 +163,26 @@ class Router : public des::Clocked {
 
   /// Per-tick request lists, reused so a tick never allocates. Sized on
   /// the first busy tick rather than in the ctor, so building a network
-  /// pays nothing for them. Lists are ascending, as grant() requires.
+  /// pays nothing for them. Lists are ascending, as grant() requires. A
+  /// count is non-zero only during a tick, and only for an output whose
+  /// bit is set in the matching output bitset; the stage that consumes a
+  /// list zeroes its count and clears the bitset.
   struct Scratch {
     std::vector<std::uint32_t> va;        ///< [out * flat VCs]: VA requesters
     std::vector<std::uint32_t> va_count;  ///< per output
+    std::vector<std::uint64_t> va_outs;   ///< bitset: outputs with VA requests
     std::vector<std::uint32_t> sa;        ///< [out * inputs]: SA nominating inputs
     std::vector<std::uint32_t> sa_count;  ///< per output
+    std::vector<std::uint64_t> sa_outs;   ///< bitset: outputs with SA requests
     std::vector<std::uint32_t> nominee;   ///< per input: its SA-nominated VC
     std::vector<std::uint32_t> ready;     ///< one input's SA-eligible VCs
   };
 
   void size_scratch();
+  /// Marks VC `vc` of `in_port` non-Idle (and the port live).
+  void set_live(std::uint32_t in_port, std::uint32_t vc);
+  /// Marks VC `vc` of `in_port` Idle (and the port dead if it was the last).
+  void clear_live(std::uint32_t in_port, std::uint32_t vc);
   void collect_requests(Cycle now);
   void stage_vc_alloc(Cycle now);
   void stage_switch(Cycle now);
@@ -190,8 +208,9 @@ class Router : public des::Clocked {
   std::vector<OutputPort> outputs_;
   std::vector<RoundRobinArbiter> input_sa_arb_;  ///< per input: pick one VC
   RouterCounters counters_;
-  std::uint32_t active_vcs_ = 0;  ///< non-Idle VCs; 0 means quiescent
-                                  ///< (the sum of the ports' active_vcs)
+  /// Bitset over input ports: bit i set iff inputs_[i].live != 0. All
+  /// words zero means quiescent.
+  std::vector<std::uint64_t> live_ports_;
   Scratch scratch_;
 };
 

@@ -284,9 +284,9 @@ SimOptions options_from_ini(const util::Ini& ini) {
       k.read(k.name, o, *text);
     }
   }
-  // Cross-field validation (workload kind vs phases/trace_file, degrade
-  // policies vs armed monitors, the run window) rejects a bad sweep config
-  // at parse time, before any simulation runs.
+  // Cross-field validation (the system shape, workload kind vs
+  // phases/trace_file, degrade policies vs armed monitors, the run window)
+  // rejects a bad sweep config at parse time, before any simulation runs.
   o.validate();
   return o;
 }

@@ -94,6 +94,7 @@ std::vector<obs::BoardEnergy> board_energy(const power::EnergyMeter& meter, Cycl
 }  // namespace
 
 void SimOptions::validate() const {
+  system.validate();
   workload.validate();
   degrade.validate(obs, reconfig.mode.bandwidth_reconfig);
   constexpr Cycle kMax = std::numeric_limits<Cycle>::max();
@@ -316,7 +317,7 @@ SimResult Simulation::run() {
       r.resilience = degrade_ctrl_->stats();
     }
     fill_telemetry_summary(r);
-    r.metrics = hub_->metrics().snapshot(engine_.now());
+    r.metrics = hub_->snapshot(engine_.now());
     hub_->close(engine_.now());
   }
   return r;

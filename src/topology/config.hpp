@@ -106,6 +106,8 @@ struct SystemConfig {
     ERAPID_EXPECT(flit_bits % channel_width_bits == 0,
                   "flit must be a whole number of electrical phits");
     ERAPID_EXPECT(num_vcs >= 1 && vc_buffer_flits >= 1, "router needs buffers");
+    // A router port tracks its busy VCs in one 64-bit mask.
+    ERAPID_EXPECT(num_vcs <= 64, "system.num_vcs must be in 1..64, got " << num_vcs);
     ERAPID_EXPECT(packet_flits >= 1, "packet needs at least one flit");
     ERAPID_EXPECT(tx_queue_packets >= 1, "transmit queue needs room for one packet");
     ERAPID_EXPECT(tx_feed_cycles_per_flit >= 1,

@@ -866,6 +866,24 @@ TEST(OptionsIo, RealKeysRejectMalformedValues) {
   EXPECT_EQ(edge.obs.monitors.power_cap_mw, 0.0);
 }
 
+// A router port tracks its busy VCs in one 64-bit mask, so system.num_vcs
+// is at most 64: 65 is rejected at parse time with the key and the value
+// named, and the closed bound 64 is accepted.
+TEST(OptionsIo, NumVcsFitsTheRouterVcMask) {
+  Ini ini;
+  ini.set("system.num_vcs", "65");
+  try {
+    (void)options_from_ini(ini);
+    ADD_FAILURE() << "system.num_vcs = 65 was accepted";
+  } catch (const erapid::ModelInvariantError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("system.num_vcs"), std::string::npos) << what;
+    EXPECT_NE(what.find("65"), std::string::npos) << what;
+  }
+  ini.set("system.num_vcs", "64");
+  EXPECT_EQ(options_from_ini(ini).system.num_vcs, 64u);
+}
+
 TEST(OptionsIo, FlagKeysAcceptOnlyKnownSpellings) {
   expect_codec_rejects(Codec::Flag, {"", "ture", "TRUE", "True", "2", "y", "enabled"});
   for (const char* yes : {"true", "1", "yes", "on"}) {

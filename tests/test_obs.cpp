@@ -15,11 +15,14 @@
 // trace writer, and a check that a trace lost to a full disk fails the run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/hub.hpp"
 #include "obs/metrics.hpp"
@@ -27,6 +30,7 @@
 #include "obs/trace.hpp"
 #include "sim/report.hpp"
 #include "sim/simulation.hpp"
+#include "stats/streaming.hpp"
 #include "tests_support.hpp"
 
 namespace {
@@ -203,6 +207,110 @@ TEST(Histogram, SameSamplesAnyOrderSameRendering) {
   for (double s : samples) a.observe(ha, s);
   for (int i = 4; i >= 0; --i) b.observe(hb, samples[i]);
   EXPECT_EQ(a.snapshot(0), b.snapshot(0));
+}
+
+// ---- unit: the Hub's engine self-profile -------------------------------------
+
+obs::ObsConfig metrics_only() {
+  obs::ObsConfig c;
+  c.enabled = true;
+  return c;
+}
+
+/// The snapshot entries whose name starts with `prefix`.
+std::vector<std::pair<std::string, std::string>> entries_with(
+    const std::vector<std::pair<std::string, std::string>>& snap, const std::string& prefix) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& e : snap) {
+    if (e.first.rfind(prefix, 0) == 0) out.push_back(e);
+  }
+  return out;
+}
+
+TEST(HubProfile, EqualTagTextAtTwoAddressesSharesOneEntry) {
+  // Two spellings of "event" at distinct addresses and the null tag (which
+  // is labelled "event") are one label, so one counter and one histogram.
+  static const char kSite[] = "event";
+  const std::string other = "event";
+  ASSERT_NE(static_cast<const void*>(kSite), static_cast<const void*>(other.c_str()));
+  obs::Hub hub(metrics_only());
+  for (const char* tag : {kSite, other.c_str(), static_cast<const char*>(nullptr), kSite}) {
+    hub.on_dispatch_begin(tag, 5);
+    hub.on_dispatch_end(tag, 5, 3, 0);
+  }
+  const auto snap = hub.snapshot(5);
+  const auto tags = entries_with(snap, "des.tag.");
+  ASSERT_EQ(tags.size(), 1u);
+  EXPECT_EQ(tags[0], (std::pair<std::string, std::string>{"des.tag.event", "4"}));
+  const auto costs = entries_with(snap, "des.dispatch_cost.");
+  ASSERT_EQ(costs.size(), 1u);
+  EXPECT_EQ(costs[0].first, "des.dispatch_cost.event");
+  EXPECT_NE(costs[0].second.find("\"count\": 4"), std::string::npos) << costs[0].second;
+}
+
+TEST(HubProfile, SnapshotEqualsPerSampleObserve) {
+  // The Hub's cells, folded, must render exactly as a registry fed one
+  // observe() per dispatch: the same Welford summary and the same log2
+  // buckets, including the 0, 1 and 2^k bucket edges.
+  const std::size_t depths[] = {0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 1023, 1024, 1025,
+                                5, 0, 1, 65535, 65536, 9, 12, 2, 100, 0};
+  const char* const tags[] = {"clock.tick", "lane.tx_done", nullptr};
+  obs::Hub hub(metrics_only());
+  obs::MetricsRegistry ref;
+  const auto events = ref.counter("des.events");
+  const auto depth = ref.series("des.queue_depth");
+  Cycle now = 0;
+  std::size_t k = 0;
+  for (const std::size_t d : depths) {
+    const char* tag = tags[k++ % 3];
+    now += k % 2;
+    hub.on_dispatch_begin(tag, now);
+    hub.on_dispatch_end(tag, now, d, 0);
+    const std::string label = tag != nullptr ? tag : "event";
+    ref.add(events);
+    ref.observe(depth, static_cast<double>(d));
+    ref.add(ref.counter("des.tag." + label));
+    ref.observe(ref.histogram("des.dispatch_cost." + label), static_cast<double>(d));
+  }
+  const auto got = hub.snapshot(now);
+  const auto want = ref.snapshot(now);
+  for (const char* prefix : {"des.tag.", "des.dispatch_cost."}) {
+    const auto g = entries_with(got, prefix);
+    EXPECT_EQ(g.size(), 3u) << prefix;
+    EXPECT_EQ(g, entries_with(want, prefix)) << prefix;
+  }
+  // des.events_per_cycle shares the prefix but is not a folded cell.
+  for (const std::string name : {"des.events", "des.queue_depth"}) {
+    const auto named = [&name](const auto& e) { return e.first == name; };
+    const auto g = std::find_if(got.begin(), got.end(), named);
+    const auto w = std::find_if(want.begin(), want.end(), named);
+    ASSERT_NE(g, got.end()) << name;
+    ASSERT_NE(w, want.end()) << name;
+    EXPECT_EQ(g->second, w->second) << name;
+  }
+}
+
+TEST(HubProfile, FoldContractsFailThroughTheContractLayer) {
+  obs::MetricsRegistry reg;
+  stats::Streaming one;
+  one.add(2.0);
+  // A metric that already holds samples cannot take a fold.
+  const auto s = reg.series("already.sampled");
+  reg.observe(s, 1.0);
+  EXPECT_THROW(reg.fold(s, one), erapid::ModelInvariantError);
+  // Neither can a counter.
+  EXPECT_THROW(reg.fold(reg.counter("a.counter"), one), erapid::ModelInvariantError);
+  // Buckets that disagree with the summary are refused.
+  std::vector<std::uint64_t> buckets(obs::kHistogramBuckets, 0);
+  EXPECT_THROW(reg.fold(reg.histogram("h.mismatch"), one, buckets),
+               erapid::ModelInvariantError);
+
+  // Once the Hub folded its cells, a further dispatch is a contract failure.
+  obs::Hub hub(metrics_only());
+  hub.on_dispatch_end("x", 1, 0, 0);
+  (void)hub.snapshot(1);
+  EXPECT_THROW(hub.on_dispatch_end("x", 2, 0, 0), erapid::ModelInvariantError);
+  EXPECT_THROW((void)hub.snapshot(2), erapid::ModelInvariantError);
 }
 
 // ---- unit: trace writer -----------------------------------------------------

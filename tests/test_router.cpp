@@ -639,6 +639,100 @@ TEST(Router, VcRingWrapsInWormholeOrderBehindASlowSink) {
                erapid::ModelInvariantError);
 }
 
+// ---- live-set edges ------------------------------------------------------------
+
+/// One output port of `vcs` downstream VCs at a flit per cycle, bound to `sink`.
+void add_fast_output(Router& rt, CollectingSink& sink, std::uint32_t vcs) {
+  OutputPortConfig opc;
+  opc.sink = &sink;
+  opc.vcs = vcs;
+  opc.credits_per_vc = 8;
+  opc.cycles_per_flit = 1;
+  sink.bind(rt.add_output(opc));
+}
+
+/// Buffers a whole packet of `flits` flits on (in, vc) at the current cycle.
+void accept_whole(Engine& engine, Router& rt, std::uint32_t in, std::uint32_t vc,
+                  std::uint64_t seq, std::uint32_t flits) {
+  const Packet p = RouterRig::packet(seq, 0, flits);
+  for (std::uint32_t i = 0; i < flits; ++i) rt.accept_flit(in, vc, make_flit(p, i), engine.now());
+}
+
+TEST(Router, TopVcOfASixtyFourVcPortCarriesAPacket) {
+  // VC 63 is the top bit of the port's live mask.
+  Engine engine;
+  ClockDomain domain(engine);
+  Router rt(engine, domain, "wide", 1, Router::kMaxVcsPerInput, 4, 1,
+            [](const Flit&) { return 0u; });
+  CollectingSink sink(rt);
+  add_fast_output(rt, sink, 1);
+  accept_whole(engine, rt, 0, 63, 7, 4);
+  EXPECT_FALSE(rt.quiescent());
+  engine.run_until(100);
+  ASSERT_EQ(sink.arrivals.size(), 4u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(sink.arrivals[i].flit.seq, 7u);
+    EXPECT_EQ(sink.arrivals[i].flit.index, i);
+  }
+  EXPECT_EQ(rt.vc_occupancy(0, 63), 0u);
+  EXPECT_EQ(rt.counters().packets_routed, 1u);
+  EXPECT_TRUE(rt.quiescent());
+  EXPECT_THROW((Router{engine, domain, "too_wide", 1, Router::kMaxVcsPerInput + 1, 4, 1,
+                       [](const Flit&) { return 0u; }}),
+               erapid::ModelInvariantError);
+}
+
+TEST(Router, InputInTheSecondLiveWordContendsFairly) {
+  // 65 inputs: input 64 is bit 0 of the live-port set's second word. It and
+  // input 0 each win a downstream VC, then share the output flit by flit,
+  // so SA must alternate 0, 64, 0, 64 in consecutive cycles; once both
+  // tails leave, both words are empty and the router is quiescent.
+  Engine engine;
+  ClockDomain domain(engine);
+  Router rt(engine, domain, "many", 65, 1, 8, 1, [](const Flit&) { return 0u; });
+  CollectingSink sink(rt);
+  add_fast_output(rt, sink, 2);
+  accept_whole(engine, rt, 64, 0, 2, 4);
+  accept_whole(engine, rt, 0, 0, 1, 4);
+  engine.run_until(100);
+
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> got;
+  for (const auto& a : sink.arrivals) got.emplace_back(a.flit.seq, a.flit.index);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> want;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    want.emplace_back(1, i);  // input 0
+    want.emplace_back(2, i);  // input 64
+  }
+  EXPECT_EQ(got, want);
+  for (std::size_t k = 1; k < sink.arrivals.size(); ++k) {
+    EXPECT_EQ(sink.arrivals[k].when, sink.arrivals[k - 1].when + 1) << "flit " << k;
+  }
+  EXPECT_EQ(rt.counters().sa_conflicts, 7u);
+  EXPECT_TRUE(rt.quiescent());
+}
+
+TEST(Router, VcsGoingLiveOutOfOrderNominateRoundRobin) {
+  // VCs 3, 0 and 2 of one port go live in that order in one cycle. Each
+  // wins a downstream VC, and the port's SA arbiter must then serve them
+  // in ascending round-robin order 0, 2, 3 — not in the order they woke.
+  Engine engine;
+  ClockDomain domain(engine);
+  Router rt(engine, domain, "order", 1, 4, 8, 1, [](const Flit&) { return 0u; });
+  CollectingSink sink(rt);
+  add_fast_output(rt, sink, 4);
+  for (const std::uint32_t vc : {3u, 0u, 2u}) accept_whole(engine, rt, 0, vc, 10 + vc, 4);
+  engine.run_until(100);
+
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> got;
+  for (const auto& a : sink.arrivals) got.emplace_back(a.flit.seq, a.flit.index);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> want;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    for (const std::uint64_t seq : {10u, 12u, 13u}) want.emplace_back(seq, i);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(rt.quiescent());
+}
+
 // ---- FlitInjector / EjectionUnit -------------------------------------------
 
 TEST(Injector, BusyWhileStreamingIdleAfterTail) {
