@@ -91,10 +91,6 @@ void Hub::release(Cycle now) {
     erapid::set_contract_observer({});
     contract_observer_installed_ = false;
   }
-  if (events_this_cycle_ > 0) {
-    metrics_.observe(m_events_per_cycle_, static_cast<double>(events_this_cycle_));
-    events_this_cycle_ = 0;
-  }
   if (trace_) trace_->close(now);
   ERAPID_INVARIANT(!contract_observer_installed_,
                    "release() must clear the contract observer");
@@ -103,6 +99,12 @@ void Hub::release(Cycle now) {
 std::vector<std::pair<std::string, std::string>> Hub::snapshot(Cycle now) {
   ERAPID_REQUIRE(!folded_, "Hub::snapshot() called twice");
   folded_ = true;
+  // The last profiled cycle's tally is still pending: no later dispatch
+  // advanced time to flush it.
+  if (events_this_cycle_ > 0) {
+    metrics_.observe(m_events_per_cycle_, static_cast<double>(events_this_cycle_));
+    events_this_cycle_ = 0;
+  }
   metrics_.add(m_events_, events_);
   metrics_.fold(m_queue_depth_, queue_depth_);
   for (const TagMetrics& tm : tag_metrics_) {

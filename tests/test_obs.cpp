@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -288,6 +289,28 @@ TEST(HubProfile, SnapshotEqualsPerSampleObserve) {
     ASSERT_NE(w, want.end()) << name;
     EXPECT_EQ(g->second, w->second) << name;
   }
+}
+
+// Every dispatch lands in exactly one des.events_per_cycle sample, the last
+// simulated cycle's included.
+TEST(HubProfile, EventsPerCycleSeriesSumsToEventCount) {
+  sim::SimOptions o = base_options();
+  o.obs.enabled = true;
+  const auto r = sim::Simulation(o).run();
+  const auto metric = [&r](const std::string& name) {
+    const auto it = std::find_if(r.metrics.begin(), r.metrics.end(),
+                                 [&name](const auto& e) { return e.first == name; });
+    return it == r.metrics.end() ? std::string() : it->second;
+  };
+  const auto field = [](const std::string& json, const std::string& key) {
+    const auto pos = json.find("\"" + key + "\": ");
+    return pos == std::string::npos ? 0.0 : std::stod(json.substr(pos + key.size() + 4));
+  };
+  const std::string series = metric("des.events_per_cycle");
+  ASSERT_FALSE(series.empty());
+  ASSERT_FALSE(metric("des.events").empty());
+  EXPECT_EQ(std::llround(field(series, "count") * field(series, "mean")),
+            std::stoll(metric("des.events")));
 }
 
 TEST(HubProfile, FoldContractsFailThroughTheContractLayer) {
