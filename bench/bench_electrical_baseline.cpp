@@ -62,15 +62,15 @@ Row run_pattern(traffic::PatternKind pattern) {
   auto oe = base(pattern);
   oe.reconfig.mode = reconfig::NetworkMode::np_nb();
   oe.power_model = electrical_model();
-  row.electrical = bench::run(name + "/electrical", oe).result;
+  row.electrical = bench::run(name + "/electrical", oe);
 
   auto os = base(pattern);
   os.reconfig.mode = reconfig::NetworkMode::np_nb();
-  row.optical_static = bench::run(name + "/NP-NB", os).result;
+  row.optical_static = bench::run(name + "/NP-NB", os);
 
   auto op = base(pattern);
   op.reconfig.mode = reconfig::NetworkMode::p_b();
-  row.optical_pb = bench::run(name + "/P-B", op).result;
+  row.optical_pb = bench::run(name + "/P-B", op);
   return row;
 }
 

@@ -1,6 +1,5 @@
 #include "sim/report.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -76,6 +75,42 @@ void resilience_fields(JsonObject& d, const resilience::ControllerStats& r) {
   d.field("suppressed_violations", r.suppressed_violations);
 }
 
+/// Whether a result carries the `fault` block: faults hit either plane.
+bool has_fault_block(const SimResult& r) { return r.fault.any() || r.control.faulted(); }
+
+/// The `fault` block's fields: one list for the report and the bench point
+/// alike.
+void fault_fields(JsonObject& f, const SimResult& r) {
+  f.field("lanes_failed", r.fault.lanes_failed);
+  f.field("lanes_degraded", r.fault.lanes_degraded);
+  f.field("packets_rehomed", r.fault.packets_rehomed);
+  f.field("reroutes_completed", r.fault.reroutes_completed);
+  f.field("reroutes_pending", r.fault.reroutes_pending);
+  f.field("degraded_windows", r.fault.degraded_windows);
+  f.field("first_failure",
+          r.fault.first_failure == kNeverCycle ? Cycle{0} : r.fault.first_failure);
+  f.field("last_recovery", r.fault.last_recovery);
+  f.field("worst_time_to_reroute", r.fault.worst_time_to_reroute);
+  f.field("ctrl_drops", r.control.ctrl_drops);
+  f.field("ctrl_retries", r.control.ctrl_retries);
+  f.field("ctrl_timeouts", r.control.ctrl_timeouts);
+  f.field("ctrl_exhausted", r.control.ctrl_exhausted_drops);
+  f.field("stale_directives", r.control.stale_directives);
+  f.field("lanes_repaired", r.fault.lanes_repaired);
+  f.field("readmissions_completed", r.fault.readmissions_completed);
+  f.field("readmissions_pending", r.fault.readmissions_pending);
+  f.field("worst_downtime", r.fault.worst_downtime);
+  f.field("worst_readmission_wait", r.fault.worst_readmission_wait);
+  f.field("crc_dropped", r.fault.crc_dropped);
+  f.field("arq_retransmits", r.fault.arq_retransmits);
+  f.field("arq_dead_letters", r.fault.arq_dead_letters);
+  f.field("rc_crashes", r.control.rc_crashes);
+  f.field("rc_repairs", r.control.rc_repairs);
+  f.field("watchdog_fires", r.control.watchdog_fires);
+  f.field("tokens_regenerated", r.control.tokens_regenerated);
+  f.field("frozen_windows", r.control.frozen_windows);
+}
+
 }  // namespace
 
 std::string to_json(const SimResult& r, int indent) {
@@ -107,36 +142,9 @@ std::string to_json(const SimResult& r, int indent) {
   // Fault-free runs must serialize byte-identically to builds predating
   // the fault subsystem, so the fault block only appears when faults hit
   // either plane.
-  if (r.fault.any() || r.control.faulted()) {
+  if (has_fault_block(r)) {
     JsonObject f(indent + 2);
-    f.field("lanes_failed", r.fault.lanes_failed);
-    f.field("lanes_degraded", r.fault.lanes_degraded);
-    f.field("packets_rehomed", r.fault.packets_rehomed);
-    f.field("reroutes_completed", r.fault.reroutes_completed);
-    f.field("reroutes_pending", r.fault.reroutes_pending);
-    f.field("degraded_windows", r.fault.degraded_windows);
-    f.field("first_failure",
-            r.fault.first_failure == kNeverCycle ? Cycle{0} : r.fault.first_failure);
-    f.field("last_recovery", r.fault.last_recovery);
-    f.field("worst_time_to_reroute", r.fault.worst_time_to_reroute);
-    f.field("ctrl_drops", r.control.ctrl_drops);
-    f.field("ctrl_retries", r.control.ctrl_retries);
-    f.field("ctrl_timeouts", r.control.ctrl_timeouts);
-    f.field("ctrl_exhausted", r.control.ctrl_exhausted_drops);
-    f.field("stale_directives", r.control.stale_directives);
-    f.field("lanes_repaired", r.fault.lanes_repaired);
-    f.field("readmissions_completed", r.fault.readmissions_completed);
-    f.field("readmissions_pending", r.fault.readmissions_pending);
-    f.field("worst_downtime", r.fault.worst_downtime);
-    f.field("worst_readmission_wait", r.fault.worst_readmission_wait);
-    f.field("crc_dropped", r.fault.crc_dropped);
-    f.field("arq_retransmits", r.fault.arq_retransmits);
-    f.field("arq_dead_letters", r.fault.arq_dead_letters);
-    f.field("rc_crashes", r.control.rc_crashes);
-    f.field("rc_repairs", r.control.rc_repairs);
-    f.field("watchdog_fires", r.control.watchdog_fires);
-    f.field("tokens_regenerated", r.control.tokens_regenerated);
-    f.field("frozen_windows", r.control.frozen_windows);
+    fault_fields(f, r);
     o.raw_field("fault", f.str());
   }
   // Same byte-compatibility rule for workloads: legacy Bernoulli runs carry
@@ -267,6 +275,13 @@ std::string bench_point_json(const BenchPoint& p) {
                     static_cast<double>(r.packets_delivered_measured)
               : 0.0);
   o.field("drained", r.drained);
+  o.field("lane_grants", r.control.lane_grants);
+  o.field("dvs_level_changes", r.control.level_changes);
+  if (has_fault_block(r)) {
+    auto f = JsonObject::one_line();
+    fault_fields(f, r);
+    o.raw_field("fault", f.str());
+  }
   if (!r.monitors.empty()) {
     o.field("monitors_ok", r.monitors_ok());
     o.field("monitor_violations", r.monitor_violations);
@@ -278,48 +293,6 @@ std::string bench_point_json(const BenchPoint& p) {
   }
   o.field("wall_ms", p.wall_ms);
   return o.str();
-}
-
-std::string bench_to_json(const std::string& bench, const std::string& pattern,
-                          const std::string& git_rev, const SimOptions& last,
-                          const std::vector<BenchPoint>& points) {
-  JsonObject doc(0);
-  doc.field("schema", "erapid-bench-1");
-  doc.field("bench", bench);
-  doc.field("pattern", pattern);
-  doc.field("git_rev", git_rev);
-  doc.field("des_queue", des::queue_kind_name(last.des_queue));
-  auto obs = JsonObject::one_line();
-  obs.field("enabled", last.obs.enabled);
-  obs.field("trace", last.obs.enabled && !last.obs.trace_path.empty());
-  obs.field("monitors", last.obs.enabled && last.obs.monitors.any());
-  obs.field("telemetry", last.obs.telemetry_on());
-  obs.field("flight_recorder", last.obs.flight_recorder_on());
-  doc.raw_field("obs", obs.str());
-  std::string arr = "[";
-  // Aggregate wall time: sum is total serial cost, max is the critical
-  // path — what a perfectly parallel campaign of these points would cost.
-  double wall_sum = 0.0;
-  double wall_max = 0.0;
-  for (const auto& p : points) {
-    arr += (arr.size() == 1 ? "\n    " : ",\n    ") + bench_point_json(p);
-    wall_sum += p.wall_ms;
-    wall_max = std::max(wall_max, p.wall_ms);
-  }
-  doc.raw_field("points", arr + "\n  ]");
-  doc.field("wall_ms_sum", wall_sum);
-  doc.field("wall_ms_max", wall_max);
-  return doc.str() + "\n";
-}
-
-void write_bench_json(const std::string& path, const std::string& bench,
-                      const std::string& pattern, const std::string& git_rev,
-                      const SimOptions& last, const std::vector<BenchPoint>& points) {
-  std::ofstream out(path);
-  ERAPID_EXPECT(static_cast<bool>(out), "cannot open bench artifact: " + path);
-  out << bench_to_json(bench, pattern, git_rev, last, points);
-  out.close();
-  ERAPID_EXPECT(static_cast<bool>(out), "bench artifact write failed: " + path);
 }
 
 }  // namespace erapid::sim

@@ -1,10 +1,9 @@
 // Machine-readable result export.
 //
 // SimResult → JSON, for downstream plotting or regression tracking without
-// scraping the console tables, and the erapid-bench-1 artifact format that
-// every bench and campaign point is written in (DESIGN.md §8, "Bench
-// artifacts"). Hand-rolled emitter (flat structs only; a JSON library
-// dependency is not warranted).
+// scraping the console tables, and the erapid-bench-1 point that every
+// campaign worker prints (DESIGN.md §8, "Bench artifacts"). Hand-rolled
+// emitter (flat structs only; a JSON library dependency is not warranted).
 #pragma once
 
 #include <cstdint>
@@ -44,17 +43,5 @@ struct BenchPoint {
 /// One point as a single-line JSON object: the key fields, then the
 /// result-driven fields, then wall_ms.
 [[nodiscard]] std::string bench_point_json(const BenchPoint& p);
-
-/// erapid-bench-1 document. `git_rev` is supplied by the harness; the
-/// provenance header (DES queue kind, live obs features) is read from
-/// `last`, the options of the last point run.
-[[nodiscard]] std::string bench_to_json(const std::string& bench, const std::string& pattern,
-                                        const std::string& git_rev, const SimOptions& last,
-                                        const std::vector<BenchPoint>& points);
-
-/// Writes bench_to_json to a file (throws ModelInvariantError on I/O).
-void write_bench_json(const std::string& path, const std::string& bench,
-                      const std::string& pattern, const std::string& git_rev,
-                      const SimOptions& last, const std::vector<BenchPoint>& points);
 
 }  // namespace erapid::sim

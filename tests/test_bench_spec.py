@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
-"""Runs a committed workload spec at tiny scale and renders its tables.
+"""Runs a committed sweep spec and renders its tables.
 
 Usage: test_bench_spec.py <bench/specs/<name>.json> <erapid_campaign binary>
+                          [--tiny] [--baseline <bench/data/CAMPAIGN_<name>.json>]
 
-Every overrides entry of the spec is shrunk to one episode of two packets
-per phase, the campaign runs through tools/campaign/campaign.py -j2, and
-every point must complete within its horizon. tools/campaign/render.py must
-then exit 0 and print every panel of the workload layout. Exits non-zero
-otherwise.
+The spec runs through tools/campaign/campaign.py -j2; no point may fail.
+tools/campaign/render.py must then exit 0 and print a table.
+
+--tiny      shrinks every overrides entry of a workload spec to one episode
+            of two packets per phase. Every point must then complete within
+            its horizon, and render.py must print all four workload panels.
+--baseline  tools/obs/compare_runs.py --threshold-pct 0 must find every
+            compared metric of the fresh artifact equal to the committed one.
+
+Exits non-zero when a check fails.
 """
+import argparse
 import json
 import os
 import subprocess
@@ -18,7 +25,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CAMPAIGN = os.path.join(ROOT, "tools", "campaign", "campaign.py")
 RENDER = os.path.join(ROOT, "tools", "campaign", "render.py")
-PANELS = (
+COMPARE = os.path.join(ROOT, "tools", "obs", "compare_runs.py")
+WORKLOAD_PANELS = (
     "makespan (cycles to completion; horizon if incomplete)",
     "worst phase (cycles)",
     "accepted throughput (fraction of N_c over the makespan)",
@@ -26,38 +34,62 @@ PANELS = (
 )
 
 
+def compare(baseline, fresh):
+    """Problems found by compare_runs.py --threshold-pct 0 (empty: equal)."""
+    cmp = subprocess.run([sys.executable, COMPARE, "--threshold-pct", "0", "--json",
+                          baseline, fresh], capture_output=True, text=True)
+    if cmp.returncode not in (0, 1):
+        return [f"compare_runs.py exited {cmp.returncode}: {cmp.stderr}"]
+    result = json.loads(cmp.stdout)
+    changed = [c for c in result["comparisons"] if c["kind"] != "same"]
+    print(f"{result['compared']} metrics compared, {len(changed)} changed")
+    if result["compared"] == 0:
+        return ["compare_runs.py compared no metric"]
+    return [f"{c['where']} {c['metric']}: {c['baseline']} -> {c['candidate']} ({c['kind']})"
+            for c in changed]
+
+
 def main(argv):
-    if len(argv) != 3:
-        print(__doc__, file=sys.stderr)
-        return 2
-    spec_path, binary = argv[1], argv[2]
-    with open(spec_path, encoding="utf-8") as fh:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("spec")
+    ap.add_argument("binary")
+    ap.add_argument("--tiny", action="store_true")
+    ap.add_argument("--baseline")
+    args = ap.parse_args(argv[1:])
+    with open(args.spec, encoding="utf-8") as fh:
         spec = json.load(fh)
-    for overrides in spec["overrides"]:
-        overrides["workload.episodes"] = 1
-        overrides["workload.volume_packets"] = 2
+    if args.tiny:
+        for overrides in spec["overrides"]:
+            overrides["workload.episodes"] = 1
+            overrides["workload.volume_packets"] = 2
+    problems = []
     with tempfile.TemporaryDirectory() as out:
-        tiny_spec = os.path.join(out, "spec.json")
-        with open(tiny_spec, "w", encoding="utf-8") as fh:
+        run_spec = os.path.join(out, "spec.json")
+        with open(run_spec, "w", encoding="utf-8") as fh:
             json.dump(spec, fh)
-        subprocess.run([sys.executable, CAMPAIGN, tiny_spec, "--binary", binary, "-j2",
-                        "--out-dir", out], check=True)
+        run = subprocess.run([sys.executable, CAMPAIGN, run_spec, "--binary", args.binary,
+                              "-j2", "--out-dir", out])
+        if run.returncode != 0:
+            problems.append(f"campaign.py exited {run.returncode}")
         artifact = os.path.join(out, f"CAMPAIGN_{spec['name']}.json")
         with open(artifact, encoding="utf-8") as fh:
             points = json.load(fh)["points"]
         render = subprocess.run([sys.executable, RENDER, artifact], capture_output=True,
                                 text=True)
-    incomplete = [p for p in points if p.get("completed") is not True]
-    for p in incomplete:
-        print(f"incomplete point: {p}", file=sys.stderr)
-    if render.returncode != 0:
-        print(f"render.py exited {render.returncode}: {render.stderr}", file=sys.stderr)
-        return 1
+        if args.baseline:
+            problems += compare(args.baseline, artifact)
     print(render.stdout)
-    missing = [title for title in PANELS if f": {title} ==" not in render.stdout]
-    for title in missing:
-        print(f"render.py printed no panel '{title}'", file=sys.stderr)
-    return 0 if points and not incomplete and not missing else 1
+    if not points:
+        problems.append("the campaign has no point")
+    if render.returncode != 0 or "\n== " not in render.stdout:
+        problems.append(f"render.py exited {render.returncode}: {render.stderr}")
+    if args.tiny:
+        problems += [f"incomplete point: {p}" for p in points if p.get("completed") is not True]
+        problems += [f"render.py printed no panel '{title}'" for title in WORKLOAD_PANELS
+                     if f": {title} ==" not in render.stdout]
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -424,6 +424,119 @@ class RenderTest(unittest.TestCase):
             render.render(doc)
 
 
+    def test_flexibility_prints_the_unlimited_row_first(self):
+        def point(cap, thru, latency, active, grants):
+            return {"pattern": "complement", "mode": "P-B", "load": 0.6, "seed": 1,
+                    "variant": {"reconfig.max_lanes_per_flow": cap},
+                    "throughput_xNc": thru, "latency_avg_cycles": latency,
+                    "active_power_avg_mw": active, "lane_grants": grants}
+        doc = {"campaign": "ablation_flexibility",
+               "points": [point(2, 0.25, 80.0, 400.0, 12), point(0, 0.5, 60.0, 800.0, 30)]}
+        expected = (
+            "\n== Extension: limited reconfiguration flexibility "
+            "(P-B, complement @ 0.6 N_c) ==\n"
+            "max lanes/flow  thru (xN_c)  latency (cyc)  active power (mW)  lane grants  \n"
+            + "-" * 76 + "\n"
+            "unlimited       0.500        60.0           800                30           \n"
+            "2               0.250        80.0           400                12           \n"
+            "(throughput should scale ~linearly with the cap until it covers the offered "
+            "load; a transmitter with fewer laser ports is cheaper)\n"
+        )
+        self.assertEqual(render.render(doc), expected)
+
+    def test_dpm_rows_sort_by_label_text(self):
+        def point(variant, dvs):
+            variant = {"reconfig.hysteresis_windows": None, "reconfig.ewma_alpha": None,
+                       **variant}
+            return {"pattern": "shuffle", "mode": "P-B", "load": 0.5, "seed": 1,
+                    "variant": variant, "throughput_xNc": 0.5, "latency_avg_cycles": 100.0,
+                    "power_avg_mw": 1000.0, "active_power_avg_mw": 500.0,
+                    "dvs_level_changes": dvs}
+        doc = {"campaign": "ablation_dpm_strategy", "points": [
+            point({"reconfig.dpm_strategy": "threshold"}, 40),
+            point({"reconfig.dpm_strategy": "hysteresis",
+                   "reconfig.hysteresis_windows": 2}, 20),
+            point({"reconfig.dpm_strategy": "ewma", "reconfig.ewma_alpha": 0.25}, 30),
+        ]}
+        expected = (
+            "\n== Extension: power scaling techniques (P-B, shuffle @ 0.5 N_c) ==\n"
+            "strategy           thru (xN_c)  latency (cyc)  total power (mW)  "
+            "active power (mW)  DVS changes  \n"
+            + "-" * 97 + "\n"
+            "ewma a=0.25        0.500        100.0          1000              "
+            "500                30           \n"
+            "hysteresis K=2     0.500        100.0          1000              "
+            "500                20           \n"
+            "threshold (paper)  0.500        100.0          1000              "
+            "500                40           \n"
+            "(threshold = the paper's rule; hysteresis trades reaction speed for\n"
+            " fewer 65-cycle transition stalls; EWMA follows the trend)\n"
+        )
+        self.assertEqual(render.render(doc), expected)
+
+    @staticmethod
+    def fault_point(load, events, thru, fault=None):
+        point = {"pattern": "uniform", "mode": "P-B", "load": load, "seed": 1,
+                 "variant": {"fault.events": events}, "throughput_xNc": thru}
+        if fault is not None:
+            point["fault"] = fault
+        return point
+
+    def test_fail_count_comes_from_fault_events(self):
+        def recovery(rehomed, done, ttr, windows):
+            return {"packets_rehomed": rehomed, "reroutes_completed": done,
+                    "worst_time_to_reroute": ttr, "degraded_windows": windows}
+        doc = {"campaign": "fault_resilience", "points": [
+            self.fault_point(0.5, None, 0.5),
+            self.fault_point(0.5, "lane_fail@11000:d1:w1", 0.45, recovery(3, 1, 250, 2)),
+            self.fault_point(0.5, "lane_fail@11000:d1:w1 lane_fail@11500:d2:w2", 0.4,
+                             recovery(7, 2, 400, 5)),
+        ]}
+        expected = (
+            "\n== Fault resilience (uniform, P-B): throughput retention ==\n"
+            "load(xN_c)  0 fails  1 fail  2 fails  retention@2  \n"
+            + "-" * 51 + "\n"
+            "0.5         0.500    0.450   0.400    0.800        \n"
+            "\n== Recovery latency (cycles to replacement grant) ==\n"
+            "load(xN_c)  fails  rehomed pkts  reroutes done  worst t-t-r  degraded windows  \n"
+            + "-" * 79 + "\n"
+            "0.5         1      3             1              250          2                 \n"
+            "0.5         2      7             2              400          5                 \n"
+        )
+        self.assertEqual(render.render(doc), expected)
+
+    def test_mttr_label_comes_from_fault_events(self):
+        arc = {"worst_downtime": 2000, "worst_readmission_wait": 150, "crc_dropped": 4,
+               "arq_retransmits": 4, "arq_dead_letters": 0}
+        doc = {"campaign": "self_healing", "points": [
+            self.fault_point(0.3, None, 0.3),
+            self.fault_point(0.3, "lane_fail@11000:d1:w1:r13000 "
+                             "bit_error@11500:d2:w2:p0.0003:6000", 0.27, arc),
+        ]}
+        expected = (
+            "\n== Self-healing (uniform, P-B): throughput retention vs MTTR ==\n"
+            "load(xN_c)  fault-free  mttr=2k  retention@2k  \n"
+            + "-" * 47 + "\n"
+            "0.3         0.300       0.270    0.900         \n"
+            "\n== Recovery arc (cycles) and ARQ overhead ==\n"
+            "load(xN_c)  mttr  downtime  readmit wait  crc drops  arq retx  dead letters  \n"
+            + "-" * 77 + "\n"
+            "0.3         2000  2000      150           4          4         0             \n"
+        )
+        self.assertEqual(render.render(doc), expected)
+
+    def test_fault_and_brownout_campaigns_need_a_baseline(self):
+        failed = self.fault_point(0.5, "lane_fail@11000:d1:w1", 0.45, {})
+        repaired = self.fault_point(0.5, "lane_fail@11000:d1:w1:r13000", 0.45, {})
+        capped = {"pattern": "uniform", "mode": "P-B", "load": 0.5, "seed": 1,
+                  "variant": {"monitor.power_cap_mw": 100}, "throughput_xNc": 0.3,
+                  "power_avg_mw": 90.0, "resilience": {}}
+        for name, point in (("fault_resilience", failed), ("self_healing", repaired),
+                            ("brownout", capped)):
+            with self.subTest(name), self.assertRaises(render.RenderError):
+                render.render({"campaign": name, "points": [point]})
+
+
 class GoldenCampaignTest(unittest.TestCase):
     """End-to-end: real binary, tiny grid, parallel byte-identity + golden."""
 
@@ -479,8 +592,10 @@ class GoldenCampaignTest(unittest.TestCase):
         brownout = {**small, "workload.warmup_cycles": 1000,
                     "workload.measure_cycles": 2000, "obs.enabled": "true",
                     "monitor.power_cap_mw": 100, "degrade.power_cap": "shed"}
+        fault = {**small, "workload.warmup_cycles": 1000, "workload.measure_cycles": 2000,
+                 "fault.events": "lane_fail@1500:d1:w1"}
         records = []
-        for overrides in (allreduce, brownout):
+        for overrides in (allreduce, brownout, fault):
             point = {"pattern": "uniform", "mode": "P-B", "load": 0.5, "seed": 1,
                      "overrides": overrides}
             record, _ = campaign.run_point_once(binary, point, no_wall=True)
@@ -490,8 +605,15 @@ class GoldenCampaignTest(unittest.TestCase):
         self.assertIn("makespan_cycles", records[0])
         self.assertNotIn("resilience", records[0])
         self.assertIn("resilience", records[1])
+        self.assertIs(records[1]["resilience"]["engaged"], True)
         self.assertIn("time_degraded", records[1]["resilience"])
         self.assertNotIn("completed", records[1])
+        self.assertNotIn("fault", records[0])
+        self.assertEqual(records[2]["fault"]["lanes_failed"], 1)
+        self.assertIn("worst_time_to_reroute", records[2]["fault"])
+        for record in records:
+            self.assertIn("lane_grants", record)
+            self.assertIn("dvs_level_changes", record)
 
 
 if __name__ == "__main__":

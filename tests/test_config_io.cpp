@@ -1128,8 +1128,6 @@ TEST(Report, FileWritersFailOnAFullDisk) {
   if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full on this platform";
   EXPECT_THROW(erapid::sim::write_results_json("/dev/full", {{"x", erapid::sim::SimResult{}}}),
                erapid::ModelInvariantError);
-  EXPECT_THROW(erapid::sim::write_bench_json("/dev/full", "b", "uniform", "rev", SimOptions{}, {}),
-               erapid::ModelInvariantError);
   EXPECT_THROW(erapid::sim::save_options("/dev/full", SimOptions{}), erapid::ModelInvariantError);
 }
 
@@ -1144,13 +1142,16 @@ erapid::sim::SimResult bench_result() {
   r.packets_delivered_measured = 40;
   r.end_cycle = 1000;
   r.drained = true;
+  r.control.lane_grants = 6;
+  r.control.level_changes = 9;
   return r;
 }
 
 const char kBenchMetrics[] =
     "\"throughput_xNc\": 0.25, \"latency_avg_cycles\": 100.5, \"latency_p99_cycles\": 300, "
     "\"power_avg_mw\": 50, \"active_power_avg_mw\": 20.125, "
-    "\"energy_per_packet_mw_cycles\": 1250, \"drained\": true";
+    "\"energy_per_packet_mw_cycles\": 1250, \"drained\": true, \"lane_grants\": 6, "
+    "\"dvs_level_changes\": 9";
 
 TEST(Report, BenchPointOpenLoop) {
   const auto r = bench_result();
@@ -1202,13 +1203,14 @@ TEST(Report, BenchPointMonitorsAndResilienceBlocks) {
           "\"time_degraded\": 700, \"suppressed_violations\": 3}, \"wall_ms\": 1}");
 }
 
-// Every quoted key between `"resilience": {` and the block's closing brace.
-std::vector<std::string> resilience_keys(const std::string& json) {
+// Every quoted key between `"<block>": {` and the block's closing brace.
+std::vector<std::string> block_keys(const std::string& json, const std::string& block) {
   std::vector<std::string> keys;
-  auto pos = json.find("\"resilience\": {");
+  const std::string open = "\"" + block + "\": {";
+  auto pos = json.find(open);
   if (pos == std::string::npos) return keys;
   const auto end = json.find('}', pos);
-  pos += std::string("\"resilience\": {").size();
+  pos += open.size();
   while ((pos = json.find('"', pos)) < end) {
     const auto close = json.find('"', pos + 1);
     if (json.compare(close + 1, 1, ":") == 0) keys.push_back(json.substr(pos + 1, close - pos - 1));
@@ -1220,36 +1222,18 @@ std::vector<std::string> resilience_keys(const std::string& json) {
 TEST(Report, BenchPointResilienceKeysMatchReport) {
   auto r = bench_result();
   r.resilience.emplace();
-  const auto point_keys = resilience_keys(erapid::sim::bench_point_json({{}, &r, 0.0}));
+  const auto point_keys = block_keys(erapid::sim::bench_point_json({{}, &r, 0.0}), "resilience");
   EXPECT_EQ(point_keys.size(), 10u);
-  EXPECT_EQ(point_keys, resilience_keys(erapid::sim::to_json(r)));
+  EXPECT_EQ(point_keys, block_keys(erapid::sim::to_json(r), "resilience"));
 }
 
-TEST(Report, BenchDocumentLayout) {
-  const auto r = bench_result();
-  erapid::sim::SimOptions last;
-  last.obs.enabled = true;
-  last.obs.monitors.power_cap_mw = 100;
-  const auto doc = erapid::sim::bench_to_json(
-      "Fig", "uniform", "abc", last,
-      {{{{"load", 0.1}}, &r, 2.0}, {{{"load", 0.2}}, &r, 3.0}});
-  EXPECT_EQ(doc, std::string("{\n"
-                             "  \"schema\": \"erapid-bench-1\",\n"
-                             "  \"bench\": \"Fig\",\n"
-                             "  \"pattern\": \"uniform\",\n"
-                             "  \"git_rev\": \"abc\",\n"
-                             "  \"des_queue\": \"calendar\",\n"
-                             "  \"obs\": {\"enabled\": true, \"trace\": false, \"monitors\": "
-                             "true, \"telemetry\": false, \"flight_recorder\": false},\n"
-                             "  \"points\": [\n"
-                             "    {\"load\": 0.1, ") +
-                     kBenchMetrics + ", \"wall_ms\": 2},\n    {\"load\": 0.2, " +
-                     kBenchMetrics +
-                     ", \"wall_ms\": 3}\n"
-                     "  ],\n"
-                     "  \"wall_ms_sum\": 5,\n"
-                     "  \"wall_ms_max\": 3\n"
-                     "}\n");
+TEST(Report, BenchPointFaultKeysMatchReport) {
+  auto r = bench_result();
+  EXPECT_TRUE(block_keys(erapid::sim::bench_point_json({{}, &r, 0.0}), "fault").empty());
+  r.fault.lanes_failed = 1;
+  const auto point_keys = block_keys(erapid::sim::bench_point_json({{}, &r, 0.0}), "fault");
+  EXPECT_EQ(point_keys.size(), 27u);
+  EXPECT_EQ(point_keys, block_keys(erapid::sim::to_json(r), "fault"));
 }
 
 }  // namespace
