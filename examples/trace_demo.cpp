@@ -10,16 +10,15 @@
 //                [--flight-recorder dump.json] [--flight-depth 256]
 //                [--power-cap 0] [--fail-fast] [--degrade record|degrade|shed|abort]
 //
-// CI runs this binary as the instrumented smoke simulation and validates
-// the emitted trace with the summarizer — and, with --telemetry, the
-// windowed JSONL stream with tools/obs/telemetry_report.py. --power-cap
-// (mW, 0 = off) arms the power envelope monitor; combined with
+// CTest runs it through tests/test_trace_summary.py (the example.trace_demo_*
+// entries): the emitted trace must pass the summarizer and, with
+// --telemetry, the windowed JSONL stream tools/obs/telemetry_report.py.
+// --power-cap (mW, 0 = off) arms the power envelope monitor; combined with
 // --flight-recorder an impossible cap forces a violation and dumps the
-// black-box ring, which CI schema-checks. --degrade installs the
-// survivability controller's response to cap violations (the brownout
-// ladder; DESIGN.md §15) — with --fail-fast a tight cap aborts the run
-// unless the policy holds it inside the envelope, which the chaos CI job
-// smokes under ASan/UBSan.
+// black-box ring. --degrade installs the survivability controller's
+// response to cap violations (the brownout ladder; DESIGN.md §15) — with
+// --fail-fast a tight cap aborts the run unless the policy holds it inside
+// the envelope (tests/test_resilience.cpp runs the same point).
 #include <iostream>
 
 #include "sim/report.hpp"

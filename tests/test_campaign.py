@@ -142,18 +142,27 @@ class ExpandPointsTest(unittest.TestCase):
                 campaign.expand_points(spec)
 
     def test_main_rejects_a_malformed_spec_before_running(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            spec_path = Path(tmp) / "spec.json"
-            spec_path.write_text(json.dumps({
-                "name": "bad", "patterns": ["a"], "modes": ["M"],
-                "loads": [0.5], "seeds": [],
-            }))
-            with contextlib.redirect_stderr(io.StringIO()) as err:
-                rc = campaign.main(
-                    [str(spec_path), "--binary", "/nonexistent", "--out-dir", tmp])
-            self.assertEqual(rc, 2)
-            self.assertIn("'seeds' must be a non-empty list", err.getvalue())
-            self.assertFalse((Path(tmp) / "CAMPAIGN_bad.json").exists())
+        # (spec file text or None for a missing file, expected stderr part)
+        cases = [
+            (json.dumps({"name": "bad", "patterns": ["a"], "modes": ["M"],
+                         "loads": [0.5], "seeds": []}),
+             "'seeds' must be a non-empty list"),
+            ('{"name": "bad",', "Expecting property name"),
+            ("3", "spec must be a JSON object"),
+            (None, "No such file or directory"),
+        ]
+        for text, message in cases:
+            with self.subTest(message), tempfile.TemporaryDirectory() as tmp:
+                spec_path = Path(tmp) / "spec.json"
+                if text is not None:
+                    spec_path.write_text(text)
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    rc = campaign.main(
+                        [str(spec_path), "--binary", "/nonexistent", "--out-dir", tmp])
+                self.assertEqual(rc, 2)
+                self.assertIn(message, err.getvalue())
+                self.assertEqual(len(err.getvalue().splitlines()), 1, err.getvalue())
+                self.assertFalse((Path(tmp) / "CAMPAIGN_bad.json").exists())
 
     def test_missing_required_key_raises(self):
         with self.assertRaises(ValueError):

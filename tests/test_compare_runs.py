@@ -34,7 +34,8 @@ def bench_doc(points):
 
 def bench_point(**overrides):
     p = {
-        "mode": "P-B", "load": 0.5, "throughput_xNc": 0.5,
+        "pattern": "butterfly", "mode": "P-B", "load": 0.5, "seed": 1,
+        "throughput_xNc": 0.5,
         "latency_avg_cycles": 100.0, "latency_p99_cycles": 400.0,
         "power_avg_mw": 2000.0, "active_power_avg_mw": 900.0,
         "energy_per_packet_mw_cycles": 50.0, "drained": True,
@@ -174,11 +175,13 @@ class CampaignComparison(unittest.TestCase):
         with self.assertRaises(compare_runs.CompareError):
             self.compare(bench_doc([bench_point()]), doc)
 
-    def test_legacy_points_without_pattern_seed_still_match(self):
-        base = bench_doc([bench_point()])
-        cand = bench_doc([bench_point(latency_avg_cycles=103.0)])
-        out = self.compare(base, cand)
-        self.assertEqual(kinds(out, "latency_avg_cycles"), ["drifted"])
+    def test_a_point_without_a_coordinate_raises(self):
+        for coordinate in ("pattern", "mode", "load", "seed"):
+            point = bench_point()
+            del point[coordinate]
+            with self.subTest(coordinate), \
+                    self.assertRaisesRegex(compare_runs.CompareError, coordinate):
+                self.compare(bench_doc([bench_point()]), bench_doc([point]))
 
     def test_point_turning_failed_regresses(self):
         key = {"pattern": "uniform", "seed": 1}
@@ -387,7 +390,7 @@ class CliContract(unittest.TestCase):
             with contextlib.redirect_stdout(io.StringIO()), \
                  contextlib.redirect_stderr(err):
                 self.assertEqual(compare_runs.main([twice, twice]), 2)
-            self.assertIn("two points share the key P-B/load=0.5", err.getvalue())
+            self.assertIn("two points share the key butterfly/P-B/load=0.5/seed=1", err.getvalue())
 
     def test_threshold_knob_loosens_the_gate(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -11,6 +11,9 @@
 // with no `degrade.*` key must stay byte-inert (no `resilience` block).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "resilience/controller.hpp"
@@ -204,6 +207,26 @@ TEST(Brownout, ShedPolicyCompletesTheAbortingPoint) {
   const auto json = sim::to_json(r);
   EXPECT_NE(json.find("\"resilience\""), std::string::npos);
   EXPECT_NE(json.find("\"engaged\": true"), std::string::npos);
+}
+
+TEST(Brownout, FlightDumpHoldsTheViolationAndTheLadderStep) {
+  // Armed, the black box dumps on every suppressed violation; the ring it
+  // dumps holds both the monitor's violation and the ladder's answer to it.
+  const std::string dump = testing::TempDir() + "brownout_flight.json";
+  std::remove(dump.c_str());
+  sim::SimOptions o = brownout_options();
+  o.obs.flight_recorder_depth = 128;
+  o.obs.flight_recorder_path = dump;
+  sim::Simulation(o).run();
+
+  std::ifstream in(dump);
+  ASSERT_TRUE(in) << "no flight dump at " << dump;
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(dump.c_str());
+  EXPECT_NE(text.str().find("\"reason\": \"monitor_violation\""), std::string::npos);
+  EXPECT_NE(text.str().find("\"kind\": \"resilience.step_down\""), std::string::npos);
+  EXPECT_NE(text.str().find("\"kind\": \"monitor.power_cap_mw\""), std::string::npos);
 }
 
 TEST(Brownout, ViolationsStopOnceTheLadderHolds) {

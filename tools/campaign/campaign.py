@@ -37,7 +37,8 @@ every wall field is zeroed, so -j1 and -jN produce byte-identical output.
 A worker that exits non-zero (or crashes) yields a point record with
 ``"failed": true`` and the worker's stderr as ``"error"``; the campaign
 still completes, ``points_failed`` counts the casualties, and the driver
-exits 1 so CI notices. A malformed spec runs nothing and exits 2.
+exits 1 so CI notices. A spec that is missing, is not JSON or is malformed
+runs nothing and exits 2 with one line on stderr.
 
 Flaky-host hardening: ``--timeout`` bounds each worker's wall clock (a
 point that overruns is killed and counted in its record's ``"timed_out"``),
@@ -68,6 +69,8 @@ def expand_points(spec):
     plus "variant" when the overrides axis varies (see the module doc).
     Raises ValueError on a missing key or a malformed axis.
     """
+    if not isinstance(spec, dict):
+        raise ValueError("spec must be a JSON object")
     for key in ("name",) + AXES:
         if key not in spec:
             raise ValueError(f"spec missing required key: {key!r}")
@@ -277,10 +280,9 @@ def main(argv=None):
     )
     args = ap.parse_args(argv)
 
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = json.load(fh)
-
     try:
+        with open(args.spec, encoding="utf-8") as fh:
+            spec = json.load(fh)
         artifact = run_campaign(
             spec,
             args.binary,
@@ -291,7 +293,7 @@ def main(argv=None):
             retries=args.retries,
             backoff=args.backoff,
         )
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or malformed
         print(f"campaign: {args.spec}: {exc}", file=sys.stderr)
         return 2
     os.makedirs(args.out_dir, exist_ok=True)

@@ -6,11 +6,9 @@ relative thresholds:
 
   * campaign artifacts (``CAMPAIGN_<name>.json``, schema
     erapid-bench-1): points are matched by (pattern, mode, load, seed,
-    variant) — components absent from a point (older bench artifacts
-    carry only mode/load) match as absent on both sides, and an artifact
-    with two points on one key is rejected — and every per-point metric
-    is compared with a direction-aware
-    rule — throughput falling, latency/power/energy rising,
+    variant) — an artifact with a point that lacks one of the first four,
+    or with two points on one key, is rejected — and every per-point
+    metric is compared with a direction-aware rule — throughput falling, latency/power/energy rising,
     ``drained``/``monitors_ok`` flipping to false are regressions;
     improvements and sub-threshold drift are reported but never fail. A
     point marked ``"failed": true`` regresses unless the baseline point
@@ -31,17 +29,15 @@ relative thresholds:
     more, shedding/sleeping more lanes, or peaking at a deeper ladder
     stage is a regression, while recovery activity is informational.
 
-Self-describing stamp fields that older bench artifacts carry
-(``des_queue``, ``obs`` config echoes) are ignored: only the metric names
-listed below are ever compared, so new provenance fields never move the
-gate.
+Only the metric names listed below are ever compared, so new provenance
+fields never move the gate.
 
 ``wall_ms`` is excluded by default — the simulator is deterministic but the
 host is not; ``--include-wall`` opts it in (direction: up is worse).
 
 Exit status: 0 no regressions, 1 regressions found, 2 usage/validation
 error. ``--json`` emits the full comparison as one machine-readable
-document (used by the CI perf gate; see .github/workflows/ci.yml).
+document.
 """
 
 from __future__ import annotations
@@ -274,27 +270,24 @@ def compare_resilience(label, base_res, cand_res, threshold, out):
         })
 
 
-def point_key(p):
-    """Full point identity. Components a point does not carry (older bench
-    artifacts have no pattern/seed; only brownout sweeps have cap_mw; only
-    campaigns whose overrides vary have a variant) stay None and match None
-    on the other side, so pre-campaign artifacts keep comparing exactly as
-    before. The variant is canonical JSON, so key order does not matter."""
+POINT_COORDINATES = ("pattern", "mode", "load", "seed")
+
+
+def point_key(p, which):
+    """Full point identity: the four coordinates every campaign point
+    carries, plus the variant (None unless the campaign's overrides vary).
+    The variant is canonical JSON, so key order does not matter."""
+    missing = [c for c in POINT_COORDINATES if c not in p]
+    if missing:
+        raise CompareError(f"{which}: a point lacks {', '.join(missing)}: {p}")
     variant = p.get("variant")
-    return (p.get("pattern"), p.get("mode"), p.get("cap_mw"), p.get("load"),
-            p.get("seed"),
-            json.dumps(variant, sort_keys=True) if variant else None)
+    return tuple(p[c] for c in POINT_COORDINATES) + (
+        json.dumps(variant, sort_keys=True) if variant else None,)
 
 
 def point_label(key):
-    pattern, mode, cap_mw, load, seed, variant = key
-    parts = [] if pattern is None else [str(pattern)]
-    parts.append(str(mode))
-    if cap_mw is not None:
-        parts.append(f"cap={cap_mw}")
-    parts.append(f"load={load}")
-    if seed is not None:
-        parts.append(f"seed={seed}")
+    pattern, mode, load, seed, variant = key
+    parts = [str(pattern), str(mode), f"load={load}", f"seed={seed}"]
     if variant is not None:
         parts.extend(f"{k}={v}" for k, v in json.loads(variant).items())
     return "/".join(parts)
@@ -307,7 +300,7 @@ def compare_bench(base, cand, threshold, include_wall):
             raise CompareError(f"{which}: bench artifact has no points list")
         indexed = {}
         for p in points:
-            key = point_key(p)
+            key = point_key(p, which)
             if key in indexed:
                 raise CompareError(
                     f"{which}: two points share the key {point_label(key)}")

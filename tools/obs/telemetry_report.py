@@ -12,9 +12,9 @@ Consumes the windowed telemetry records written by src/obs/telemetry.cpp
     and utilization range);
   * the final energy attribution (total and per-component mW·cycles).
 
-`--json` emits the same summary as a machine-readable document; CI runs a
-telemetry-enabled smoke simulation and validates its stream through this
-tool. Every record is schema-checked — wrong schema string, missing
+`--json` emits the same summary as a machine-readable document; the CTest
+entry example.trace_demo_telemetry validates a telemetry-enabled run's
+stream through this tool. Every record is schema-checked — wrong schema string, missing
 fields, non-monotone window indices or cycles all fail loudly (exit 1)
 rather than producing an empty summary. This is the one reader of the
 telemetry stream; tools/trace/summarize_trace.py reads only Chrome traces.

@@ -12,12 +12,13 @@ src/obs (ChromeTraceWriter) and prints a human summary:
   * the reconfiguration window timeline (start cycle, kind, duration,
     window index / R_w parity when present in args).
 
-`--json` emits the same summary as a machine-readable document; CI runs the
-instrumented smoke simulation and validates its trace through this tool.
+`--json` emits the same summary as a machine-readable document;
+tests/test_trace_summary.py (the CTest example.*_summary entries) validates
+the traces of the example runs through it.
 
 Inputs are schema-checked: the writer stamps
 `otherData.schema == "erapid-trace-1"` and this tool refuses anything else,
-so a silent format drift fails loudly in CI rather than producing an empty
+so a silent format drift fails loudly in ctest rather than producing an empty
 summary.
 
 Exit status: 0 summarised, 1 validation failure, 2 usage error.
