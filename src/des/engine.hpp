@@ -5,10 +5,11 @@
 //
 //  * Determinism. Events at equal timestamps fire in scheduling (FIFO)
 //    order: the calendar orders by (time, sequence). Two runs with the same
-//    seed produce byte-identical statistics — on either calendar
-//    implementation (see event_queue.hpp; selected via `des.queue`). The
-//    default is the calendar wheel; the binary heap stays as the
-//    reference ordering the wheel is tested against.
+//    seed produce byte-identical statistics. The engine takes its calendar
+//    implementation by QueueKind (see event_queue.hpp): every Simulation
+//    runs on the default calendar wheel; the binary heap stays as the
+//    reference ordering the wheel is tested against and as the baseline of
+//    the DES hold probe.
 //  * Cancellation. schedule() returns an EventHandle that can cancel the
 //    event in O(1) (lazy deletion: the calendar entry stays but is
 //    skipped). Each pending event owns an EventSlot that holds its closure

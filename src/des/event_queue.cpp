@@ -17,13 +17,6 @@ const char* queue_kind_name(QueueKind kind) {
   ERAPID_UNREACHABLE("unmodeled QueueKind");
 }
 
-QueueKind parse_queue_kind(const std::string& text) {
-  if (text == "heap") return QueueKind::Heap;
-  if (text == "calendar") return QueueKind::Calendar;
-  ERAPID_EXPECT(false, "unknown des.queue value: '" << text << "' (expected heap|calendar)");
-  return QueueKind::Heap;  // unreachable
-}
-
 // ---- HeapEventQueue ---------------------------------------------------------
 
 // Accepts callback-less events by design: the queue only orders (when, seq)

@@ -4,22 +4,22 @@
 // pop in (time, insertion sequence) order — FIFO among equal timestamps.
 // Two implementations honour it:
 //
-//  * CalendarEventQueue — a timing wheel of 1-cycle buckets with a
-//    min-heap "ladder" for events beyond the window. The default
-//    (`des.queue=calendar`). Near-future events (the vast majority in a
-//    cycle-driven model: clock ticks at +1, pipeline hops a few cycles
-//    out) cost O(1) push/pop; far-future events (drain timeouts, laser
-//    repairs) spill to the ladder and are merged at the head by the same
-//    (time, seq) comparison. Wheel entries live in one pooled node array
-//    threaded by a free list, and a bucket is just a head/tail pair of
-//    node indices, so memory is O(peak pending events), not O(buckets ×
-//    per-bucket high water). A 64-word occupancy bitmap finds the next
-//    live bucket with countr_zero, at most 65 word reads however sparse
-//    the wheel is.
+//  * CalendarEventQueue — a timing wheel of 1-cycle buckets with a min-heap
+//    "ladder" for events beyond the window. The Engine default, and the queue
+//    every Simulation runs on. Near-future events (the vast majority in a
+//    cycle-driven model: clock ticks at +1, pipeline hops a few cycles out)
+//    cost O(1) push/pop; far-future events (drain timeouts, laser repairs)
+//    spill to the ladder and are merged at the head by the same (time, seq)
+//    comparison. Wheel entries live in one pooled node array threaded by a free
+//    list, and a bucket is just a head/tail pair of node indices, so memory is
+//    O(peak pending events), not O(buckets × per-bucket high water). A 64-word
+//    occupancy bitmap finds the next live bucket with countr_zero, at most 65
+//    word reads however sparse the wheel is.
 //
-//  * HeapEventQueue — the classic binary heap (`des.queue=heap`).
-//    O(log n) push/pop. Kept as the reference ordering the calendar is
-//    tested against, and for the DES hold probe that times both.
+//  * HeapEventQueue — the classic binary heap. O(log n) push/pop. No
+//    config selects it: it is kept as the reference ordering the calendar
+//    is tested against (the engine-level differential suites), and for
+//    the DES hold probe that times both.
 //
 // The calendar's correctness hinges on two invariants, both guaranteed by
 // the engine: pushes never carry `when` below the current time, and the
@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -43,14 +42,13 @@
 
 namespace erapid::des {
 
-/// Which event calendar the engine runs on (`des.queue` in configs).
+/// Which event calendar an Engine runs on. Simulations always take the
+/// calendar; only the hold probe and the engine-level tests pick the heap.
 enum class QueueKind { Heap, Calendar };
 
-/// Config-facing name of a queue kind ("heap" / "calendar").
+/// Name of a queue kind ("heap" / "calendar"), for probe output and test
+/// names.
 [[nodiscard]] const char* queue_kind_name(QueueKind kind);
-
-/// Parses a `des.queue` value; throws on anything else.
-[[nodiscard]] QueueKind parse_queue_kind(const std::string& text);
 
 /// The engine-owned slot that holds a pending event's closure and its
 /// cancellation state (defined in engine.hpp; the queues never touch it).

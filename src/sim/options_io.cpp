@@ -216,7 +216,6 @@ const Key kKeys[] = {
     choice<parse_events, format_events>("fault.events", FIELD(fault.events)),
     real("fault.ctrl_drop_prob", FIELD(fault.ctrl_drop_prob)),
     integer("fault.seed", FIELD(fault.seed)),
-    choice<des::parse_queue_kind, des::queue_kind_name>("des.queue", FIELD(des_queue)),
     choice<traffic::parse_pattern, traffic::pattern_name>("workload.pattern", FIELD(pattern)),
     real("workload.hotspot_fraction", FIELD(hotspot_fraction)),
     integer("workload.hotspot_node", FIELD(hotspot_node)),

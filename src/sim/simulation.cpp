@@ -107,7 +107,6 @@ void SimOptions::validate() const {
 
 Simulation::Simulation(const SimOptions& opts)
     : opts_(opts),
-      engine_(opts.des_queue),
       capacity_(topology::CapacityModel(opts.system).uniform_capacity()),
       completion_bounded_(opts.workload.completion_bounded()) {
   // Programmatically built SimOptions get the same cross-field validation

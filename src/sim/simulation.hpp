@@ -43,11 +43,6 @@ struct SimOptions {
   std::uint32_t hotspot_node = 0; ///< only for PatternKind::Hotspot
   double load_fraction = 0.5;  ///< offered load as a fraction of N_c
   std::uint64_t seed = 1;
-  /// Event-calendar implementation (`des.queue`). Both kinds are held to
-  /// the same (time, seq) ordering contract, so results are byte-identical
-  /// either way; the default calendar trades heap log-factors for O(1)
-  /// wheel buckets.
-  des::QueueKind des_queue = des::QueueKind::Calendar;
   Cycle warmup_cycles = 20000;
   Cycle measure_cycles = 30000;
   Cycle drain_limit = 150000;  ///< cap on the post-measurement drain

@@ -108,17 +108,17 @@ class ExpandPointsTest(unittest.TestCase):
             "overrides": [
                 {"reconfig.window": 500, "workload.warmup_cycles": 9},
                 {"reconfig.window": 2000, "workload.warmup_cycles": 9,
-                 "des.queue": "heap"},
+                 "reconfig.dpm_strategy": "ewma"},
             ],
         }
         points = campaign.expand_points(spec)
         self.assertEqual(
             [p["variant"] for p in points],
-            [{"des.queue": None, "reconfig.window": 500},
-             {"des.queue": "heap", "reconfig.window": 2000}])
+            [{"reconfig.dpm_strategy": None, "reconfig.window": 500},
+             {"reconfig.dpm_strategy": "ewma", "reconfig.window": 2000}])
 
     def test_no_variant_when_the_overrides_do_not_vary(self):
-        for overrides in ([{"des.queue": "heap"}], [{"a.k": 1}, {"a.k": 1}]):
+        for overrides in ([{"reconfig.dpm_strategy": "ewma"}], [{"a.k": 1}, {"a.k": 1}]):
             spec = {"name": "t", "patterns": ["a"], "modes": ["M"],
                     "loads": [0.5], "seeds": [1], "overrides": overrides}
             for point in campaign.expand_points(spec):

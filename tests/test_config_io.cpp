@@ -85,20 +85,6 @@ TEST(Ini, MissingFileThrows) {
 
 // ---- options round-trip ------------------------------------------------------
 
-TEST(OptionsIo, DesQueueRoundTripsAndRejectsUnknown) {
-  SimOptions def;
-  EXPECT_EQ(def.des_queue, erapid::des::QueueKind::Calendar);
-  def.des_queue = erapid::des::QueueKind::Heap;
-  const auto ini = options_to_ini(def);
-  EXPECT_EQ(ini.get("des.queue").value_or(""), "heap");
-  EXPECT_EQ(options_from_ini(ini).des_queue, erapid::des::QueueKind::Heap);
-
-  erapid::util::Ini text = erapid::util::Ini::parse_string("[des]\nqueue = calendar\n");
-  EXPECT_EQ(options_from_ini(text).des_queue, erapid::des::QueueKind::Calendar);
-  erapid::util::Ini bad = erapid::util::Ini::parse_string("[des]\nqueue = splay\n");
-  EXPECT_THROW(options_from_ini(bad), erapid::ModelInvariantError);
-}
-
 // Determinism contract (DESIGN.md §7): every options struct must be fully
 // initialized by default construction — an indeterminate member would make
 // two "identical" runs diverge. Default-construct each one, read every
@@ -229,8 +215,11 @@ TEST(OptionsIo, NoDegradePolicyMeansNoDegradeSection) {
 }
 
 TEST(OptionsIo, UnknownKeyThrows) {
-  const auto ini = Ini::parse_string("[system]\nbords = 8\n");  // typo
-  EXPECT_THROW(options_from_ini(ini), erapid::ModelInvariantError);
+  // A typo, and the retired event-calendar selector.
+  for (const char* text : {"[system]\nbords = 8\n", "[des]\nqueue = heap\n"}) {
+    EXPECT_THROW(options_from_ini(Ini::parse_string(text)), erapid::ModelInvariantError)
+        << text;
+  }
 }
 
 TEST(OptionsIo, UnknownObsOrMonitorKeyThrows) {
@@ -570,7 +559,6 @@ std::string str(std::uint64_t v) { return std::to_string(v); }
 std::string str(std::string_view v) { return std::string(v); }
 std::string str(const erapid::reconfig::NetworkMode& m) { return std::string(m.name); }
 std::string str(erapid::reconfig::DpmStrategyKind k) { return str(erapid::reconfig::to_string(k)); }
-std::string str(erapid::des::QueueKind k) { return erapid::des::queue_kind_name(k); }
 std::string str(erapid::traffic::PatternKind k) { return str(erapid::traffic::pattern_name(k)); }
 std::string str(erapid::workload::WorkloadKind k) { return str(erapid::workload::kind_name(k)); }
 std::string str(const std::vector<erapid::workload::PhaseSpec>& p) {
@@ -643,7 +631,6 @@ const KeyCase kKeyCases[] = {
      MEMBER(fault.events)},
     {"fault.ctrl_drop_prob", Codec::Real, "0.125", MEMBER(fault.ctrl_drop_prob)},
     {"fault.seed", Codec::Integer, "77", MEMBER(fault.seed)},
-    {"des.queue", Codec::Choice, "heap", MEMBER(des_queue)},
     {"workload.pattern", Codec::Choice, "hotspot", MEMBER(pattern)},
     {"workload.hotspot_fraction", Codec::Real, "0.35", MEMBER(hotspot_fraction)},
     {"workload.hotspot_node", Codec::Integer, "3", MEMBER(hotspot_node)},

@@ -145,22 +145,6 @@ TEST(Golden, TransientStormReportMatchesCommittedFixtureExactly) {
                       "golden_transient_storm.json", "transient-storm golden");
 }
 
-// The heap (`des.queue=heap`) must reproduce the fixtures the default
-// calendar wheel writes byte-for-byte — the two calendars share one
-// golden, so neither can drift without the other noticing.
-TEST(Golden, HeapQueueMatchesCalendarGoldenExactly) {
-  sim::SimOptions o = base_options();
-  o.reconfig.mode = reconfig::NetworkMode::p_b();
-  o.des_queue = des::QueueKind::Heap;
-  test::expect_golden(sim::to_json(sim::Simulation(o).run()) + "\n",
-                      "golden_fig5_uniform.json", "heap-queue Fig. 5 golden",
-                      /*writer=*/false);
-  o.fault = transient_storm_plan();
-  test::expect_golden(sim::to_json(sim::Simulation(o).run()) + "\n",
-                      "golden_transient_storm.json", "heap-queue transient-storm golden",
-                      /*writer=*/false);
-}
-
 TEST(Golden, Fig5UniformReportMatchesCommittedFixtureExactly) {
   sim::SimOptions o = base_options();  // the Fig. 5 uniform small config
   o.reconfig.mode = reconfig::NetworkMode::p_b();

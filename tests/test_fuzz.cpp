@@ -25,7 +25,6 @@
 #include "des/engine.hpp"
 #include "fault/plan.hpp"
 #include "sim/options_io.hpp"
-#include "sim/report.hpp"
 #include "sim/simulation.hpp"
 #include "tests_support.hpp"
 #include "util/ini.hpp"
@@ -412,69 +411,6 @@ TEST(DegradeIniFuzz, CrossFieldInvalidConfigsAreRejected) {
     EXPECT_THROW(options_from_ini(Ini::parse_string(text)),
                  erapid::ModelInvariantError)
         << text;
-  }
-}
-
-// ---- event-calendar differential (heap vs calendar wheel) -------------------------
-
-// Full-simulation byte identity across `des.queue` implementations: the
-// four paper patterns, with and without a transient fault storm, and the
-// campaign smoke grid (R(1,8,8), P-B and NP-NB, light and heavy load, short
-// windows) must serialize to the exact same JSON report on both calendars.
-// This is the end-to-end guarantee behind making the wheel selectable at all.
-TEST(QueueKindFuzz, HeapAndCalendarReportsAreByteIdentical) {
-  using erapid::des::QueueKind;
-  using erapid::reconfig::NetworkMode;
-  using erapid::traffic::PatternKind;
-  const auto expect_same_report = [](erapid::sim::SimOptions o) {
-    o.des_queue = QueueKind::Heap;
-    const auto heap_report = erapid::sim::to_json(erapid::sim::Simulation(o).run());
-    o.des_queue = QueueKind::Calendar;
-    const auto cal_report = erapid::sim::to_json(erapid::sim::Simulation(o).run());
-    EXPECT_EQ(heap_report, cal_report);
-  };
-  for (const auto pattern : {PatternKind::Uniform, PatternKind::Complement,
-                             PatternKind::Butterfly, PatternKind::PerfectShuffle}) {
-    for (const bool with_faults : {false, true}) {
-      erapid::sim::SimOptions o;
-      o.system.boards = 4;
-      o.system.nodes_per_board = 4;
-      o.pattern = pattern;
-      o.load_fraction = 0.5;
-      o.seed = 7;
-      o.warmup_cycles = 2000;
-      o.measure_cycles = 4000;
-      o.drain_limit = 60000;
-      o.reconfig.mode = NetworkMode::p_b();
-      if (with_faults) {
-        // Degradation, control loss and an RC crash — fault classes that
-        // never re-home a committed packet, so flow occupancy stays within
-        // the DPM policy's [0, 1] domain at every load/pattern combination.
-        o.fault = erapid::fault::FaultPlan::parse_events(
-            "laser_degrade@4000:d2:w2:low:2500 ctrl_drop@5000:ring:b1:n2 "
-            "rc_crash@6000:b2:r10000");
-        o.fault.seed = 42;
-      }
-      SCOPED_TRACE(testing::Message() << "pattern " << erapid::traffic::pattern_name(pattern)
-                                      << (with_faults ? " with" : " without") << " faults");
-      expect_same_report(o);
-    }
-  }
-  for (const auto pattern : {PatternKind::Uniform, PatternKind::Butterfly}) {
-    for (const auto& mode : {NetworkMode::p_b(), NetworkMode::np_nb()}) {
-      for (const double load : {0.3, 0.7}) {
-        erapid::sim::SimOptions o;  // R(1,8,8)
-        o.pattern = pattern;
-        o.reconfig.mode = mode;
-        o.load_fraction = load;
-        o.seed = 1;
-        o.warmup_cycles = 1000;
-        o.measure_cycles = 2000;
-        SCOPED_TRACE(testing::Message() << "R(1,8,8) " << erapid::traffic::pattern_name(pattern)
-                                        << " " << mode.name << " load " << load);
-        expect_same_report(o);
-      }
-    }
   }
 }
 

@@ -423,22 +423,17 @@ TEST(ObsDeterminism, DifferentSeedsDiverge) {
 // ---- golden trace fixture ---------------------------------------------------
 
 TEST(GoldenTrace, SmallRunTraceMatchesCommittedFixtureExactly) {
-  for (const des::QueueKind kind : test::kQueueKinds) {
-    sim::SimOptions o = base_options();
-    o.des_queue = kind;
-    o.warmup_cycles = 2000;
-    o.measure_cycles = 4000;
-    o.drain_limit = 20000;
-    o.obs.enabled = true;
-    o.obs.trace_path = tmp_path("golden_candidate.trace.json");
-    o.obs.counter_interval = 1000;
-    (void)sim::Simulation(o).run();
-    const auto trace = slurp(o.obs.trace_path);
-    std::remove(o.obs.trace_path.c_str());
-    test::expect_golden(trace, "golden_trace_small.json",
-                        std::string("golden trace on des.queue=") + des::queue_kind_name(kind),
-                        test::writes_golden(kind));
-  }
+  sim::SimOptions o = base_options();
+  o.warmup_cycles = 2000;
+  o.measure_cycles = 4000;
+  o.drain_limit = 20000;
+  o.obs.enabled = true;
+  o.obs.trace_path = tmp_path("golden_candidate.trace.json");
+  o.obs.counter_interval = 1000;
+  (void)sim::Simulation(o).run();
+  const auto trace = slurp(o.obs.trace_path);
+  std::remove(o.obs.trace_path.c_str());
+  test::expect_golden(trace, "golden_trace_small.json", "golden trace");
 }
 
 }  // namespace

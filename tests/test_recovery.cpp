@@ -10,11 +10,8 @@
 //     labelled packet is either delivered or explicitly dead-lettered.
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
-#include "sim/report.hpp"
 #include "sim/simulation.hpp"
 #include "util/expect.hpp"
 
@@ -214,16 +211,6 @@ TEST(Chaos, StormUnderBrownoutKeepsFaultAndPolicyAccountingDisjoint) {
   EXPECT_GE(r.fault.worst_downtime, 3000u);
   EXPECT_LT(r.fault.worst_downtime,
             static_cast<CycleDelta>(r.resilience->time_degraded));
-}
-
-TEST(Chaos, StormUnderBrownoutIsByteIdenticalAcrossQueueKinds) {
-  auto heap = chaos_options();
-  heap.des_queue = des::QueueKind::Heap;
-  auto cal = chaos_options();
-  cal.des_queue = des::QueueKind::Calendar;
-  const std::string a = sim::to_json(sim::Simulation(heap).run());
-  const std::string b = sim::to_json(sim::Simulation(cal).run());
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

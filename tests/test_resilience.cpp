@@ -248,15 +248,6 @@ TEST(Brownout, SameSeedTwiceIsByteIdentical) {
   EXPECT_EQ(a, b);
 }
 
-TEST(Brownout, CalendarQueueMatchesHeapByteExactly) {
-  sim::SimOptions o = brownout_options();
-  o.des_queue = des::QueueKind::Heap;
-  const auto heap = sim::to_json(sim::Simulation(o).run());
-  o.des_queue = des::QueueKind::Calendar;
-  const auto calendar = sim::to_json(sim::Simulation(o).run());
-  EXPECT_EQ(heap, calendar);
-}
-
 TEST(Brownout, NoPolicyMeansNoResilienceBlock) {
   sim::SimOptions o = base_options();
   o.obs.enabled = true;

@@ -264,11 +264,8 @@ TEST(TelemetryInert, ObsWithoutTelemetryPathSchedulesNothing) {
 
 // ---- integration: determinism -----------------------------------------------
 
-std::string run_telemetry(const std::string& path,
-                          des::QueueKind queue = des::QueueKind::Calendar,
-                          std::uint64_t seed = 1) {
+std::string run_telemetry(const std::string& path, std::uint64_t seed = 1) {
   sim::SimOptions o = telemetry_options(path);
-  o.des_queue = queue;
   o.seed = seed;
   const auto r = sim::Simulation(o).run();
   EXPECT_TRUE(r.telemetry.active);
@@ -286,16 +283,9 @@ TEST(TelemetryDeterminism, SameSeedStreamsAreByteIdentical) {
   EXPECT_NE(a.find("\"schema\": \"erapid-telemetry-1\""), std::string::npos);
 }
 
-TEST(TelemetryDeterminism, HeapAndCalendarQueuesWriteTheSameStream) {
-  const auto heap = run_telemetry(tmp_path("tel_heap.jsonl"), des::QueueKind::Heap);
-  const auto cal =
-      run_telemetry(tmp_path("tel_cal.jsonl"), des::QueueKind::Calendar);
-  EXPECT_EQ(heap, cal);
-}
-
 TEST(TelemetryDeterminism, DifferentSeedsDiverge) {
-  const auto a = run_telemetry(tmp_path("tel_s1.jsonl"), des::QueueKind::Heap, 1);
-  const auto b = run_telemetry(tmp_path("tel_s2.jsonl"), des::QueueKind::Heap, 2);
+  const auto a = run_telemetry(tmp_path("tel_s1.jsonl"), 1);
+  const auto b = run_telemetry(tmp_path("tel_s2.jsonl"), 2);
   EXPECT_NE(a, b);
 }
 

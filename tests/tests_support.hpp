@@ -32,21 +32,18 @@ inline std::string data_path(std::string_view name) {
 }
 
 /// Compares `actual` byte for byte with the committed fixture `name`. With
-/// ERAPID_REGEN_GOLDEN set the test skips instead, and a `writer` call first
-/// rewrites the fixture from `actual` (pass writer = false for a second run
-/// that must match a fixture another call writes). Tolerance is zero: any
-/// diff means behaviour changed — regenerate only when the change is
-/// intended, and call it out in the commit message.
+/// ERAPID_REGEN_GOLDEN set the test rewrites the fixture from `actual` and
+/// skips instead. Tolerance is zero: any diff means behaviour changed —
+/// regenerate only when the change is intended, and call it out in the
+/// commit message.
 inline void expect_golden(const std::string& actual, std::string_view name,
-                          std::string_view what, bool writer = true) {
+                          std::string_view what) {
   const std::string path = data_path(name);
   if (std::getenv("ERAPID_REGEN_GOLDEN") != nullptr) {
-    if (writer) {
-      std::ofstream out(path);
-      ASSERT_TRUE(out) << "cannot write " << path;
-      out << actual;
-    }
-    GTEST_SKIP() << (writer ? "regenerated " : "left to its writer: ") << path;
+    std::ofstream out(path);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << actual;
+    GTEST_SKIP() << "regenerated " << path;
   }
   std::ifstream in(path);
   ASSERT_TRUE(in) << "missing fixture " << path << " (regenerate with ERAPID_REGEN_GOLDEN=1)";
@@ -58,25 +55,10 @@ inline void expect_golden(const std::string& actual, std::string_view name,
          "out in the commit message";
 }
 
-/// Both event calendars. They share one (time, seq) ordering contract, so
-/// every golden written by the default (calendar) run must match on the
-/// heap too.
-inline constexpr des::QueueKind kQueueKinds[] = {des::QueueKind::Calendar,
-                                                 des::QueueKind::Heap};
-
-/// True for the queue kind whose run regenerates a golden: the default.
-inline bool writes_golden(des::QueueKind kind) { return kind == sim::SimOptions{}.des_queue; }
-
-/// Runs `o` on each event calendar and compares the JSON report with the
-/// fixture `name` (written by the default-queue run).
-inline void expect_report_golden(sim::SimOptions o, std::string_view name,
+/// Runs `o` and compares the JSON report with the fixture `name`.
+inline void expect_report_golden(const sim::SimOptions& o, std::string_view name,
                                  std::string_view what) {
-  for (const des::QueueKind kind : kQueueKinds) {
-    o.des_queue = kind;
-    expect_golden(sim::to_json(sim::Simulation(o).run()) + "\n", name,
-                  std::string(what) + " on des.queue=" + des::queue_kind_name(kind),
-                  writes_golden(kind));
-  }
+  expect_golden(sim::to_json(sim::Simulation(o).run()) + "\n", name, what);
 }
 
 /// A two-board lane map with null terminals: enough to build a
