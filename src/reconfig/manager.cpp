@@ -245,6 +245,13 @@ void ReconfigManager::run_power_cycle(Cycle t) {
       const auto ref = lane.ref;
       const PowerLevel target = *decision;
       engine_.schedule_at(apply_at, [term, ref, target, this] {
+        // The decision lands (1+attempts)·chain after the harvest. In
+        // between, the previous bandwidth cycle's Link Response can release
+        // the lane (or a fault can kill it): the decision is stale.
+        if (!term->lane(ref.dest, ref.wavelength).enabled()) {
+          ++counters_.stale_directives;
+          return;
+        }
         term->request_lane_level(ref.dest, ref.wavelength, target, engine_.now());
       }, "reconfig.dpm_apply");
     }
@@ -444,20 +451,24 @@ void ReconfigManager::run_bandwidth_cycle(Cycle t) {
 void ReconfigManager::apply_directive(BoardId dest, const Directive& dir, Cycle now,
                                       const std::function<void(Cycle)>& settled) {
   const WavelengthId w = dir.wavelength;
-  // The lane may have died (fault injection) or been shed (degradation
-  // controller) between the Reconfigure stage and the Link Response
-  // landing: the directive is stale — drop it and let the next window
-  // re-solve around the withdrawn lane.
-  if (lane_map_.is_failed(dest, w) || lane_map_.is_shed(dest, w)) {
+  // The directive is stale — drop it and let the next window re-solve —
+  // when its lane changed between the Reconfigure stage and the Link
+  // Response landing: the lane died (fault injection) or was shed
+  // (degradation controller), or its ownership moved. Ownership moves
+  // under a window shorter than the DBR pipeline (t_apply - t): the next
+  // bandwidth cycle starts before this one's Link Response lands, so two
+  // cycles' directives overlap, and the later one can find its lane
+  // already handed over or still being released (the old owner's release
+  // waits on an in-flight packet, and a second release would replace the
+  // first one's chained re-grant).
+  if (lane_map_.is_failed(dest, w) || lane_map_.is_shed(dest, w) ||
+      lane_map_.owner(dest, w) != dir.old_owner ||
+      (dir.old_owner.valid() &&
+       terminals_[dir.old_owner.value()]->lane(dest, w).release_pending())) {
     ++counters_.stale_directives;
     if (settled) settled(now);
     return;
   }
-  // Ownership may have changed since the decision (a later window's
-  // directives are scheduled only after this one applies, so in practice
-  // it cannot — but the check keeps the invariant local and fatal).
-  ERAPID_EXPECT(lane_map_.owner(dest, w) == dir.old_owner,
-                "directive raced with another ownership change");
 
   auto grant = [this, dest, w, dir, settled](Cycle at) {
     // The lane can fail or be shed while the old owner's in-flight packet

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "des/engine.hpp"
 #include "sim/network.hpp"
+#include "sim/report.hpp"
+#include "sim/simulation.hpp"
 #include "traffic/generator.hpp"
 #include "traffic/patterns.hpp"
 
@@ -257,6 +260,41 @@ TEST(Manager, WindowLengthRespected) {
   b.engine.run_until(5250);
   EXPECT_EQ(a.net->reconfig_manager().counters().power_cycles, 10u);
   EXPECT_EQ(b.net->reconfig_manager().counters().power_cycles, 2u);
+}
+
+// Windows are not stretched to fit the Lock-Step pipeline (2·chain +
+// 2·ring + 1 = 169 cycles on R(1,4,4)). Under P-B at R_w = 160 a DPM
+// decision lands 20 cycles after its harvest, after the previous DBR
+// cycle's Link Response released the lane. At R_w = 30 two DBR cycles
+// overlap, so a directive can find its lane already moved (P-B) or still
+// being released to an earlier cycle's grantee (NP-B at 0.8 load). Each
+// is dropped as stale, not fatal.
+TEST(Manager, WindowsShorterThanTheLockStepPipelineDropStaleDecisions) {
+  struct Case {
+    NetworkMode mode;
+    Cycle window;
+    double load;
+  };
+  for (const Case& c : {Case{NetworkMode::p_b(), 160, 0.5}, Case{NetworkMode::p_b(), 30, 0.5},
+                        Case{NetworkMode::np_b(), 30, 0.8}}) {
+    erapid::sim::SimOptions o;
+    o.system.boards = 4;
+    o.system.nodes_per_board = 4;
+    o.reconfig.mode = c.mode;
+    o.reconfig.window = c.window;
+    o.load_fraction = c.load;
+    o.seed = 1;
+    o.warmup_cycles = 2000;
+    o.measure_cycles = 4000;
+    o.drain_limit = 20000;
+    SCOPED_TRACE(testing::Message() << c.mode.name << " R_w " << c.window);
+    erapid::sim::SimResult r;
+    ASSERT_NO_THROW(r = erapid::sim::Simulation(o).run());
+    EXPECT_GT(r.control.stale_directives, 0u);
+    EXPECT_TRUE(r.control.faulted());
+    EXPECT_NE(erapid::sim::to_json(r).find("\"fault\""), std::string::npos);
+    EXPECT_GT(r.packets_delivered_measured, 0u);
+  }
 }
 
 }  // namespace
