@@ -15,6 +15,9 @@
 //
 //   ./fault_storm [--load 0.5] [--seed 1] [--drop-prob 0.0] [--transient]
 //                 [--trace storm.trace.json]
+//
+// --trace writes a Chrome trace of the storm run only: Lock-Step windows,
+// fault instants and lane grants, without per-event spans.
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -36,11 +39,6 @@ int run(int argc, char** argv) {
   opts.seed = cli.get_uint<std::uint64_t>("seed", 1);
 
   const bool transient = cli.has("transient");
-  if (const auto trace = cli.get("trace")) {
-    opts.obs.enabled = true;
-    opts.obs.trace_path = *trace;
-    opts.obs.trace_events = true;
-  }
 
   const Cycle w = opts.warmup_cycles;
   std::ostringstream plan;
@@ -67,6 +65,10 @@ int run(int argc, char** argv) {
   sim::SimOptions faulty = opts;
   faulty.fault = fault::FaultPlan::parse_events(plan.str());
   faulty.fault.ctrl_drop_prob = cli.get_double("drop-prob", 0.0);
+  if (const auto trace = cli.get("trace")) {
+    faulty.obs.enabled = true;
+    faulty.obs.trace_path = *trace;
+  }
   sim::Simulation s(faulty);
   const auto r = s.run();
 
