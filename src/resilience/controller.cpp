@@ -254,9 +254,7 @@ std::uint32_t DegradeController::sleep_idle_lanes(Cycle now) {
     }
   }
   stats_.lanes_slept += slept;
-  if (hub_ != nullptr) {
-    for (std::uint32_t i = 0; i < slept; ++i) hub_->metrics().add(m_lanes_slept_);
-  }
+  if (hub_ != nullptr) hub_->metrics().add(m_lanes_slept_, slept);
   return slept;
 }
 
@@ -306,7 +304,7 @@ std::uint32_t DegradeController::shed_batch(Cycle now) {
   stats_.lanes_shed += n;
   if (hub_ != nullptr) {
     auto& m = hub_->metrics();
-    for (std::uint32_t i = 0; i < n; ++i) m.add(m_lanes_shed_);
+    m.add(m_lanes_shed_, n);
     m.observe(m_shed_batch_, static_cast<double>(n));
   }
   if (!batch.empty()) shed_batches_.push_back(std::move(batch));
@@ -327,7 +325,7 @@ std::uint32_t DegradeController::restore_batch(Cycle /*now*/) {
   stats_.lanes_restored += n;
   if (hub_ != nullptr) {
     auto& m = hub_->metrics();
-    for (std::uint32_t i = 0; i < n; ++i) m.add(m_lanes_restored_);
+    m.add(m_lanes_restored_, n);
     m.observe(m_restore_batch_, static_cast<double>(n));
   }
   return n;
