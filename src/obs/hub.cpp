@@ -1,22 +1,10 @@
 #include "obs/hub.hpp"
 
-#include <bit>
 #include <string_view>
 
 #include "util/expect.hpp"
 
 namespace erapid::obs {
-
-namespace {
-
-/// histogram_bucket_of for a whole-number sample: floor(log2(n)) + 1 is
-/// n's bit width, and 0 has width 0, so no floating-point log is needed.
-std::size_t bucket_of_count(std::size_t n) {
-  const auto width = static_cast<std::size_t>(std::bit_width(n));
-  return width < kHistogramBuckets ? width : kHistogramBuckets - 1;
-}
-
-}  // namespace
 
 Hub::Hub(const ObsConfig& cfg) : cfg_(cfg) {
   ERAPID_EXPECT(cfg_.counter_interval > 0, "obs.counter_interval must be positive");
@@ -40,7 +28,7 @@ Hub::Hub(const ObsConfig& cfg) : cfg_(cfg) {
   m_events_per_cycle_ = metrics_.series("des.events_per_cycle");
   if (cfg_.monitors.any()) {
     monitors_ = std::make_unique<MonitorSet>(cfg_.monitors, cfg_.monitor_fail_fast,
-                                             trace_.get(), t_monitors_, metrics_);
+                                             trace_.get(), t_monitors_);
   }
   if (cfg_.flight_recorder_on()) {
     flight_ = std::make_unique<FlightRecorder>(cfg_.flight_recorder_depth,
@@ -109,7 +97,6 @@ std::vector<std::pair<std::string, std::string>> Hub::snapshot(Cycle now) {
   metrics_.fold(m_queue_depth_, queue_depth_);
   for (const TagMetrics& tm : tag_metrics_) {
     metrics_.add(metrics_.counter("des.tag." + tm.label), tm.count);
-    metrics_.fold(metrics_.histogram("des.dispatch_cost." + tm.label), tm.cost, tm.buckets);
   }
   return metrics_.snapshot(now);
 }
@@ -136,13 +123,9 @@ void Hub::on_dispatch_begin(const char* tag, Cycle now) {
 void Hub::on_dispatch_end(const char* tag, Cycle now, std::size_t queue_size,
                           std::uint64_t /*executed*/) {
   ERAPID_EXPECT(!closed_ && !folded_, "event dispatched after Hub::snapshot() or close()");
-  const auto depth = static_cast<double>(queue_size);
   ++events_;
-  queue_depth_.add(depth);
-  TagMetrics& tm = tag_metrics(tag);
-  ++tm.count;
-  tm.cost.add(depth);
-  ++tm.buckets[bucket_of_count(queue_size)];
+  queue_depth_.add(static_cast<double>(queue_size));
+  ++tag_metrics(tag).count;
 
   // Events-per-cycle self-profiling: flush the tally when time advances.
   if (now != profile_cycle_) {

@@ -88,28 +88,11 @@ void MetricsRegistry::observe(MetricId id, double sample) {
   if (e.kind == Kind::Histogram) ++e.buckets[histogram_bucket_of(sample)];
 }
 
-void MetricsRegistry::fold(MetricId id, const stats::Streaming& samples,
-                           std::span<const std::uint64_t> buckets) {
-  ERAPID_REQUIRE(id < entries_.size(), "unregistered metric id=" << id);
-  Entry& e = entries_[id];
-  ERAPID_REQUIRE(e.kind == Kind::Series || e.kind == Kind::Histogram,
-                 "metric '" << e.name << "' folded as the wrong kind");
+void MetricsRegistry::fold(MetricId id, const stats::Streaming& samples) {
+  Entry& e = at(id, Kind::Series);
   ERAPID_REQUIRE(e.samples.count() == 0,
                  "metric '" << e.name << "' already holds " << e.samples.count()
                             << " samples; fold needs an empty one");
-  if (e.kind == Kind::Series) {
-    ERAPID_REQUIRE(buckets.empty(), "series '" << e.name << "' takes no buckets");
-  } else {
-    ERAPID_REQUIRE(buckets.size() == kHistogramBuckets,
-                   "histogram '" << e.name << "' folded with " << buckets.size()
-                                 << " buckets, not " << kHistogramBuckets);
-    std::uint64_t total = 0;
-    for (const std::uint64_t b : buckets) total += b;
-    ERAPID_REQUIRE(total == samples.count(), "histogram '" << e.name << "' buckets hold "
-                                                           << total << " samples, summary "
-                                                           << samples.count());
-    std::copy(buckets.begin(), buckets.end(), e.buckets.begin());
-  }
   e.samples = samples;
 }
 

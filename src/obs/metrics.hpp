@@ -26,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,14 +70,11 @@ class MetricsRegistry {
   void observe(MetricId id, double sample);
   void record(MetricId id, Cycle cycle, double value);
   /// Installs a distribution accumulated outside the registry into an
-  /// empty series or histogram: `samples` becomes its summary and, for a
-  /// histogram, `buckets` (kHistogramBuckets counts, indexed as
-  /// histogram_bucket_of) its bucket counts; a series takes no buckets.
-  /// Folding the same samples observe() would have seen, added in the same
-  /// order, renders exactly as if they had been observe()d. Folding into a
-  /// metric that already holds samples, or into any other kind, fails.
-  void fold(MetricId id, const stats::Streaming& samples,
-            std::span<const std::uint64_t> buckets = {});
+  /// empty series: `samples` becomes its summary. Folding the same samples
+  /// observe() would have seen, added in the same order, renders exactly as
+  /// if they had been observe()d. Folding into a series that already holds
+  /// samples, or into any other kind, fails.
+  void fold(MetricId id, const stats::Streaming& samples);
 
   // ---- reads ----
   [[nodiscard]] std::uint64_t counter_value(MetricId id) const;

@@ -7,13 +7,12 @@
 namespace erapid::obs {
 
 MonitorSet::MonitorSet(const MonitorConfig& cfg, bool fail_fast, ChromeTraceWriter* trace,
-                       TrackId track, MetricsRegistry& metrics)
-    : fail_fast_(fail_fast), trace_(trace), track_(track), metrics_(metrics) {
+                       TrackId track)
+    : fail_fast_(fail_fast), trace_(trace), track_(track) {
   ERAPID_REQUIRE(cfg.any(), "MonitorSet built with no check configured");
   ERAPID_REQUIRE(cfg.power_cap_mw >= 0.0 && cfg.throughput_floor >= 0.0 &&
                      cfg.p99_latency_ceiling >= 0.0,
                  "monitor thresholds must be non-negative");
-  m_violations_ = metrics_.counter("monitor.violations");
 
   power_ = {"power_cap_mw", cfg.power_cap_mw, cfg.power_cap_mw > 0.0, 0.0, false, 0, 0};
   throughput_ = {"throughput_floor", cfg.throughput_floor, cfg.throughput_floor > 0.0,
@@ -31,7 +30,6 @@ MonitorSet::MonitorSet(const MonitorConfig& cfg, bool fail_fast, ChromeTraceWrit
 void MonitorSet::fire(Check& c, Cycle now, double value) {
   if (c.violations == 0) c.first_violation = now;
   ++c.violations;
-  metrics_.add(m_violations_);
   if (trace_ != nullptr) {
     Args args;
     args.add("threshold", c.threshold).add("value", value);

@@ -8,7 +8,6 @@
 //
 //   * emits a deterministic trace instant on the `obs.monitors` track
 //     (name `monitor.<check>`, args {threshold, value}),
-//   * bumps the `monitor.violations` counter metric,
 //   * records worst value / violation count / first-violation cycle for
 //     the report's `obs_monitors` block,
 //   * and, with `obs.monitor_fail_fast = true`, ends the simulation
@@ -30,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/types.hpp"
 
@@ -81,8 +79,7 @@ class MonitorSet {
  public:
   /// `trace` may be null (metrics-only run: verdicts still recorded, no
   /// instants). `track` is the pre-registered `obs.monitors` track.
-  MonitorSet(const MonitorConfig& cfg, bool fail_fast, ChromeTraceWriter* trace, TrackId track,
-             MetricsRegistry& metrics);
+  MonitorSet(const MonitorConfig& cfg, bool fail_fast, ChromeTraceWriter* trace, TrackId track);
 
   // ---- online feeds -----------------------------------------------------
   /// Instantaneous power envelope sample (recorder cadence).
@@ -156,8 +153,6 @@ class MonitorSet {
   ActuationHook actuation_hook_;
   ChromeTraceWriter* trace_;
   TrackId track_;
-  MetricsRegistry& metrics_;
-  MetricId m_violations_ = 0;
 
   Check power_;
   Check throughput_;

@@ -34,12 +34,6 @@
 #define ERAPID_TRACE_SPAN(hub, track, name, ts, dur, args) \
   ERAPID_OBS_DETAIL_SINK(hub, complete((track), (name), (ts), (dur), (args)))
 
-/// Open-ended span pair (sequential per track).
-#define ERAPID_TRACE_BEGIN(hub, track, name, ts) \
-  ERAPID_OBS_DETAIL_SINK(hub, begin((track), (name), (ts)))
-#define ERAPID_TRACE_END(hub, track, name, ts) \
-  ERAPID_OBS_DETAIL_SINK(hub, end((track), (name), (ts)))
-
 /// Async span pair (overlapping lifecycles keyed by id).
 #define ERAPID_TRACE_ASYNC_BEGIN(hub, track, name, id, ts, args) \
   ERAPID_OBS_DETAIL_SINK(hub, async_begin((track), (name), (id), (ts), (args)))

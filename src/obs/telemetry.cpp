@@ -30,10 +30,6 @@ Telemetry::Telemetry(des::Engine& engine, std::uint32_t boards, Hub& hub, Sample
   out_.open(cfg_.telemetry_path);
   ERAPID_EXPECT(static_cast<bool>(out_),
                 "cannot open telemetry stream: " + cfg_.telemetry_path);
-  auto& reg = hub_.metrics();
-  m_windows_ = reg.counter("telemetry.windows");
-  m_phase_changes_ = reg.counter("telemetry.phase_changes");
-  m_phase_id_ = reg.gauge("telemetry.phase_id");
 }
 
 void Telemetry::start() {
@@ -48,12 +44,9 @@ void Telemetry::on_window() {
   const Cycle now = engine_.now();
   const WindowObservables o = sampler_(now);
   ++windows_;
-  auto& reg = hub_.metrics();
-  reg.add(m_windows_);
 
   const bool phase_changed = detector_.update(o.utilization);
   if (phase_changed) {
-    reg.add(m_phase_changes_);
     if (auto* tr = hub_.trace()) {
       Args args;
       args.add("phase_id", detector_.phase_id());
@@ -67,7 +60,6 @@ void Telemetry::on_window() {
       fr->record(now, "telemetry.phase_change", args.str());
     }
   }
-  reg.set_gauge(m_phase_id_, now, static_cast<double>(detector_.phase_id()));
 
   emit_record(now, o, phase_changed);
   tm_.roll_window();

@@ -42,8 +42,6 @@ ReconfigManager::ReconfigManager(des::Engine& engine, const topology::SystemConf
   if (hub_ != nullptr) {
     m_windows_ = hub_->metrics().counter("reconfig.windows");
     m_lanes_moved_ = hub_->metrics().series("reconfig.dbr_lanes_moved");
-    m_grants_ = hub_->metrics().counter("reconfig.lane_grants");
-    m_level_changes_ = hub_->metrics().counter("reconfig.level_changes");
     m_window_dpm_ = hub_->metrics().histogram("reconfig.window_duration.dpm");
     m_window_dbr_ = hub_->metrics().histogram("reconfig.window_duration.dbr");
     m_dbr_convergence_ = hub_->metrics().histogram("reconfig.dbr_convergence");
@@ -240,7 +238,6 @@ void ReconfigManager::run_power_cycle(Cycle t) {
       // traffic returns.
       ++counters_.level_changes;
       ++board_level_changes_[b];
-      ERAPID_COUNTER(hub_, m_level_changes_, 1);
       auto* term = terminals_[b];
       const auto ref = lane.ref;
       const PowerLevel target = *decision;
@@ -482,7 +479,6 @@ void ReconfigManager::apply_directive(BoardId dest, const Directive& dir, Cycle 
     lane_map_.grant(dest, w, dir.new_owner);
     terminals_[dir.new_owner.value()]->apply_grant(dest, w, dir.grant_level, at);
     ++counters_.lane_grants;
-    ERAPID_COUNTER(hub_, m_grants_, 1);
     if (hub_ != nullptr) {
       obs::Args args;
       args.add("owner", std::uint64_t{dir.new_owner.value()})

@@ -192,8 +192,6 @@ class ReconfigManager {
   std::vector<std::uint64_t> board_level_changes_;
   obs::MetricId m_windows_ = 0;
   obs::MetricId m_lanes_moved_ = 0;
-  obs::MetricId m_grants_ = 0;
-  obs::MetricId m_level_changes_ = 0;
   // Histograms (log2 buckets; see obs/metrics.hpp): LS window occupancy
   // split by R_w parity, re-solve→last-grant convergence, and per-stage
   // control retransmission counts.

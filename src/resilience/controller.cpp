@@ -39,12 +39,6 @@ DegradeController::DegradeController(const DegradeConfig& cfg, double power_cap_
       static_cast<std::uint32_t>(cfg_.max_shed_fraction * static_cast<double>(pool));
   if (hub_ != nullptr) {
     auto& m = hub_->metrics();
-    m_steps_down_ = m.counter("resilience.ladder_steps");
-    m_steps_up_ = m.counter("resilience.recover_steps");
-    m_lanes_shed_ = m.counter("resilience.lanes_shed");
-    m_lanes_restored_ = m.counter("resilience.lanes_restored");
-    m_lanes_slept_ = m.counter("resilience.lanes_slept");
-    m_suppressed_ = m.counter("resilience.suppressed_violations");
     m_degraded_time_ = m.histogram("resilience.degraded_time");
     m_shed_batch_ = m.histogram("resilience.shed_batch");
     m_restore_batch_ = m.histogram("resilience.restore_batch");
@@ -71,7 +65,6 @@ obs::MonitorSet::ActuationDecision DegradeController::on_violation(const char* n
   if (*pol == ResponsePolicy::Abort) return obs::MonitorSet::ActuationDecision::Abort;
   if (*pol == ResponsePolicy::Degrade || *pol == ResponsePolicy::Shed) act(now);
   ++stats_.suppressed_violations;
-  if (hub_ != nullptr) hub_->metrics().add(m_suppressed_);
   return obs::MonitorSet::ActuationDecision::Suppress;
 }
 
@@ -95,7 +88,6 @@ void DegradeController::act(Cycle now) {
     stats_.engaged = true;
   }
   ++stats_.steps_down;
-  if (hub_ != nullptr) hub_->metrics().add(m_steps_down_);
 
   const bool shed_policy =
       cfg_.power_cap.has_value() && *cfg_.power_cap == ResponsePolicy::Shed;
@@ -166,7 +158,6 @@ void DegradeController::on_power_sample(Cycle now, double mw) {
 void DegradeController::step_up(Cycle now) {
   last_action_ = now;
   ++stats_.steps_up;
-  if (hub_ != nullptr) hub_->metrics().add(m_steps_up_);
   switch (stage_) {
     case Stage::Shed:
       if (!shed_batches_.empty()) {
@@ -254,7 +245,6 @@ std::uint32_t DegradeController::sleep_idle_lanes(Cycle now) {
     }
   }
   stats_.lanes_slept += slept;
-  if (hub_ != nullptr) hub_->metrics().add(m_lanes_slept_, slept);
   return slept;
 }
 
@@ -302,11 +292,7 @@ std::uint32_t DegradeController::shed_batch(Cycle now) {
   const auto n = static_cast<std::uint32_t>(batch.size());
   shed_total_ += n;
   stats_.lanes_shed += n;
-  if (hub_ != nullptr) {
-    auto& m = hub_->metrics();
-    m.add(m_lanes_shed_, n);
-    m.observe(m_shed_batch_, static_cast<double>(n));
-  }
+  if (hub_ != nullptr) hub_->metrics().observe(m_shed_batch_, static_cast<double>(n));
   if (!batch.empty()) shed_batches_.push_back(std::move(batch));
   return n;
 }
@@ -323,11 +309,7 @@ std::uint32_t DegradeController::restore_batch(Cycle /*now*/) {
   ERAPID_INVARIANT(shed_total_ >= n, "restored more lanes than were shed");
   shed_total_ -= n;
   stats_.lanes_restored += n;
-  if (hub_ != nullptr) {
-    auto& m = hub_->metrics();
-    m.add(m_lanes_restored_, n);
-    m.observe(m_restore_batch_, static_cast<double>(n));
-  }
+  if (hub_ != nullptr) hub_->metrics().observe(m_restore_batch_, static_cast<double>(n));
   return n;
 }
 

@@ -130,12 +130,6 @@ class DegradeController {
 
   ControllerStats stats_;
 
-  obs::MetricId m_steps_down_ = 0;
-  obs::MetricId m_steps_up_ = 0;
-  obs::MetricId m_lanes_shed_ = 0;
-  obs::MetricId m_lanes_restored_ = 0;
-  obs::MetricId m_lanes_slept_ = 0;
-  obs::MetricId m_suppressed_ = 0;
   obs::MetricId m_degraded_time_ = 0;
   obs::MetricId m_shed_batch_ = 0;
   obs::MetricId m_restore_batch_ = 0;

@@ -50,8 +50,7 @@ std::unique_ptr<workload::Driver> make_driver(const SimOptions& opts, double cap
       tc.session_gap_mean = wl.session_gap_mean;
       tc.hotspot_fraction = opts.hotspot_fraction;
       tc.hotspot_node = opts.hotspot_node;
-      return std::make_unique<workload::TenantFleet>(engine, tc, wl.tenant_mix, master, inject,
-                                                     hub);
+      return std::make_unique<workload::TenantFleet>(engine, tc, wl.tenant_mix, master, inject);
     }
     case workload::WorkloadKind::Trace:
       return std::make_unique<workload::TraceDriver>(
@@ -117,7 +116,6 @@ Simulation::Simulation(const SimOptions& opts)
   if (opts_.obs.enabled) {
     hub_ = std::make_unique<obs::Hub>(opts_.obs);
     engine_.set_dispatch_hook(hub_.get());
-    m_latency_ = hub_->metrics().series("sim.packet_latency");
     m_latency_hist_ = hub_->metrics().histogram("sim.packet_latency_hist");
     m_delivered_ = hub_->metrics().counter("sim.packets_delivered");
   }
@@ -177,7 +175,6 @@ Simulation::Simulation(const SimOptions& opts)
       const auto lat = static_cast<double>(now - p.created);
       latency_.add(lat);
       latency_hist_->add(lat);
-      ERAPID_OBSERVE(hub_.get(), m_latency_, lat);
       ERAPID_OBSERVE(hub_.get(), m_latency_hist_, lat);
     }
     driver_->on_delivered(p, now);

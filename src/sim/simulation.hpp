@@ -194,7 +194,6 @@ class Simulation {
   /// them (they can never arrive).
   std::uint64_t labelled_dead_ = 0;
   bool in_measurement_ = false;
-  obs::MetricId m_latency_ = 0;
   obs::MetricId m_latency_hist_ = 0;
   obs::MetricId m_delivered_ = 0;
   /// Cached hub_->telemetry(); null (one branch per delivery) unless the

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "des/engine.hpp"
-#include "obs/hub.hpp"
 #include "router/flit.hpp"
 #include "traffic/patterns.hpp"
 #include "util/rng.hpp"
@@ -51,14 +50,12 @@ struct TenantFleetConfig {
 class TenantFleet final : public Driver {
  public:
   TenantFleet(des::Engine& engine, TenantFleetConfig cfg,
-              std::vector<traffic::PatternKind> mix, util::Rng master, InjectFn inject,
-              obs::Hub* hub = nullptr);
+              std::vector<traffic::PatternKind> mix, util::Rng master, InjectFn inject);
 
   /// Schedules every tenant's first session arrival. Call exactly once.
   void start() override;
 
-  /// Cancels all pending arrivals, session ends and injections, and records
-  /// the per-tenant delivered bytes as the workload.tenant_bytes series.
+  /// Cancels all pending arrivals, session ends and injections.
   void stop() override;
 
   void set_labelling(bool on) override { labelling_ = on; }
@@ -94,7 +91,6 @@ class TenantFleet final : public Driver {
   TenantFleetConfig cfg_;
   std::vector<std::unique_ptr<traffic::TrafficPattern>> patterns_;
   InjectFn inject_;
-  obs::Hub* hub_;
 
   std::vector<Tenant> tenants_;
   std::vector<std::unique_ptr<Session>> sessions_;
@@ -104,8 +100,6 @@ class TenantFleet final : public Driver {
   std::uint64_t delivered_ = 0;
   std::uint64_t sessions_completed_ = 0;
   std::vector<std::uint64_t> tenant_bytes_;
-  std::vector<obs::MetricId> m_tenant_bytes_;
-  obs::MetricId m_tenant_series_ = 0;
   PacketSeq next_seq_ = 1;
 };
 

@@ -8,7 +8,7 @@ coverage pool), --fix must be idempotent, the SARIF report must be
 structurally valid 2.1.0, and the baseline must gate findings and enforce
 the contract-coverage ratchet. Registered in CTest as
 `lint.analyze_self_test`; the DeterminismRules class alone, which covers
-the five determinism rules, also runs as `lint.self_test`.
+every rule of the `det` family, also runs as `lint.self_test`.
 """
 
 import json
@@ -62,6 +62,8 @@ class DeterminismRules(unittest.TestCase):
         "bad_pointer_order.cpp": "pointer-order",
         "bad_uninit.hpp": "uninit-member",
         "bad_enum_switch.cpp": "enum-switch-default",
+        "bad_iter_unordered.cpp": "iter-unordered",
+        "bad_float_accum.cpp": "float-accum",
     }
 
     def test_each_bad_fixture_trips_exactly_its_rule(self):
@@ -116,8 +118,6 @@ class BadFixturesTrip(unittest.TestCase):
     CASES = {
         "bad_unit_mix.cpp": "unit-mix",
         "bad_unit_param.cpp": "unit-param",
-        "bad_iter_unordered.cpp": "iter-unordered",
-        "bad_float_accum.cpp": "float-accum",
         "bad_no_pragma.hpp": "pragma-once",
         "bad_std_include.hpp": "std-include",
         "power/bad_uncontracted.hpp": "contract-coverage",

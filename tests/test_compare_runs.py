@@ -217,12 +217,12 @@ class CampaignComparison(unittest.TestCase):
 class ReportComparison(unittest.TestCase):
     def test_obs_metrics_drift_is_flagged(self):
         base = report_doc(obs_metrics={"des.events": 1000,
-                                       "sim.packet_latency": {"mean": 100.0}})
+                                       "sim.packet_latency_hist": {"mean": 100.0}})
         cand = report_doc(obs_metrics={"des.events": 1300,
-                                       "sim.packet_latency": {"mean": 100.0}})
+                                       "sim.packet_latency_hist": {"mean": 100.0}})
         out = compare_runs.compare_docs(base, cand, 0.05, False)
         self.assertIn("regressed", kinds(out, "obs_metrics.des.events"))
-        self.assertIn("same", kinds(out, "obs_metrics.sim.packet_latency.mean"))
+        self.assertIn("same", kinds(out, "obs_metrics.sim.packet_latency_hist.mean"))
 
     def test_vanished_metric_is_flagged(self):
         base = report_doc(obs_metrics={"des.events": 1000})

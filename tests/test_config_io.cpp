@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <set>
@@ -20,6 +21,7 @@
 #include "sim/options_io.hpp"
 #include "sim/recorder.hpp"
 #include "sim/report.hpp"
+#include "sim/simulation.hpp"
 #include "tests_support.hpp"
 #include "util/ini.hpp"
 
@@ -1221,6 +1223,65 @@ TEST(Report, BenchPointFaultKeysMatchReport) {
   const auto point_keys = block_keys(erapid::sim::bench_point_json({{}, &r, 0.0}), "fault");
   EXPECT_EQ(point_keys.size(), 27u);
   EXPECT_EQ(point_keys, block_keys(erapid::sim::to_json(r), "fault"));
+}
+
+// Each statistic has one home in the report: a run with every block on
+// carries its counts in the fault, workload, obs_monitors, obs_telemetry
+// and resilience blocks (or at top level), and obs_metrics keeps only what
+// no other block carries.
+TEST(Report, ObsMetricsCarryNoStatisticAnotherBlockCarries) {
+  const std::string telemetry = testing::TempDir() + "erapid_one_home.telemetry.jsonl";
+  const std::string flight = testing::TempDir() + "erapid_one_home.flight.json";
+  const auto o = options_from_ini(Ini::parse_string(
+      "[system]\nboards = 4\nnodes_per_board = 4\n"
+      "[reconfig]\nmode = P-B\n"
+      "[fault]\nevents = lane_fail@3000:d1:w1:r6000\n"
+      "[workload]\nkind = tenants\ntenants = 3\nwarmup_cycles = 4000\n"
+      "measure_cycles = 8000\ndrain_limit = 60000\n"
+      "[obs]\nenabled = true\ntelemetry = " + telemetry + "\ntelemetry_window = 1000\n"
+      "flight_recorder_depth = 64\nflight_recorder = " + flight + "\n"
+      "[monitor]\npower_cap_mw = 200\n"
+      "[degrade]\npower_cap = degrade\n"));
+  const auto r = erapid::sim::Simulation(o).run();
+  std::remove(telemetry.c_str());
+  std::remove(flight.c_str());
+  const std::string json = erapid::sim::to_json(r);
+
+  for (const char* field : {"lane_grants", "dvs_level_changes"}) {
+    EXPECT_NE(json.find(std::string("\"") + field + "\": "), std::string::npos) << field;
+  }
+  const auto expect_fields = [&json](const std::string& block,
+                                     std::initializer_list<const char*> fields) {
+    const auto keys = block_keys(json, block);
+    EXPECT_FALSE(keys.empty()) << "no " << block << " block";
+    for (const char* f : fields) {
+      EXPECT_NE(std::find(keys.begin(), keys.end(), f), keys.end()) << block << "." << f;
+    }
+  };
+  expect_fields("fault", {"lanes_failed"});
+  expect_fields("workload", {"tenant_delivered_bytes"});
+  expect_fields("obs_monitors", {"violations"});
+  expect_fields("obs_telemetry", {"windows", "phase_changes", "final_phase"});
+  expect_fields("resilience", {"steps_down", "steps_up", "lanes_shed", "lanes_restored",
+                               "lanes_slept", "suppressed_violations"});
+
+  const std::set<std::string> deleted = {
+      "sim.packet_latency",          "reconfig.lane_grants",
+      "reconfig.level_changes",      "monitor.violations",
+      "resilience.ladder_steps",     "resilience.recover_steps",
+      "resilience.lanes_shed",       "resilience.lanes_restored",
+      "resilience.lanes_slept",      "resilience.suppressed_violations",
+      "telemetry.windows",           "telemetry.phase_changes",
+      "telemetry.phase_id",          "workload.tenant00.bytes",
+      "workload.tenant01.bytes",     "workload.tenant02.bytes",
+      "workload.tenant_bytes"};
+  bool has_hist = false;
+  for (const auto& [name, value] : r.metrics) {
+    EXPECT_EQ(deleted.count(name), 0u) << name;
+    EXPECT_FALSE(name.starts_with("des.dispatch_cost.")) << name;
+    has_hist = has_hist || name == "sim.packet_latency_hist";
+  }
+  EXPECT_TRUE(has_hist) << "sim.packet_latency_hist is the latency home in obs_metrics";
 }
 
 }  // namespace

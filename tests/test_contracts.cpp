@@ -272,44 +272,39 @@ TEST(ContractPower, NegativeMeterPowerViolatesRequire) {
 // accepting post-finalize traffic would mean verdicts were rendered from a
 // partial run — these pin the lifecycle shut.
 
-obs::MonitorSet finalized_monitors(obs::MetricsRegistry& reg) {
+obs::MonitorSet finalized_monitors() {
   obs::MonitorConfig cfg;
   cfg.power_cap_mw = 1000.0;
   cfg.quiescence_deadline = 100000;
   cfg.max_recovery_cycles = 100000;
-  obs::MonitorSet mon(cfg, /*fail_fast=*/false, /*trace=*/nullptr, 0, reg);
+  obs::MonitorSet mon(cfg, /*fail_fast=*/false, /*trace=*/nullptr, 0);
   mon.sample_power(10, 50.0);
   mon.finalize({});
   return mon;
 }
 
 TEST(ContractObs, MonitorDoubleFinalizeViolatesRequire) {
-  obs::MetricsRegistry reg;
-  auto mon = finalized_monitors(reg);
+  auto mon = finalized_monitors();
   EXPECT_THROW(mon.finalize({}), ModelInvariantError);
 }
 
 TEST(ContractObs, PowerSampleAfterFinalizeViolatesRequire) {
-  obs::MetricsRegistry reg;
-  auto mon = finalized_monitors(reg);
+  auto mon = finalized_monitors();
   EXPECT_THROW(mon.sample_power(20, 50.0), ModelInvariantError);
 }
 
 TEST(ContractObs, RecoveryAfterFinalizeViolatesRequire) {
-  obs::MetricsRegistry reg;
-  auto mon = finalized_monitors(reg);
+  auto mon = finalized_monitors();
   EXPECT_THROW(mon.recovery(20, 5), ModelInvariantError);
 }
 
 TEST(ContractObs, DbrResolveAfterFinalizeViolatesRequire) {
-  obs::MetricsRegistry reg;
-  auto mon = finalized_monitors(reg);
+  auto mon = finalized_monitors();
   EXPECT_THROW(mon.dbr_resolve(20), ModelInvariantError);
 }
 
 TEST(ContractObs, DbrQuiescedAfterFinalizeViolatesRequire) {
-  obs::MetricsRegistry reg;
-  auto mon = finalized_monitors(reg);
+  auto mon = finalized_monitors();
   EXPECT_THROW(mon.dbr_quiesced(20, 25), ModelInvariantError);
 }
 

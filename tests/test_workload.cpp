@@ -457,8 +457,9 @@ TEST(Golden, AllReduceSmallReportMatchesCommittedFixtureExactly) {
   erapid::test::expect_report_golden(o, "golden_allreduce_small.json", "all-reduce golden");
 }
 
-// The tenant fleet with obs on, so the workload.tenant_bytes series and the
-// per-tenant counters in the metrics block are pinned too.
+// The tenant fleet with obs on, so the metrics block is pinned too: the
+// des.tag.* dispatch counts of the workload.* events, the
+// sim.packet_latency_hist histogram and the recorder.* timelines.
 TEST(Golden, TenantsSmallReportMatchesCommittedFixtureExactly) {
   SimOptions o = tenant_opts();
   o.obs.enabled = true;
