@@ -1,8 +1,15 @@
 #include "des/clock.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace erapid::des {
+
+ClockDomain::ClockDomain(Engine& engine, std::uint32_t max_delay)
+    : engine_(engine),
+      ring_(std::bit_ceil(std::size_t{max_delay} + 1)),
+      mask_(ring_.size() - 1) {}
 
 void ClockDomain::wake() {
   if (running_) return;
@@ -17,20 +24,17 @@ void ClockDomain::wake() {
 void ClockDomain::tick_once() {
   const Cycle now = engine_.now();
   ++ticks_;
-  in_tick_ = true;
+  // A callback may post, but never into this slot (now < when <= now +
+  // mask_), so the list neither grows nor moves while it runs.
+  std::vector<EventFn>& due = ring_[now & mask_];
+  for (EventFn& fn : due) fn();
+  pending_ -= due.size();
+  due.clear();
   for (Clocked* c : components_) c->tick(now);
   for (Clocked* c : components_) c->post_tick(now);
-  in_tick_ = false;
-  open_.clear();
 
-  bool all_quiet = true;
-  for (Clocked* c : components_) {
-    if (!c->quiescent()) {
-      all_quiet = false;
-      break;
-    }
-  }
-  if (all_quiet) {
+  if (pending_ == 0 && std::all_of(components_.begin(), components_.end(),
+                                   [](const Clocked* c) { return c->quiescent(); })) {
     running_ = false;  // sleep; wake() rearms
     return;
   }
@@ -38,33 +42,13 @@ void ClockDomain::tick_once() {
 }
 
 void ClockDomain::post(Cycle when, EventFn fn) {
-  ERAPID_REQUIRE(in_tick_, "ClockDomain::post called outside a tick");
-  for (const OpenBatch& b : open_) {
-    if (b.when == when) {
-      batches_[b.slot].push_back(std::move(fn));
-      return;
-    }
-  }
-  std::uint32_t slot = 0;
-  if (free_batches_.empty()) {
-    slot = static_cast<std::uint32_t>(batches_.size());
-    batches_.emplace_back();
-  } else {
-    slot = free_batches_.back();
-    free_batches_.pop_back();
-  }
-  engine_.schedule_at(when, [this, slot] { run_batch(slot); }, "clock.post");
-  batches_[slot].push_back(std::move(fn));
-  open_.push_back({when, slot});
-}
-
-void ClockDomain::run_batch(std::uint32_t slot) {
-  // No post() can run here (it needs a tick), so batches_ does not move
-  // under this reference.
-  std::vector<EventFn>& fns = batches_[slot];
-  for (EventFn& fn : fns) fn();
-  fns.clear();
-  free_batches_.push_back(slot);
+  const Cycle now = engine_.now();
+  ERAPID_REQUIRE(when > now && when - now <= mask_,
+                 "ClockDomain::post for cycle " << when << " at cycle " << now
+                                                << " is not 1.." << mask_ << " cycles ahead");
+  ring_[when & mask_].push_back(std::move(fn));
+  ++pending_;
+  wake();
 }
 
 }  // namespace erapid::des

@@ -13,21 +13,20 @@
 // components (a component never observes a peer's same-cycle update), which
 // keeps the simulation deterministic regardless of registration order for
 // all cross-component signals. (Signals that genuinely take time —
-// credits, channel flits — are handed off with post(), which delivers them
-// through Engine events at their arrival cycle.)
+// credits, channel flits, an injector's next flit — are handed off with
+// post(), which runs them at their arrival cycle.)
 //
-// post() coalesces: every hand-off one tick makes for the same arrival
-// cycle shares one calendar event, which runs the callbacks back to back in
-// call order. Components schedule nothing else during a tick, and the next
-// tick is scheduled only after all of them have ticked, so one tick's
-// hand-offs for a cycle are a contiguous run in the calendar's (time, seq)
-// order; one event in the place of that run's first entry executes the same
-// callbacks in the same order (DESIGN.md §11).
+// post() adds no calendar event: it appends to a ring of per-cycle
+// callback lists indexed by the arrival cycle, and each tick first runs
+// every callback due at its cycle, in call order, then ticks the
+// components. The ring spans max_delay() cycles ahead, so a hand-off may
+// reach at most that far (DESIGN.md §11).
 //
-// The domain goes idle automatically: when every component reports
-// quiescence (nothing buffered, nothing in flight) the recurring event is
-// not rescheduled, and any component can wake the domain again. This keeps
-// the event count proportional to useful work at low loads.
+// The domain goes idle automatically: when no hand-off is pending and every
+// component reports quiescence (nothing buffered, nothing in flight) the
+// recurring event is not rescheduled, and a post() or any component can
+// wake the domain again. This keeps the event count proportional to useful
+// work at low loads.
 //
 // While any component is busy, every component is ticked, so an idle
 // component's tick() and quiescent() must be cheap: a router with no
@@ -35,6 +34,7 @@
 // quiescent() from a counter, without touching its buffers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -62,7 +62,9 @@ class Clocked {
 /// the whole domain is quiescent.
 class ClockDomain {
  public:
-  explicit ClockDomain(Engine& engine) : engine_(engine) {}
+  /// `max_delay` is the furthest ahead (in cycles) any post() will reach;
+  /// the ring gets the next power of two above it.
+  explicit ClockDomain(Engine& engine, std::uint32_t max_delay = 7);
 
   /// Registers a component. Registration order is the (deterministic)
   /// intra-phase iteration order.
@@ -78,30 +80,25 @@ class ClockDomain {
   /// Cycles actually ticked (excludes slept cycles); for diagnostics.
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
 
-  /// Runs `fn` at cycle `when` (>= now). Callable only from inside a tick
-  /// (either phase). All posts of one tick for the same `when` share one
-  /// calendar event, tagged "clock.post", that sits where the first post's
-  /// own event would have been and runs the callbacks in call order.
+  /// Largest `when - now` post() accepts (at least the ctor's max_delay).
+  [[nodiscard]] std::uint32_t max_delay() const { return static_cast<std::uint32_t>(mask_); }
+
+  /// Runs `fn` at the start of the tick at cycle `when`, after every
+  /// earlier post for that cycle, and wakes the domain if it sleeps.
+  /// Requires now < when <= now + max_delay(); callable inside a tick or
+  /// from any event.
   void post(Cycle when, EventFn fn);
 
  private:
-  /// A batch the current tick has scheduled and may still append to.
-  struct OpenBatch {
-    Cycle when = 0;
-    std::uint32_t slot = 0;  ///< index into batches_
-  };
-
   void tick_once();
-  void run_batch(std::uint32_t slot);
 
   Engine& engine_;
   std::vector<Clocked*> components_;
+  std::vector<std::vector<EventFn>> ring_;  ///< [cycle & mask_]: that cycle's hand-offs
+  Cycle mask_;
+  std::size_t pending_ = 0;  ///< hand-offs in the ring
   bool running_ = false;
-  bool in_tick_ = false;
   std::uint64_t ticks_ = 0;
-  std::vector<std::vector<EventFn>> batches_;  ///< pooled callback lists
-  std::vector<std::uint32_t> free_batches_;    ///< batches_ slots not in flight
-  std::vector<OpenBatch> open_;                ///< cleared when a tick ends
 };
 
 }  // namespace erapid::des

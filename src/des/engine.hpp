@@ -21,8 +21,8 @@
 //  * Cycle-driven components. Routers are clocked pipelines; ClockDomain
 //    (clock.hpp) multiplexes all per-cycle work onto a single recurring
 //    event so the calendar holds O(#messages) entries, not O(#routers) per
-//    cycle, and ClockDomain::post coalesces one tick's flit and credit
-//    hand-offs into one event per arrival cycle.
+//    cycle, and ClockDomain::post runs flit and credit hand-offs inside
+//    their arrival cycle's tick, with no calendar event of their own.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +38,8 @@
 
 namespace erapid::des {
 
-/// Callback type executed when an event fires, and the element type of the
-/// hand-off batches ClockDomain::post fills. Inline storage is sized for
+/// Callback type executed when an event fires, and the element type of
+/// ClockDomain::post's per-cycle hand-off ring. Inline storage is sized for
 /// the largest hot-path capture (the router's flit delivery: sink + flit +
 /// vc + cycle), so neither scheduling nor posting heap-allocates for it.
 using EventFn = util::InplaceFn<96>;

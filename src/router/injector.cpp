@@ -4,11 +4,10 @@
 
 namespace erapid::router {
 
-FlitInjector::FlitInjector(des::Engine& engine, Router& router, std::uint32_t in_port,
+FlitInjector::FlitInjector(des::Engine& /*engine*/, Router& router, std::uint32_t in_port,
                            std::uint32_t vcs, std::uint32_t credits_per_vc,
                            std::uint32_t cycles_per_flit)
-    : engine_(engine),
-      router_(router),
+    : router_(router),
       in_port_(in_port),
       cycles_per_flit_(cycles_per_flit),
       credits_(vcs, credits_per_vc),
@@ -38,22 +37,23 @@ bool FlitInjector::try_start(const Packet& p, Cycle now) {
   current_.injected = now;
   next_flit_ = 0;
   stalled_ = false;
-  if (!send_scheduled_) {
-    send_scheduled_ = true;
-    // First flit needs one channel traversal.
-    engine_.schedule(cycles_per_flit_, [this] { send_next(); });
-  }
+  // First flit needs one channel traversal.
+  if (!send_scheduled_) schedule_send(now + cycles_per_flit_);
   return true;
 }
 
-void FlitInjector::send_next() {
+void FlitInjector::schedule_send(Cycle when) {
+  send_scheduled_ = true;
+  router_.domain().post(when, [this, when] { send_next(when); });
+}
+
+void FlitInjector::send_next(Cycle now) {
   send_scheduled_ = false;
   if (!in_flight_) return;
   if (credits_[vc_] == 0) {
     stalled_ = true;  // resume from on_credit
     return;
   }
-  const Cycle now = engine_.now();
   Flit f = make_flit(current_, next_flit_);
   f.injected = current_.injected;
   --credits_[vc_];
@@ -66,17 +66,14 @@ void FlitInjector::send_next() {
     if (on_idle_) on_idle_(now);
     return;
   }
-  send_scheduled_ = true;
-  engine_.schedule(cycles_per_flit_, [this] { send_next(); });
+  schedule_send(now + cycles_per_flit_);
 }
 
-void FlitInjector::on_credit(std::uint32_t vc, Cycle /*now*/) {
+void FlitInjector::on_credit(std::uint32_t vc, Cycle now) {
   ++credits_[vc];
   if (stalled_ && vc == vc_ && in_flight_ && !send_scheduled_) {
     stalled_ = false;
-    send_scheduled_ = true;
-    // Resume next cycle (credit processing takes a cycle).
-    engine_.schedule(1, [this] { send_next(); });
+    schedule_send(now + 1);  // credit processing takes a cycle
   }
 }
 

@@ -5,9 +5,10 @@
 // router's per-VC input-buffer credits. Used both by node NIs (traffic
 // generator -> IBI) and by optical receive units (RX queue -> IBI).
 //
-// Event-driven: no per-cycle cost when idle. One packet in flight at a
-// time (the channel is serial; interleaving packets across VCs from one
-// port would not add bandwidth).
+// Each flit is posted to the router's clock domain (ClockDomain::post) for
+// the cycle it has crossed the channel: no calendar event per flit, and no
+// cost when idle. One packet in flight at a time (the channel is serial;
+// interleaving packets across VCs from one port would not add bandwidth).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,8 @@ namespace erapid::router {
 class FlitInjector {
  public:
   /// Registers itself as the credit sink of `in_port`. `credits_per_vc`
-  /// must equal the router's input VC buffer depth.
+  /// must equal the router's input VC buffer depth; `cycles_per_flit` must
+  /// be in 1..router.domain().max_delay(). `engine` is not kept.
   FlitInjector(des::Engine& engine, Router& router, std::uint32_t in_port,
                std::uint32_t vcs, std::uint32_t credits_per_vc,
                std::uint32_t cycles_per_flit);
@@ -38,7 +40,7 @@ class FlitInjector {
 
   /// Starts streaming `p` if idle; returns false only when busy. With no
   /// credits available the packet is committed to a VC and the stream
-  /// stalls until the router returns a credit.
+  /// stalls until the router returns a credit. `now` is the current cycle.
   bool try_start(const Packet& p, Cycle now);
 
   /// Invoked when the current packet's tail flit has been handed to the
@@ -49,10 +51,10 @@ class FlitInjector {
   [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_; }
 
  private:
-  void send_next();
+  void schedule_send(Cycle when);
+  void send_next(Cycle now);
   void on_credit(std::uint32_t vc, Cycle now);
 
-  des::Engine& engine_;
   Router& router_;
   std::uint32_t in_port_;
   std::uint32_t cycles_per_flit_;

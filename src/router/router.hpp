@@ -14,8 +14,9 @@
 //     at 400 MHz => 4 cycles per 64-bit flit).
 //
 // Timing discipline: every stage transition is gated on `now >
-// state_since`, so a flit observes at least one cycle per stage and the
-// result is independent of same-cycle event ordering (deterministic).
+// state_since`, so a flit observes at least one cycle per stage. Flits and
+// credits arrive through ClockDomain::post at the start of their cycle's
+// tick, so the result is independent of same-cycle event ordering.
 //
 // Cost discipline: a tick allocates nothing (request lists live in reused
 // scratch) and walks only live state. An Idle VC always has an empty
@@ -95,8 +96,10 @@ class Router : public des::Clocked {
   static constexpr std::uint32_t kMaxVcsPerInput = 64;
 
   /// Registers with `domain`, through which the router hands off every
-  /// flit and credit (ClockDomain::post). `engine` is the engine the
-  /// domain runs on; the router keeps no reference to it.
+  /// flit and credit (ClockDomain::post), so `credit_delay` and each
+  /// output's cycles_per_flit + wire_delay must be in 1..domain.max_delay().
+  /// `engine` is the engine the domain runs on; the router keeps no
+  /// reference to it.
   Router(des::Engine& engine, des::ClockDomain& domain, std::string name,
          std::uint32_t num_inputs, std::uint32_t vcs_per_input,
          std::uint32_t vc_depth_flits, std::uint32_t credit_delay, RouteFn route);
@@ -120,6 +123,7 @@ class Router : public des::Clocked {
 
   [[nodiscard]] const RouterCounters& counters() const { return counters_; }
   [[nodiscard]] const std::string& name() const { return name_; }
+  [[nodiscard]] des::ClockDomain& domain() const { return domain_; }
   [[nodiscard]] std::uint32_t num_inputs() const { return static_cast<std::uint32_t>(inputs_.size()); }
 
   /// Buffered flits on one input VC (tests/inspection).

@@ -7,13 +7,12 @@ Network::Network(des::Engine& engine, const topology::SystemConfig& cfg,
                  const power::LinkPowerModel& power_model, obs::Hub* hub)
     : engine_(engine),
       hub_(hub),
-      cfg_(cfg),
-      domain_(engine),
+      cfg_((cfg.validate(), cfg)),  // validated before the domain sizes its ring
+      domain_(engine, cfg_.max_handoff_cycles()),
       power_model_(power_model),
       meter_(cfg.num_boards_total()),
       rwa_(cfg.num_boards_total()),
       lane_map_(cfg, rwa_) {
-  cfg_.validate();
   const std::uint32_t B = cfg_.num_boards_total();
   const std::uint32_t W = cfg_.num_wavelengths();
 

@@ -13,6 +13,7 @@
 //   credit delay          1 cycle
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -25,6 +26,8 @@ namespace erapid::topology {
 
 /// Static description of an E-RAPID system plus microarchitecture timing.
 struct SystemConfig {
+  static constexpr std::uint32_t kMaxHandoffCycles = 64;  ///< see max_handoff_cycles()
+
   // ---- R(1, B, D) ----
   std::uint32_t boards = 8;           ///< B: boards in the cluster.
   std::uint32_t nodes_per_board = 8;  ///< D: nodes per board.
@@ -76,6 +79,12 @@ struct SystemConfig {
     return (flit_bits + channel_width_bits - 1) / channel_width_bits;
   }
 
+  /// Longest hand-off the routers post to their clock domain: a credit
+  /// return or one flit crossing an electrical channel or transmitter feed.
+  [[nodiscard]] std::uint32_t max_handoff_cycles() const {
+    return std::max({credit_delay, cycles_per_flit_electrical(), tx_feed_cycles_per_flit});
+  }
+
   /// Packet payload in bits.
   [[nodiscard]] std::uint32_t packet_bits() const { return packet_flits * flit_bits; }
 
@@ -110,8 +119,15 @@ struct SystemConfig {
     ERAPID_EXPECT(num_vcs <= 64, "system.num_vcs must be in 1..64, got " << num_vcs);
     ERAPID_EXPECT(packet_flits >= 1, "packet needs at least one flit");
     ERAPID_EXPECT(tx_queue_packets >= 1, "transmit queue needs room for one packet");
-    ERAPID_EXPECT(tx_feed_cycles_per_flit >= 1,
-                  "transmitter feed needs at least one cycle per flit");
+    // The hand-offs ride the clock domain's ring, which spans
+    // max_handoff_cycles(). A same-cycle credit (delay 0) would have to run
+    // after the tick that freed it, which a ring of later cycles cannot do.
+    ERAPID_EXPECT(credit_delay >= 1 && tx_feed_cycles_per_flit >= 1 &&
+                      max_handoff_cycles() <= kMaxHandoffCycles,
+                  "system.credit_delay (" << credit_delay << "), flit_bits / channel_width_bits ("
+                      << cycles_per_flit_electrical() << ") and tx_feed_cycles_per_flit ("
+                      << tx_feed_cycles_per_flit << ") must each be in 1.."
+                      << kMaxHandoffCycles << " cycles");
     ERAPID_EXPECT(arq_retry_limit >= 1, "ARQ needs at least one retry before dead-letter");
   }
 

@@ -6,8 +6,9 @@
 // posted delivery would heap-allocate and be copied again on its way out.
 // InplaceFn widens the inline buffer past the largest hot-path capture and
 // is move-only, so callbacks move through the calendar and through
-// ClockDomain::post's hand-off batches without allocation or copying. Closures larger than the buffer (or with throwing moves) still
-// work via a heap fallback — correctness never depends on fitting.
+// ClockDomain::post's hand-off ring without allocation or copying.
+// Closures larger than the buffer (or with throwing moves) still work via
+// a heap fallback — correctness never depends on fitting.
 #pragma once
 
 #include <cstddef>

@@ -124,6 +124,31 @@ class ExpandPointsTest(unittest.TestCase):
             for point in campaign.expand_points(spec):
                 self.assertNotIn("variant", point)
 
+    def test_grids_expand_in_turn_with_variants_across_all_of_them(self):
+        spec = {
+            "name": "t",
+            "grids": [
+                {"patterns": ["a", "b"], "modes": ["M"], "loads": [0.5], "seeds": [1]},
+                {"patterns": ["a"], "modes": ["M"], "loads": [0.7], "seeds": [1, 2],
+                 "overrides": [{"workload.kind": "fft"}]},
+            ],
+        }
+        points = campaign.expand_points(spec)
+        self.assertEqual(
+            [(p["pattern"], p["load"], p["seed"], p["variant"]) for p in points],
+            [("a", 0.5, 1, {"workload.kind": None}), ("b", 0.5, 1, {"workload.kind": None}),
+             ("a", 0.7, 1, {"workload.kind": "fft"}), ("a", 0.7, 2, {"workload.kind": "fft"})])
+
+    def test_malformed_grids_raise(self):
+        grid = {"patterns": ["a"], "modes": ["M"], "loads": [0.5], "seeds": [1]}
+        for grids in ([], {"not": "a list"}, [grid, "x"], [dict(grid, seeds=[])],
+                      [{"patterns": ["a"], "modes": ["M"], "loads": [0.5]}]):
+            with self.assertRaises(ValueError, msg=repr(grids)):
+                campaign.expand_points({"name": "t", "grids": grids})
+        # A spec of grids carries no axis of its own.
+        with self.assertRaises(ValueError):
+            campaign.expand_points({"name": "t", "grids": [grid], "seeds": [1]})
+
     def test_string_axis_raises(self):
         # A bare string would otherwise expand character by character.
         for axis in ("patterns", "modes", "loads", "seeds"):

@@ -828,7 +828,10 @@ TEST(OptionsIo, RealKeysRejectMalformedValues) {
   // NaN throughput; a zero reconfiguration window rescheduled its timer
   // on the same cycle forever; a zero-bit flit or a zero-cycle transmitter
   // feed stalled the router, and a flit that is not whole bytes carried
-  // none).
+  // none), and router hand-off delays in 1..64 cycles (the clock domain's
+  // ring spans the longest one: a credit_delay of 4294967295 ran to zero
+  // throughput, 4096-bit flits on the default 16-bit channel take 256
+  // cycles each, and a same-cycle credit cannot ride the ring).
   const std::pair<const char*, const char*> kOutOfRange[] = {
       {"system.channel_width_bits", "0"},    {"system.tx_queue_packets", "0"},
       {"system.flit_bits", "0"},             {"system.flit_bits", "4"},
@@ -841,6 +844,9 @@ TEST(OptionsIo, RealKeysRejectMalformedValues) {
       {"reconfig.rc_watchdog_cycles", "0"},  {"system.rx_queue_packets", "0"},
       {"reconfig.hysteresis_windows", "0"},  {"reconfig.ewma_alpha", "0"},
       {"reconfig.ewma_alpha", "1.5"},      {"workload.load", "-0.5"},
+      {"system.credit_delay", "0"},          {"system.credit_delay", "65"},
+      {"system.credit_delay", "4294967295"}, {"system.tx_feed_cycles_per_flit", "65"},
+      {"system.flit_bits", "4096"},
   };
   for (const auto& [key, value] : kOutOfRange) {
     Ini ini;
@@ -853,6 +859,11 @@ TEST(OptionsIo, RealKeysRejectMalformedValues) {
   EXPECT_EQ(edge.reconfig.dpm_params.ewma_alpha, 1.0);
   EXPECT_EQ(edge.reconfig.window, 1u);
   EXPECT_EQ(edge.obs.monitors.power_cap_mw, 0.0);
+  const auto slow = options_from_ini(Ini::parse_string(
+      "[system]\ncredit_delay = 64\ntx_feed_cycles_per_flit = 64\nchannel_width_bits = 1\n"));
+  EXPECT_EQ(slow.system.credit_delay, 64u);
+  EXPECT_EQ(slow.system.tx_feed_cycles_per_flit, 64u);
+  EXPECT_EQ(slow.system.cycles_per_flit_electrical(), 64u);
 }
 
 // A router port tracks its busy VCs in one 64-bit mask, so system.num_vcs

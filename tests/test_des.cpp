@@ -334,72 +334,57 @@ TEST(ClockDomain, TwoComponentsTickInRegistrationOrder) {
 
 // ---- ClockDomain::post -------------------------------------------------
 
-// A component that runs `on_tick` on each of its first `busy_ticks` ticks.
+// A component that logs every tick and runs `on_tick` on it; quiescent
+// after its first `busy_ticks` ticks.
 struct Poster : Clocked {
+  std::vector<std::string>* log = nullptr;
   std::function<void(Cycle)> on_tick;
   int busy_ticks = 1;
   int ticks = 0;
   void tick(Cycle now) override {
     ++ticks;
+    if (log != nullptr) log->push_back("tick" + std::to_string(now));
     if (on_tick) on_tick(now);
   }
   [[nodiscard]] bool quiescent() const override { return ticks >= busy_ticks; }
 };
 
+auto logger(std::vector<std::string>& order, std::string what) {
+  return [&order, what = std::move(what)] { order.push_back(what); };
+}
+
 class ClockDomainPost : public testing::TestWithParam<QueueKind> {};
 
+// Posts due at cycle t run at the start of tick t, in call order, before
+// any component ticks; they add no calendar event, and the domain keeps
+// ticking while they are pending though its one component is quiescent.
 TEST_P(ClockDomainPost, OneTicksPostsForACycleAreOneEventInCallOrder) {
   Engine e(GetParam());
   ClockDomain dom(e);
   Poster p;
-  std::vector<int> order;
-  p.on_tick = [&](Cycle) {
-    for (int i = 0; i < 5; ++i) dom.post(5, [&order, i] { order.push_back(i); });
+  std::vector<std::string> order;
+  p.log = &order;
+  p.on_tick = [&](Cycle now) {
+    if (now != 1) return;
+    for (const char* what : {"a", "b", "c"}) dom.post(5, logger(order, what));
   };
   dom.add(p);
   dom.wake();
+  e.run_until(1);
+  EXPECT_EQ(e.queue_size(), 1u);  // the next tick, nothing else
   e.run_until(4);
   const auto before = e.events_executed();
   e.run_until(5);
-  EXPECT_EQ(e.events_executed(), before + 1);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-// The tick at cycle 1 interleaves posts for cycles 5 and 6. An event for
-// cycle 5 scheduled before the tick and one scheduled after it (by an
-// event later in cycle 1) bracket the batch exactly as they bracket
-// separate schedule_at() calls.
-std::vector<std::string> bracketed_order(QueueKind kind, bool coalesce) {
-  Engine e(kind);
-  ClockDomain dom(e);
-  Poster p;
-  std::vector<std::string> order;
-  auto log = [&order](const char* what) { return [&order, what] { order.emplace_back(what); }; };
-  e.schedule_at(5, log("before"));
-  const std::pair<Cycle, const char*> kHandOffs[] = {
-      {5, "a"}, {6, "x"}, {5, "b"}, {6, "y"}, {5, "c"}};
-  p.on_tick = [&](Cycle) {
-    for (const auto& [when, what] : kHandOffs) {
-      if (coalesce) {
-        dom.post(when, log(what));
-      } else {
-        e.schedule_at(when, log(what));
-      }
-    }
-  };
-  dom.add(p);
-  dom.wake();                                               // tick at 1
-  e.schedule_at(1, [&] { e.schedule_at(5, log("after")); });  // runs after it
+  EXPECT_EQ(e.events_executed(), before + 1);  // the tick alone
+  EXPECT_EQ(order, (std::vector<std::string>{"tick1", "tick2", "tick3", "tick4", "a", "b", "c",
+                                             "tick5"}));
   e.run_all();
-  return order;
+  EXPECT_FALSE(dom.running());
+  EXPECT_EQ(dom.ticks(), 5u);
 }
 
-TEST_P(ClockDomainPost, BatchKeepsItsPlaceAmongSameCycleEvents) {
-  const auto batched = bracketed_order(GetParam(), true);
-  EXPECT_EQ(batched, bracketed_order(GetParam(), false));
-  EXPECT_EQ(batched, (std::vector<std::string>{"before", "a", "b", "c", "after", "x", "y"}));
-}
-
+// Posts made in two ticks for the same cycle run in call order: the
+// first tick's, then the second's.
 TEST_P(ClockDomainPost, PostsFromTwoTicksAreTwoBatchesInTickOrder) {
   Engine e(GetParam());
   ClockDomain dom(e);
@@ -407,53 +392,90 @@ TEST_P(ClockDomainPost, PostsFromTwoTicksAreTwoBatchesInTickOrder) {
   p.busy_ticks = 2;
   std::vector<std::string> order;
   p.on_tick = [&](Cycle now) {
+    if (now > 2) return;
     const std::string t = "t" + std::to_string(now);
-    dom.post(5, [&order, t] { order.push_back(t + "a"); });
-    dom.post(5, [&order, t] { order.push_back(t + "b"); });
+    dom.post(5, logger(order, t + "a"));
+    dom.post(5, logger(order, t + "b"));
   };
   dom.add(p);
-  dom.wake();  // ticks at 1 and 2
-  // Scheduled after the first tick and before the second.
-  e.schedule_at(1, [&] { e.schedule_at(5, [&] { order.emplace_back("between"); }); });
-  e.run_until(4);
-  const auto before = e.events_executed();
-  e.run_until(5);
-  EXPECT_EQ(e.events_executed(), before + 3);
-  EXPECT_EQ(order, (std::vector<std::string>{"t1a", "t1b", "between", "t2a", "t2b"}));
-}
-
-TEST_P(ClockDomainPost, PostOutsideATickViolatesItsPrecondition) {
-  Engine e(GetParam());
-  ClockDomain dom(e);
-  Poster p;
-  dom.add(p);
-  EXPECT_THROW(dom.post(3, [] {}), erapid::ModelInvariantError);
-  bool threw = false;
-  e.schedule(2, [&] {
-    try {
-      dom.post(3, [] {});
-    } catch (const erapid::ModelInvariantError&) {
-      threw = true;
-    }
-  });
+  dom.wake();  // ticks at 1 and 2 post
   e.run_all();
-  EXPECT_TRUE(threw);
+  EXPECT_EQ(order, (std::vector<std::string>{"t1a", "t1b", "t2a", "t2b"}));
 }
 
-TEST_P(ClockDomainPost, PostForTheCurrentCycleRunsAfterTheTick) {
+// The tick at cycle 1 posts for cycles 5 and 6. Calendar events at 5
+// scheduled before the tick at 5 was (at cycle 0, and by an event later
+// in cycle 1) run before that cycle's posts; an event a post schedules for
+// the same cycle runs after the whole tick.
+TEST_P(ClockDomainPost, EventsScheduledBeforeATickRunBeforeItsPosts) {
   Engine e(GetParam());
   ClockDomain dom(e);
   Poster p;
-  p.busy_ticks = 2;
   std::vector<std::string> order;
   p.on_tick = [&](Cycle now) {
-    order.push_back("tick" + std::to_string(now));
-    dom.post(now, [&order, &e] { order.push_back("post" + std::to_string(e.now())); });
+    if (now == 5) order.emplace_back("tick5");
+    if (now != 1) return;
+    dom.post(5, [&] {
+      order.emplace_back("a");
+      e.schedule(0, logger(order, "from-a"));
+    });
+    dom.post(6, logger(order, "x"));
+    dom.post(5, logger(order, "b"));
   };
+  e.schedule_at(5, logger(order, "before"));
   dom.add(p);
-  dom.wake();
+  dom.wake();                                                     // tick at 1
+  e.schedule_at(1, [&] { e.schedule_at(5, logger(order, "after")); });  // runs after it
   e.run_all();
-  EXPECT_EQ(order, (std::vector<std::string>{"tick1", "post1", "tick2", "post2"}));
+  EXPECT_EQ(order, (std::vector<std::string>{"before", "after", "a", "b", "tick5", "from-a", "x"}));
+}
+
+// A post made from an ordinary event wakes a sleeping domain, which ticks
+// until the post has run at its cycle and then sleeps again.
+TEST_P(ClockDomainPost, PostOutsideATickWakesASleepingDomain) {
+  Engine e(GetParam());
+  ClockDomain dom(e);
+  Poster p;
+  p.busy_ticks = 0;  // always quiescent
+  dom.add(p);
+  std::vector<Cycle> ran;
+  dom.post(3, [&] { ran.push_back(e.now()); });
+  EXPECT_TRUE(dom.running());
+  e.run_all();
+  EXPECT_FALSE(dom.running());
+  EXPECT_EQ(dom.ticks(), 3u);
+  e.schedule_at(20, [&] { dom.post(24, [&] { ran.push_back(e.now()); }); });
+  e.run_all();
+  EXPECT_EQ(ran, (std::vector<Cycle>{3, 24}));
+  EXPECT_EQ(dom.ticks(), 7u);  // 21..24
+  EXPECT_FALSE(dom.running());
+}
+
+// A post must land strictly after now and within the ring: the ring for
+// max_delay 4 is 8 slots, so 7 cycles ahead is the furthest, inside a tick
+// or out of one.
+TEST_P(ClockDomainPost, PostOutsideTheRingViolatesItsPrecondition) {
+  Engine e(GetParam());
+  ClockDomain dom(e, 4);
+  EXPECT_EQ(dom.max_delay(), 7u);
+  Poster p;
+  dom.add(p);
+  EXPECT_THROW(dom.post(0, [] {}), erapid::ModelInvariantError);
+  EXPECT_THROW(dom.post(8, [] {}), erapid::ModelInvariantError);
+  std::vector<std::string> thrown;
+  p.on_tick = [&](Cycle now) {
+    for (const Cycle when : {now, now + 8}) {
+      try {
+        dom.post(when, [] {});
+      } catch (const erapid::ModelInvariantError&) {
+        thrown.push_back(std::to_string(when));
+      }
+    }
+    dom.post(now + 7, [] {});
+  };
+  dom.wake();
+  e.run_until(1);
+  EXPECT_EQ(thrown, (std::vector<std::string>{"1", "9"}));
 }
 
 INSTANTIATE_TEST_SUITE_P(BothKinds, ClockDomainPost,

@@ -349,10 +349,11 @@ TEST(Router, CreditBackpressureNeverOverrunsSink) {
 }
 
 TEST(Router, WireDelayAddsToDelivery) {
-  // Two otherwise-identical rigs; the second adds 10 cycles of wire.
+  // Two otherwise-identical rigs; the second adds 10 cycles of wire, so
+  // its clock domain must post that far ahead.
   auto run_one = [](std::uint32_t wire) {
     Engine engine;
-    ClockDomain domain(engine);
+    ClockDomain domain(engine, 1 + wire);
     Router rt(engine, domain, "wire", 1, 1, 8, 1, [](const Flit&) { return 0u; });
     CollectingSink sink(rt);
     OutputPortConfig opc;
@@ -753,6 +754,104 @@ TEST(Injector, IdleCallbackFires) {
   ASSERT_TRUE(rig.inj0->try_start(RouterRig::packet(1, 0), 0));
   rig.engine.run_until(300);
   EXPECT_EQ(idle_calls, 1);
+}
+
+/// A clocked component that runs `fn` on every tick; always quiescent.
+struct TickProbe : erapid::des::Clocked {
+  std::function<void(Cycle)> fn;
+  void tick(Cycle now) override { fn(now); }
+  [[nodiscard]] bool quiescent() const override { return true; }
+};
+
+// A flit posted for cycle t is in the router's input buffer before any
+// component ticks at t, and the post is no calendar event of its own.
+TEST(Injector, FirstFlitIsInTheRouterBeforeThatCyclesRouterTick) {
+  Engine engine;
+  ClockDomain domain(engine);
+  TickProbe ahead;  // registered first: ticks before the router
+  domain.add(ahead);
+  Router rt(engine, domain, "first", 1, 1, 8, 1, [](const Flit&) { return 0u; });
+  CollectingSink sink(rt);
+  OutputPortConfig opc;
+  opc.sink = &sink;
+  opc.vcs = 1;
+  opc.cycles_per_flit = 1;
+  sink.bind(rt.add_output(opc));
+  FlitInjector inj(engine, rt, 0, 1, 8, /*cycles_per_flit=*/4);
+  std::map<Cycle, std::size_t> buffered;  // input-VC occupancy as each tick starts
+  ahead.fn = [&](Cycle now) { buffered[now] = rt.vc_occupancy(0, 0); };
+
+  ASSERT_TRUE(inj.try_start(RouterRig::packet(1, 0), 0));
+  EXPECT_EQ(engine.queue_size(), 1u);  // the domain's first tick, nothing else
+  engine.run_until(4);
+  EXPECT_EQ(buffered[3], 0u);
+  EXPECT_EQ(buffered[4], 1u);
+}
+
+// Input buffer of 2, downstream window of 1 that the sink releases only
+// at cycle 50: the injector stalls on credits, and once the router
+// forwards the next flit at cycle s the freed credit returns at s + 1
+// (credit_delay) and the stream resumes with a flit at s + 2.
+TEST(Injector, StalledStreamResumesOneCycleAfterItsCreditReturns) {
+  class HoldingSink : public FlitReceiver {
+   public:
+    explicit HoldingSink(Router& r) : router_(r) {}
+    void bind(std::uint32_t port) { port_ = port; }
+    void receive_flit(const Flit&, std::uint32_t, Cycle) override {}
+    void release_one() { router_.return_credit(port_, 0); }
+
+   private:
+    Router& router_;
+    std::uint32_t port_ = 0;
+  };
+  Engine engine;
+  ClockDomain domain(engine);
+  Router rt(engine, domain, "stall", 1, 1, /*vc_depth=*/2, /*credit_delay=*/1,
+            [](const Flit&) { return 0u; });
+  HoldingSink sink(rt);
+  OutputPortConfig opc;
+  opc.sink = &sink;
+  opc.vcs = 1;
+  opc.credits_per_vc = 1;
+  opc.cycles_per_flit = 1;
+  sink.bind(rt.add_output(opc));
+  FlitInjector inj(engine, rt, 0, 1, /*credits_per_vc=*/2, 1);
+  TickProbe after;  // registered last: sees each tick's outcome
+  domain.add(after);
+  std::map<Cycle, std::uint64_t> in, out;
+  after.fn = [&](Cycle now) {
+    in[now] = rt.counters().flits_in;
+    out[now] = rt.counters().flits_out;
+  };
+
+  ASSERT_TRUE(inj.try_start(RouterRig::packet(1, 0, /*flits=*/6), 0));
+  engine.schedule_at(50, [&] { sink.release_one(); });
+  engine.run_until(60);
+  EXPECT_EQ(in[49], 3u);  // 2 buffered + the one the first forward freed
+  Cycle s = 50;
+  while (s < 60 && out[s] < 2) ++s;  // the second forward
+  ASSERT_LT(s, 58u);
+  EXPECT_EQ(in[s + 1], 3u);
+  EXPECT_EQ(in[s + 2], 4u);
+}
+
+// The domain ticks while a hand-off is pending even though the router is
+// quiescent, and sleeps at the cycle the last one runs.
+TEST(Injector, DomainSleepsOnceNoPostIsPendingAndEveryRouterIsQuiescent) {
+  RouterRig rig(/*cycles_per_flit=*/4);
+  TickProbe after;
+  rig.domain.add(after);
+  std::map<Cycle, bool> quiet;  // router quiescence after each tick
+  after.fn = [&](Cycle now) { quiet[now] = rig.router->quiescent(); };
+
+  ASSERT_TRUE(rig.inj0->try_start(RouterRig::packet(1, 0), 0));
+  rig.engine.run_all();
+  ASSERT_EQ(rig.sink0->arrivals.size(), 4u);
+  const Cycle tail = rig.sink0->arrivals.back().when;
+  EXPECT_EQ(quiet.rbegin()->first, tail);  // last tick: the tail's arrival
+  EXPECT_TRUE(quiet[tail - 1]);            // ticked only for the pending post
+  EXPECT_FALSE(rig.domain.running());
+  EXPECT_EQ(rig.engine.queue_size(), 0u);
 }
 
 TEST(Ejection, ReassemblesPackets) {

@@ -433,6 +433,20 @@ SimOptions trace_opts() {
   return o;
 }
 
+// Calendar events per delivered packet on the tenants point. Flit sends
+// and router hand-offs run inside the clock tick, so what is left is about
+// one tick per busy cycle plus the optical and workload events (7.5 per
+// packet). With one calendar event per flit send and per hand-off batch
+// this point ran 30.5, so a per-flit event coming back fails here.
+TEST(Tenants, CalendarEventsPerDeliveredPacketStayWithinBudget) {
+  Simulation sim(tenant_opts());
+  (void)sim.run();
+  ASSERT_GT(sim.network().packets_delivered(), 0u);
+  const double per_packet = static_cast<double>(sim.engine().events_executed()) /
+                            static_cast<double>(sim.network().packets_delivered());
+  EXPECT_LT(per_packet, 10.0) << per_packet << " calendar events per packet";
+}
+
 TEST(TraceKind, ReplaysCommittedTraceToCompletion) {
   const SimOptions o = trace_opts();
   const auto r = Simulation(o).run();

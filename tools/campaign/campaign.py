@@ -28,6 +28,18 @@ leaves out is ``null``). Together with (pattern, mode, load, seed) it
 identifies the point. Records of a campaign whose overrides do not vary
 carry no ``variant``.
 
+A spec that is a union of grids lists them under ``"grids"`` instead of
+giving the axes itself: each grid is an object with the four axes and an
+optional overrides axis, expanded in turn, and the variant keys are those
+that vary across the overrides of all grids::
+
+    {"name": "mix", "grids": [
+      {"patterns": ["uniform", "complement"], "modes": ["P-B"],
+       "loads": [0.3, 0.9], "seeds": [1]},
+      {"patterns": ["uniform"], "modes": ["P-B"], "loads": [0.7],
+       "seeds": [1], "overrides": [{"workload.kind": "fft"}]}
+    ]}
+
 Determinism contract: the expansion order is the canonical nested loop
 ``overrides > patterns > modes > loads > seeds`` (outermost to innermost),
 and the merged artifact lists points in exactly that order regardless of
@@ -65,41 +77,58 @@ def expand_points(spec):
     """Expands a spec dict into the canonical ordered list of point dicts.
 
     Each point is {"pattern", "mode", "load", "seed", "overrides"} where
-    overrides is one dict from spec["overrides"] (default: the empty dict),
-    plus "variant" when the overrides axis varies (see the module doc).
-    Raises ValueError on a missing key or a malformed axis.
+    overrides is one dict from its grid's overrides axis (default: the
+    empty dict), plus "variant" when the overrides vary (see the module
+    doc). Raises ValueError on a missing key or a malformed axis.
     """
     if not isinstance(spec, dict):
         raise ValueError("spec must be a JSON object")
-    for key in ("name",) + AXES:
-        if key not in spec:
+    if "name" not in spec:
+        raise ValueError("spec missing required key: 'name'")
+    grids = spec.get("grids", [spec])
+    if "grids" in spec and (
+        not isinstance(grids, list) or not grids
+        or not all(isinstance(g, dict) for g in grids)
+        or any(key in spec for key in AXES + ("overrides",))
+    ):
+        raise ValueError("spec 'grids' must be a non-empty list of objects, "
+                         "and then the spec itself carries no axis")
+    overrides_axes = [grid_overrides(grid) for grid in grids]
+    varying = varying_keys([o for axis in overrides_axes for o in axis])
+    points = []
+    for grid, overrides_axis in zip(grids, overrides_axes):
+        for overrides in overrides_axis:
+            for pattern in grid["patterns"]:
+                for mode in grid["modes"]:
+                    for load in grid["loads"]:
+                        for seed in grid["seeds"]:
+                            point = {
+                                "pattern": pattern,
+                                "mode": mode,
+                                "load": load,
+                                "seed": seed,
+                                "overrides": overrides,
+                            }
+                            if varying:
+                                point["variant"] = {k: overrides.get(k) for k in varying}
+                            points.append(point)
+    return points
+
+
+def grid_overrides(grid):
+    """Checks one grid's axes; returns its overrides axis."""
+    for key in AXES:
+        if key not in grid:
             raise ValueError(f"spec missing required key: {key!r}")
     for key in AXES:
-        if not isinstance(spec[key], list) or not spec[key]:
+        if not isinstance(grid[key], list) or not grid[key]:
             raise ValueError(f"spec {key!r} must be a non-empty list")
-    overrides_axis = spec.get("overrides", [{}])
+    overrides_axis = grid.get("overrides", [{}])
     if not isinstance(overrides_axis, list) or not overrides_axis or not all(
         isinstance(o, dict) for o in overrides_axis
     ):
         raise ValueError("spec 'overrides' must be a non-empty list of objects")
-    varying = varying_keys(overrides_axis)
-    points = []
-    for overrides in overrides_axis:
-        for pattern in spec["patterns"]:
-            for mode in spec["modes"]:
-                for load in spec["loads"]:
-                    for seed in spec["seeds"]:
-                        point = {
-                            "pattern": pattern,
-                            "mode": mode,
-                            "load": load,
-                            "seed": seed,
-                            "overrides": overrides,
-                        }
-                        if varying:
-                            point["variant"] = {k: overrides.get(k) for k in varying}
-                        points.append(point)
-    return points
+    return overrides_axis
 
 
 def varying_keys(overrides_axis):

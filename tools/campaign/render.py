@@ -3,8 +3,8 @@
 
     python3 tools/campaign/render.py CAMPAIGN_<name>.json [...]
 
-Each committed spec under bench/specs/ has one layout here, chosen by the
-artifact's "campaign" name: the Fig. 5/6 panels (one row per load, one
+Each committed spec under bench/specs/ but differential.json (a check,
+not a table) has one layout here, chosen by the artifact's "campaign" name: the Fig. 5/6 panels (one row per load, one
 column per mode), the workload makespan panels (one row per workload kind),
 the headline, hotspot, threshold, system-size, R_w, flexibility and DPM
 tables, and the fault, self-healing and brownout retention tables. Rows and
